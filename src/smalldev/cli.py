@@ -52,7 +52,8 @@ def _write_manifest(outdir: str, command: str, params: dict) -> None:
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _parse_floats(text: str) -> list[float]:
+def float_list(text: str) -> list[float]:
+    """argparse type of comma-separated numbers such as --r 0.5,1,2."""
     return [float(x) for x in text.split(",") if x]
 
 
@@ -210,7 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=_env_seed())
         sp.add_argument("--out", default="out")
-        sp.add_argument("--format", choices=["csv", "json"], default="csv")
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--config", default=None,
                         help="flat key=value file; flags override it")
@@ -231,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--K", type=int, default=40)
     sp.add_argument("--norm", choices=["sup", "l2"], required=True)
-    sp.add_argument("--r", type=str, required=True)
+    sp.add_argument("--r", type=float_list, required=True)
     sp.add_argument("--n", type=int, default=100000)
     sp.add_argument("--grid", type=int, default=1024)
 
@@ -239,14 +239,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--K", type=int, default=40)
-    sp.add_argument("--r", type=str, required=True)
+    sp.add_argument("--r", type=float_list, required=True)
 
     sp = sub.add_parser("tsirelson")
     common(sp)
     sp.add_argument("--spectrum", choices=["discrete", "continuous"],
                     required=True)
     sp.add_argument("--nu", type=float, required=True)
-    sp.add_argument("--r", type=str, required=True)
+    sp.add_argument("--r", type=float_list, required=True)
     sp.add_argument("--l", type=float, default=None)
     sp.add_argument("--convention",
                     choices=[tsirelson.PAPER_2PI, tsirelson.PERIOD_1],
@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--K", type=int, default=8)
-    sp.add_argument("--eps", type=str, required=True)
+    sp.add_argument("--eps", type=float_list, required=True)
 
     sp = sub.add_parser("kl-translate")
     common(sp)
@@ -286,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("problem5")
     common(sp)
     sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--r", type=str, required=True)
+    sp.add_argument("--r", type=float_list, required=True)
 
     sp = sub.add_parser("rerun")
     sp.add_argument("manifest")
@@ -295,8 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(argv: list[str]) -> list[str]:
     """Insert key=value pairs from a --config file as flags after the
-    subcommand, so explicit flags keep priority."""
-    if "--config" not in argv:
+    subcommand, so explicit flags keep priority.  A trailing --config is left
+    for the parser to reject."""
+    if "--config" not in argv[:-1]:
         return argv
     i = argv.index("--config")
     path = argv[i + 1]
@@ -315,26 +316,36 @@ def _params_of(args: argparse.Namespace) -> dict:
     p = dict(vars(args))
     p.pop("command", None)
     p.pop("config", None)
-    for key in ("r", "eps"):
-        if isinstance(p.get(key), str):
-            p[key] = _parse_floats(p[key])
     # argparse stores --t-max, --n-points, --path-index with underscores
     return p
 
 
+def _load(argv: list[str]) -> tuple[str, dict]:
+    """Command and parameters of a run, from flags or from a manifest.
+
+    Malformed flags exit 2 through argparse; an unreadable config, manifest
+    or input file raises OSError, ValueError or KeyError.
+    """
+    ap = _build_parser()
+    if argv and argv[0] == "rerun":
+        with open(ap.parse_args(argv).manifest) as f:
+            manifest = json.load(f)
+        command, params = manifest["command"], manifest["params"]
+    else:
+        args = ap.parse_args(_apply_config(argv))
+        command, params = args.command, _params_of(args)
+    if params.get("input") is not None and not os.path.isfile(params["input"]):
+        raise FileNotFoundError(f"no such input file: {params['input']}")
+    return command, params
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "rerun":
-        with open(argv[1]) as f:
-            manifest = json.load(f)
-        command = manifest["command"]
-        params = manifest["params"]
-    else:
-        argv = _apply_config(argv)
-        ap = _build_parser()
-        args = ap.parse_args(argv)
-        command = args.command
-        params = _params_of(args)
+    try:
+        command, params = _load(argv)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     outdir = params["out"]
     os.makedirs(outdir, exist_ok=True)
     try:

@@ -1,13 +1,15 @@
 """Sample-path generation on time grids.
 
 Periodic processes (atomic spectra) are generated exactly as finite random
-Fourier series.  Continuous spectra go through circulant embedding when the
-embedded covariance is nonnegative definite, with a stratified spectral
-quadrature fallback otherwise.
+Fourier series.  Continuous spectra, including the flat Tsirelson
+minorants, are generated by one sampler: stratified spectral quadrature
+with one cos/sin pair per equal-mass stratum.
 
-All randomness comes from a counter-based generator keyed by (seed, block),
-with a fixed block size, so any path index reproduces bit-identically no
-matter how the batch is partitioned across workers.
+All randomness comes from one keying scheme: a counter-based generator keyed
+by (seed, path_index // block), where the block is BLOCK paths for Fourier
+series and QUAD_BLOCK paths for spectral quadrature.  Any path index
+therefore draws the same normals no matter how the batch is partitioned
+across workers.
 """
 
 from __future__ import annotations
@@ -16,15 +18,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfinv
+from scipy.special import erfinv, gammainc, gammaincinv
+from scipy.special import gamma as gamma_fn
 
 from . import spectra
-from .errors import NumericFailure, PreconditionError
+from .errors import PreconditionError
 
 #: paths per counter block; fixed so batches are partition-independent
 BLOCK = 512
 
-#: strata for the spectral-quadrature fallback
+#: paths per counter block of spectral quadrature (2 * N_STRATA normals each)
+QUAD_BLOCK = 8
+
+#: strata for spectral quadrature
 N_STRATA = 4096
 
 
@@ -182,8 +188,15 @@ def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float
     elif kind == spectra.CONTINUOUS_NU and nu == 2.0:
         u = erfinv(p)
         half_mass = math.sqrt(math.pi) / 2.0
+    elif kind in (spectra.CONTINUOUS_NU, spectra.TRUNCATED_CONTINUOUS_NU):
+        # int_0^u exp(-x^nu) dx = Gamma(1 + 1/nu) * gammainc(1/nu, u^nu)
+        P = 1.0
+        if kind == spectra.TRUNCATED_CONTINUOUS_NU:
+            P = gammainc(1.0 / nu, model.cutoff ** nu)
+        u = gammaincinv(1.0 / nu, p * P) ** (1.0 / nu)
+        half_mass = gamma_fn(1.0 + 1.0 / nu) * P
     else:
-        # generic inverse-CDF by dense tabulation
+        # log-power family: inverse CDF by dense tabulation
         U = spectra._quad_upper_limit(model)
         ug = np.linspace(0.0, U, 200001)
         dens = np.array([spectra.density_eval(model, x) for x in ug])
@@ -199,8 +212,9 @@ def continuous_values(model: spectra.SpectralModel, times: np.ndarray,
     """Stratified spectral sampling of a continuous-spectrum process.
 
     X(t) = sum_j sqrt(2 m) (xi_j cos u_j t + eta_j sin u_j t), with one
-    cos/sin pair per stratum; pointwise variance equals the total mass up to
-    stratification bias (negligible at N_STRATA strata).
+    cos/sin pair per stratum.  The pointwise variance is the total mass
+    exactly; covariances at nonzero lag carry a stratification bias that is
+    negligible at N_STRATA strata.
     """
     u, m = _strata_frequencies(model)
     amp = math.sqrt(2.0 * m)
@@ -210,46 +224,27 @@ def continuous_values(model: spectra.SpectralModel, times: np.ndarray,
     i = 0
     while i < n_paths:
         idx = offset + i
-        block, pos = divmod(idx, 8)  # small blocks: 2*S normals per path
-        take = min(8 - pos, n_paths - i)
+        block, pos = divmod(idx, QUAD_BLOCK)
+        take = min(QUAD_BLOCK - pos, n_paths - i)
         rng = _rng_for_block(seed, block)
-        normals = rng.standard_normal((8, 2 * N_STRATA))[pos : pos + take]
+        normals = rng.standard_normal((QUAD_BLOCK, 2 * N_STRATA))
         xi = normals[:, :N_STRATA]
         eta = normals[:, N_STRATA:]
-        out[i : i + take] = amp * (xi @ ct + eta @ st)
+        # the product always spans the whole block: a row of a matrix
+        # product may differ in its last bits with the number of rows
+        out[i : i + take] = (amp * (xi @ ct + eta @ st))[pos : pos + take]
         i += take
     return out
-
-
-def _circulant_eigs(model: spectra.SpectralModel, grid: GridSpec) -> np.ndarray:
-    n = grid.n_points
-    M = 1 << max(1, math.ceil(math.log2(2 * (n - 1))))
-    j = np.arange(M)
-    lag = np.minimum(j, M - j) * grid.spacing
-    row = np.array([spectra.covariance(model, t).value for t in lag])
-    return np.real(np.fft.fft(row)), M
 
 
 def gen_continuous(model: spectra.SpectralModel, grid: GridSpec,
                    seed: int, path_index: int = 0) -> PathSample:
     if not model.is_continuous:
         raise PreconditionError("gen_continuous needs a continuous spectral model")
-    R0 = spectra.total_mass(model)
-    eigs, M = _circulant_eigs(model, grid)
-    if eigs.min() >= -1e-8 * R0:
-        lam = np.clip(eigs, 0.0, None)
-        rng = _rng_for_block(seed, path_index)
-        z = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        w = np.fft.fft(np.sqrt(lam / (2.0 * M)) * z)
-        vals = np.real(w[: grid.n_points])
-        return PathSample(grid, vals, seed,
-                          meta={"method": "circulant", "embedding_size": M,
-                                "min_eig": float(eigs.min())})
     vals = continuous_values(model, grid.times(), seed, 1, offset=path_index)
     return PathSample(grid, vals[0], seed,
                       meta={"method": "spectral-quadrature",
-                            "n_strata": N_STRATA,
-                            "embedding_min_eig": float(eigs.min())})
+                            "n_strata": N_STRATA})
 
 
 def gen_minorant_continuous(l: float, nu: float, grid: GridSpec, seed: int,
@@ -257,17 +252,9 @@ def gen_minorant_continuous(l: float, nu: float, grid: GridSpec, seed: int,
     """Flat-density minorant: density exp(-l^nu) on [-l, l]."""
     if l < 1:
         raise PreconditionError("l must be >= 1")
-    # equal-measure strata of a flat density are equal-width
-    p = (np.arange(N_STRATA) + 0.5) / N_STRATA
-    u = p * l
-    m = l * math.exp(-(l ** nu)) / N_STRATA
-    rng = _rng_for_block(seed, path_index)
-    xi = rng.standard_normal(N_STRATA)
-    eta = rng.standard_normal(N_STRATA)
-    times = grid.times()
-    vals = math.sqrt(2.0 * m) * (xi @ np.cos(np.outer(u, times))
-                                 + eta @ np.sin(np.outer(u, times)))
-    return PathSample(grid, vals, seed,
+    vals = continuous_values(spectra.bandlimited(l), grid.times(), seed, 1,
+                             offset=path_index)
+    return PathSample(grid, math.exp(-(l ** nu) / 2.0) * vals[0], seed,
                       meta={"method": "spectral-quadrature", "l": l,
                             "variance": 2.0 * l * math.exp(-(l ** nu))})
 

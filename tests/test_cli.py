@@ -57,6 +57,43 @@ def test_tsirelson_asymptotic_via_cli(tmp_path):
     assert ratio == pytest.approx(1.0 / (4.0 * math.pi), rel=0.05)
 
 
+def test_manifest_with_format_reruns_identically(tmp_path):
+    # manifests written while --format existed still carry it
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert run(["simulate", "--spectrum", "discrete", "--nu", "1", "--K", "20",
+                "--n-points", "64", "--seed", "5", "--out", str(out1)]) == 0
+    manifest = json.loads(read(out1 / "manifest.json"))
+    assert "format" not in manifest["params"]
+    manifest["params"].update(format="csv", out=str(out2))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(manifest))
+    assert run(["rerun", str(mpath)]) == 0
+    assert read(out1 / "path.csv") == read(out2 / "path.csv")
+    assert json.loads(read(out2 / "manifest.json")) == manifest
+
+
+def exit_code(argv):
+    try:
+        return run(argv)
+    except SystemExit as e:  # argparse rejects malformed flags this way
+        return e.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["rerun"],
+    ["rerun", "missing.json"],
+    ["l2-exact", "--nu", "1", "--r", "1", "--out", "o", "--config"],
+    ["l2-exact", "--nu", "1", "--r", "1", "--out", "o", "--config", "missing.cfg"],
+    ["l2-exact", "--nu", "1", "--r", "a,b", "--out", "o"],
+    ["fit", "--input", "missing.csv", "--out", "o"],
+])
+def test_usage_errors_exit_2_without_output(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as e:
         run(["tsirelson", "--bogus", "1"])

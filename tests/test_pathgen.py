@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from smalldev import pathgen, spectra
 from smalldev.errors import PreconditionError
@@ -123,12 +124,33 @@ def test_batch_norms_match_per_path():
 def test_continuous_pairwise_correlation():
     # two-point grids: corr equals R(0.5)/R(0)
     grid = GridSpec(0.0, 0.5, 2)
-    for nu, target in [(2.0, math.exp(-0.0625)), (1.0, 0.8)]:
-        model = spectra.continuous_nu(nu)
+    cases = [(spectra.continuous_nu(2.0), math.exp(-0.0625)),
+             (spectra.continuous_nu(1.0), 0.8)]
+    for model in (spectra.continuous_nu(0.5),
+                  spectra.truncated_continuous_nu(1.0, 2.0)):
+        cases.append((model, spectra.covariance(model, 0.5).value
+                      / spectra.covariance(model, 0.0).value))
+    for model, target in cases:
         vals = pathgen.continuous_values(model, grid.times(), seed=5,
                                          n_paths=4000)
         c = np.corrcoef(vals.T)[0, 1]
-        assert c == pytest.approx(target, abs=3.0 / math.sqrt(4000))
+        assert c == pytest.approx(target, abs=3.0 / math.sqrt(4000)), model
+
+
+@pytest.mark.parametrize("model", [spectra.continuous_nu(0.5),
+                                   spectra.continuous_nu(1.5),
+                                   spectra.truncated_continuous_nu(1.0, 2.0)])
+def test_strata_quantiles_exact(model):
+    # stratum j sits at the midpoint quantile p_j of the positive half mass
+    u, m = pathgen._strata_frequencies(model)
+    half_mass = m * pathgen.N_STRATA
+    assert half_mass == pytest.approx(spectra.total_mass(model) / 2.0,
+                                      rel=1e-12)
+    for j in (0, 1, pathgen.N_STRATA // 2, pathgen.N_STRATA - 1):
+        p = (j + 0.5) / pathgen.N_STRATA
+        mass, _ = quad(lambda x: spectra.density_eval(model, x), 0.0, u[j],
+                       epsabs=1e-14, epsrel=1e-12, limit=200)
+        assert mass / half_mass == pytest.approx(p, rel=1e-9), j
 
 
 def test_continuous_determinism_and_metadata():
@@ -137,7 +159,34 @@ def test_continuous_determinism_and_metadata():
     a = pathgen.gen_continuous(model, grid, seed=77)
     b = pathgen.gen_continuous(model, grid, seed=77)
     assert np.array_equal(a.values, b.values)
-    assert a.meta["method"] in ("circulant", "spectral-quadrature")
+    assert a.meta["method"] == "spectral-quadrature"
+
+
+def test_continuous_variance_on_coarse_long_grid():
+    # 16 points on [0, 10]: R(0) = 2 for nu = 1.  The process is stationary,
+    # so each path's mean of x(t)^2 over the grid estimates R(0).
+    model = spectra.continuous_nu(1.0)
+    grid = GridSpec(0.0, 10.0, 16)
+    n = 400
+    s = np.array([np.mean(pathgen.gen_continuous(model, grid, seed=3,
+                                                 path_index=i).values ** 2)
+                  for i in range(n)])
+    se = float(np.std(s)) / math.sqrt(n)
+    assert float(np.mean(s)) == pytest.approx(spectra.total_mass(model),
+                                              abs=4 * se)
+
+
+def test_gen_continuous_is_a_batch_row():
+    model = spectra.continuous_nu(0.5)
+    grid = GridSpec(0.0, 10.0, 16)
+    batch = pathgen.continuous_values(model, grid.times(), seed=21,
+                                      n_paths=12, offset=0)
+    for i in (6, 7, 8, 9):  # across the first block boundary
+        path = pathgen.gen_continuous(model, grid, seed=21, path_index=i)
+        assert np.array_equal(path.values, batch[i])
+    tail = pathgen.continuous_values(model, grid.times(), seed=21,
+                                     n_paths=5, offset=6)
+    assert np.array_equal(tail, batch[6:11])
 
 
 def test_continuous_stationarity():
