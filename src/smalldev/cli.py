@@ -331,6 +331,8 @@ def _load(argv: list[str]) -> tuple[str, dict]:
         with open(ap.parse_args(argv).manifest) as f:
             manifest = json.load(f)
         command, params = manifest["command"], manifest["params"]
+        if command not in _DISPATCH or "out" not in params:
+            raise ValueError("manifest needs a known command and params.out")
     else:
         args = ap.parse_args(_apply_config(argv))
         command, params = args.command, _params_of(args)

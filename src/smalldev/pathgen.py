@@ -111,16 +111,17 @@ def _rng_for_block(seed: int, block: int) -> np.random.Generator:
 
 
 def _series_block(amps: np.ndarray, times: np.ndarray, seed: int,
-                  block: int, count: int) -> np.ndarray:
-    """Values of `count` consecutive Fourier-series paths from one block.
+                  block: int) -> np.ndarray:
+    """Values of the BLOCK consecutive Fourier-series paths of one block.
 
     X(t) = amp0*xi0 + sum_k amp_k*(xi_k cos 2 pi k t + eta_k sin 2 pi k t).
-    A full block of normals is always drawn so path identity is independent
-    of `count`.
+    The product always spans the whole block, so a path is the same however
+    many of its block's paths are read: a row of a matrix product may differ
+    in its last bits with the number of rows.
     """
     K = len(amps) - 1
     rng = _rng_for_block(seed, block)
-    normals = rng.standard_normal((BLOCK, 2 * K + 1))[:count]
+    normals = rng.standard_normal((BLOCK, 2 * K + 1))
     xi = normals[:, : K + 1]  # xi0..xiK
     eta = normals[:, K + 1:]  # eta1..etaK
     k = np.arange(1, K + 1)
@@ -141,8 +142,7 @@ def series_values(amps: np.ndarray, times: np.ndarray, seed: int,
         idx = offset + i
         block, pos = divmod(idx, BLOCK)
         take = min(BLOCK - pos, n_paths - i)
-        full = _series_block(amps, times, seed, block, pos + take)
-        out[i : i + take] = full[pos : pos + take]
+        out[i : i + take] = _series_block(amps, times, seed, block)[pos : pos + take]
         i += take
     return out
 

@@ -31,11 +31,18 @@ from .errors import (
     PropertyViolation,
 )
 
-#: truncated-ellipsoid dimension cap for the covering enumeration
+#: truncated-ellipsoid dimension cap for the covering count
 MAX_DIM = 14
 
-#: lattice cells beyond which the enumeration falls back to a product bound
-_ENUM_BUDGET = 1_000_000
+#: histogram bins per unit of the ellipsoid's quadratic form in the cell count
+_GRID = 2 ** 16
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+#: rules that produce the upper side of an entropy bracket
+SINGLE_BALL = "single-ball"
+LATTICE_COVERING = "lattice-covering"
+COORDINATE_PRODUCT = "coordinate-product"
 
 
 @dataclass(frozen=True)
@@ -88,51 +95,72 @@ class EntropyBracket:
     H_upper: float
     lower_method: str
     upper_method: str
+    upper_cells: int  # balls in the cover whose log is H_upper
 
     def __post_init__(self):
         if self.H_lower > self.H_upper + 1e-9:
             raise CertificateError("entropy bracket is inverted")
 
 
+def _product_bound(axes: np.ndarray, steps: np.ndarray) -> int:
+    """Cells of the lattice box that contains the ellipsoid."""
+    return int(np.prod(2 * np.ceil(axes / steps) + 1))
+
+
+def _term_counts(a: float, s: float) -> np.ndarray:
+    """Number of j in 0..floor(a/s) with floor(_GRID (j s / a)^2) == b, for
+    every bin b = 0.._GRID, in O(_GRID) whatever the number of j."""
+    top = math.floor(a / s)
+    b = np.arange(_GRID + 1)
+
+    def bin_of(j):
+        return np.floor(_GRID * (j * s / a) ** 2)
+
+    # last j in bins <= b: the inverse is exact up to rounding, so one step
+    # either way against the bin formula itself makes it exact
+    j = np.minimum(np.floor(a / s * np.sqrt((b + 1) / _GRID)), top)
+    j -= bin_of(j) > b
+    j += (j < top) & (bin_of(j + 1) <= b)
+    return np.diff(j, prepend=-1.0).astype(np.int64)
+
+
 def _count_lattice_cells(axes: np.ndarray, steps: np.ndarray) -> int:
-    """Cells of the coordinate lattice intersecting the centered ellipsoid.
+    """Cover count of the coordinate lattice cells meeting the centered
+    ellipsoid, never above the coordinate product bound.
 
-    Depth-first over coordinates; a cell intersects iff its closest point
-    to the origin lies inside the ellipsoid.
+    The cell [m s, (m+1) s) is closest to the origin at j s with j = m or
+    j = -m-1, so each j >= 0 stands for two cells, and a cell meets the
+    ellipsoid iff sum_i (j_i s_i / a_i)^2 <= 1.  Each term is rounded down
+    to a bin of width 1/_GRID and the bin counts are convolved coordinate by
+    coordinate; rounding down only admits more cells, so 2^d times the mass
+    in bins <= _GRID counts a cover.  The product bound is returned when it
+    is smaller, or when the histogram could overflow int64.
     """
-    d = len(axes)
-    counted = 0
-    budget = _ENUM_BUDGET
-
-    def recurse(i: int, q: float) -> int:
-        # q = accumulated sum of (closest_j / axes_j)^2 for j < i
-        nonlocal budget
-        if q > 1.0:
-            return 0
-        if i == d:
-            return 1
-        m_max = int(math.floor(axes[i] * math.sqrt(max(1.0 - q, 0.0))
-                               / steps[i]))
-        total = 0
-        for m in range(-m_max - 1, m_max + 1):
-            # cell [m s, (m+1) s): closest point to 0
-            lo, hi = m * steps[i], (m + 1) * steps[i]
-            closest = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-            budget -= 1
-            if budget <= 0:
-                raise MemoryError
-            total += recurse(i + 1, q + (closest / axes[i]) ** 2)
-        return total
-
-    return recurse(0, 0.0)
+    product = _product_bound(axes, steps)
+    hist = np.zeros(_GRID + 1, dtype=np.int64)
+    hist[0] = 1
+    total = 1
+    for a, s in zip(axes, steps):
+        if total * (math.floor(a / s) + 1) > _INT64_MAX:
+            return product
+        term = _term_counts(a, s)
+        # convolve, shifting the denser of the two by the sparser one's bins
+        sparse, dense = sorted((hist, term), key=np.count_nonzero)
+        conv = np.zeros_like(hist)
+        for b in np.flatnonzero(sparse):
+            conv[b:] += sparse[b] * dense[: _GRID + 1 - b]
+        hist = conv
+        total = int(hist.sum())
+    return min(2 ** len(axes) * total, product)
 
 
-def entropy_upper(ell: CoefficientEllipsoid, epsilon: float) -> float:
-    """log of a sup-norm covering count of the unit ball."""
+def upper_cover(ell: CoefficientEllipsoid, epsilon: float) -> tuple[int, str]:
+    """Balls in a sup-norm epsilon-cover of the unit ball, and the rule
+    (SINGLE_BALL, LATTICE_COVERING or COORDINATE_PRODUCT) that counted them."""
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
     if epsilon >= 2.0 * ell.sup_radius:
-        return 0.0
+        return 1, SINGLE_BALL
     axes_all = np.sort(ell.semi_axes())[::-1]
     # drop trailing coordinates whose total sup-norm reach is <= eps/2;
     # the kept coordinates share the remaining radius budget
@@ -151,11 +179,15 @@ def entropy_upper(ell: CoefficientEllipsoid, epsilon: float) -> float:
     axes = axes_all[:d]
     budget = epsilon - tails[d]
     steps = np.full(d, 2.0 * budget / d)  # cell sup-radius sums to budget
-    try:
-        count = _count_lattice_cells(axes, steps)
-    except MemoryError:
-        count = int(np.prod(2 * np.ceil(axes / steps) + 1))
-    return math.log(max(count, 1))
+    cells = _count_lattice_cells(axes, steps)
+    if cells == _product_bound(axes, steps):
+        return cells, COORDINATE_PRODUCT
+    return cells, LATTICE_COVERING
+
+
+def entropy_upper(ell: CoefficientEllipsoid, epsilon: float) -> float:
+    """log of a sup-norm covering count of the unit ball."""
+    return math.log(upper_cover(ell, epsilon)[0])
 
 
 def entropy_lower(ell: CoefficientEllipsoid, epsilon: float) -> float:
@@ -180,12 +212,14 @@ def entropy_lower(ell: CoefficientEllipsoid, epsilon: float) -> float:
 
 
 def entropy_bracket(ell: CoefficientEllipsoid, epsilon: float) -> EntropyBracket:
+    cells, method = upper_cover(ell, epsilon)
     return EntropyBracket(
         epsilon=epsilon,
         H_lower=entropy_lower(ell, epsilon),
-        H_upper=entropy_upper(ell, epsilon),
+        H_upper=math.log(cells),
         lower_method="volumetric-coefficient-box",
-        upper_method="lattice-covering",
+        upper_method=method,
+        upper_cells=cells,
     )
 
 

@@ -94,6 +94,17 @@ def test_usage_errors_exit_2_without_output(tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("manifest", [
+    {"command": "bogus", "params": {"out": "o"}},
+    {"command": "entropy", "params": {"nu": 1.0, "K": 1, "eps": [0.5]}},
+])
+def test_bad_manifest_exits_2_without_output(tmp_path, monkeypatch, manifest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert exit_code(["rerun", "manifest.json"]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as e:
         run(["tsirelson", "--bogus", "1"])

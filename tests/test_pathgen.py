@@ -64,6 +64,18 @@ def test_seed_determinism_and_offset_consistency():
     assert np.array_equal(tail, full[510:514])
 
 
+def test_gen_periodic_is_a_batch_row():
+    # a path read alone, at a block start too, equals its row of a batch
+    grid = GridSpec(n_points=1024)
+    for K in (8, 20, 45):
+        cfg = PeriodicGenConfig(nu=1.0, K=K, tail_tol=math.inf)
+        batch = pathgen.series_values(cfg.amplitudes(), grid.times(), seed=4,
+                                      n_paths=600)
+        for i in (0, 511, 512, 599):
+            path = pathgen.gen_periodic(cfg, grid, seed=4, path_index=i)
+            assert np.array_equal(path.values, batch[i])
+
+
 def test_minorant_discrete_variance_and_dirichlet_zeros():
     # Var = exp(-l^nu) (2l+1): l=3, nu=1 -> 7 e^-3
     grid = GridSpec(n_points=8)

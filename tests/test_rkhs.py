@@ -61,6 +61,49 @@ def test_entropy_bracket_sandwich_and_monotone():
     assert br.H_upper > 0.0
 
 
+def _enumerated_cells(axes, steps):
+    """Exhaustive count of the lattice cells meeting the ellipsoid: each
+    j >= 0 stands for two cells, kept while sum (j s / a)^2 <= 1."""
+    q = np.zeros(1)
+    for a, s in zip(axes, steps):
+        terms = (np.arange(math.floor(a / s) + 1) * s / a) ** 2
+        q = (q[:, None] + terms[None, :]).ravel()
+        q = q[q <= 1.0]
+    return 2 ** len(axes) * len(q)
+
+
+def test_lattice_count_covers_enumeration_below_product():
+    for nu in (0.5, 1.0, 2.0):
+        for K in (0, 1, 2, 3):
+            axes = np.sort(CoefficientEllipsoid(nu, K).semi_axes())[::-1]
+            for eps in (1.0, 0.5, 0.3, 0.2):
+                steps = np.full(len(axes), 2.0 * eps / len(axes))
+                exact = _enumerated_cells(axes, steps)
+                product = int(np.prod(2 * np.ceil(axes / steps) + 1))
+                cells = rkhs._count_lattice_cells(axes, steps)
+                assert min(exact, product) <= cells <= min(1.01 * exact, product)
+
+
+def test_bracket_names_rule_and_cells():
+    ell = CoefficientEllipsoid(1.0, 4)
+    br = rkhs.entropy_bracket(ell, 2.0 * ell.sup_radius)
+    assert (br.upper_method, br.upper_cells, br.H_upper) == (rkhs.SINGLE_BALL, 1, 0.0)
+    for eps in (0.5, 0.3, 0.2):
+        br = rkhs.entropy_bracket(ell, eps)
+        assert br.upper_method == rkhs.LATTICE_COVERING
+        assert br.H_upper == math.log(br.upper_cells)
+        assert br.H_upper == rkhs.entropy_upper(ell, eps)
+
+
+def test_overflowing_count_returns_labelled_product():
+    # nu=2, K=8 at eps=1e-3 keeps 8 coordinates with up to 7500 cells each
+    ell = CoefficientEllipsoid(2.0, 8)
+    br = rkhs.entropy_bracket(ell, 1e-3)
+    assert br.upper_method == rkhs.COORDINATE_PRODUCT
+    assert br.upper_cells > np.iinfo(np.int64).max
+    assert br.H_upper == math.log(br.upper_cells)
+
+
 def test_entropy_capacity_error():
     ell = CoefficientEllipsoid(0.35, 40)
     with pytest.raises(CapacityError, match="smallest supported"):

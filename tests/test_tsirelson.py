@@ -128,6 +128,46 @@ def test_continuous_rate_constant_stabilizes():
         )
 
 
+def _scalar_bound_opt(nu, spectrum, r, convention, variant):
+    """Reference scan: bound_at at every window candidate, first maximum wins."""
+    seed = (abs(math.log(r)) / (nu + 1.0)) ** (1.0 / nu)
+    l_max = 4.0 * math.ceil(seed)
+    if spectrum == DISCRETE:
+        candidates = range(1, max(int(l_max), 1) + 1)
+    else:
+        candidates = np.arange(1.0, max(l_max, 1.0) + 0.25, 0.25)
+    best = None
+    for l in candidates:
+        res = tsirelson.bound_at(TsirelsonConfig(nu, spectrum, float(l), convention),
+                                 r, variant)
+        if best is None or res.phi_lower > best.phi_lower:
+            best = res
+    return best
+
+
+def test_bound_opt_matches_scalar_scan():
+    for nu in (0.5, 1.0, 2.0, 3.0):
+        for spectrum, conv in ((DISCRETE, PAPER_2PI), (DISCRETE, PERIOD_1),
+                               (CONTINUOUS, PAPER_2PI)):
+            for variant in (PAPER_EXPONENT, RIGOROUS_GRID_COUNT):
+                for r in (0.5, 1e-3, 1e-20, 1e-50):
+                    assert tsirelson.bound_opt(nu, spectrum, r, conv, variant) \
+                        == _scalar_bound_opt(nu, spectrum, r, conv, variant)
+
+
+def test_rigorous_bound_survives_sigma_underflow():
+    # sigma^2 = e^{-784} * 57 underflows to 0 at l = 28, nu = 2
+    cfg = TsirelsonConfig(2.0, DISCRETE, 28)
+    assert cfg.sigma2 == 0.0
+    res = tsirelson.bound_at(cfg, 1e-50, RIGOROUS_GRID_COUNT)
+    assert res.phi_lower == 0.0
+    assert not res.valid
+    for spectrum in (DISCRETE, CONTINUOUS):
+        res = tsirelson.bound_opt(2.0, spectrum, 1e-50,
+                                  variant=RIGOROUS_GRID_COUNT)
+        assert res.valid and res.phi_lower > 0.0
+
+
 def test_minorant_covariance_forms():
     # Dirichlet kernel at zero lag equals sigma^2
     for cfg in [TsirelsonConfig(1.0, DISCRETE, 3, PAPER_2PI),
