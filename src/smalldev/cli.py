@@ -331,8 +331,14 @@ def _load(argv: list[str]) -> tuple[str, dict]:
         with open(ap.parse_args(argv).manifest) as f:
             manifest = json.load(f)
         command, params = manifest["command"], manifest["params"]
-        if command not in _DISPATCH or "out" not in params:
-            raise ValueError("manifest needs a known command and params.out")
+        if command not in _DISPATCH:
+            raise ValueError(f"manifest names an unknown command {command!r}")
+        sub = next(a for a in ap._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        names = {a.dest for a in sub.choices[command]._actions}
+        missing = sorted(names - {"help", "config"} - set(params))
+        if missing:
+            raise ValueError(f"manifest lacks parameters {missing}")
     else:
         args = ap.parse_args(_apply_config(argv))
         command, params = args.command, _params_of(args)

@@ -1,15 +1,15 @@
 """Sample-path generation on time grids.
 
-Periodic processes (atomic spectra) are generated exactly as finite random
-Fourier series.  Continuous spectra, including the flat Tsirelson
-minorants, are generated by one sampler: stratified spectral quadrature
+Every process is one trigonometric series, sampled by one kernel: the
+normals of a counter block times a cos/sin basis built once per call.
+Atomic spectra are exact finite Fourier series; continuous spectra,
+including the flat Tsirelson minorants, use stratified spectral quadrature
 with one cos/sin pair per equal-mass stratum.
 
 All randomness comes from one keying scheme: a counter-based generator keyed
 by (seed, path_index // block), where the block is BLOCK paths for Fourier
 series and QUAD_BLOCK paths for spectral quadrature.  Any path index
-therefore draws the same normals no matter how the batch is partitioned
-across workers.
+therefore gets the same values no matter how the batch is partitioned.
 """
 
 from __future__ import annotations
@@ -110,41 +110,52 @@ def _rng_for_block(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _series_block(amps: np.ndarray, times: np.ndarray, seed: int,
-                  block: int) -> np.ndarray:
-    """Values of the BLOCK consecutive Fourier-series paths of one block.
+def _series_block(basis: np.ndarray, seed: int, block: int,
+                  size: int) -> np.ndarray:
+    """The `size` paths of one counter block: its normals times the basis.
 
-    X(t) = amp0*xi0 + sum_k amp_k*(xi_k cos 2 pi k t + eta_k sin 2 pi k t).
     The product always spans the whole block, so a path is the same however
     many of its block's paths are read: a row of a matrix product may differ
     in its last bits with the number of rows.
     """
-    K = len(amps) - 1
-    rng = _rng_for_block(seed, block)
-    normals = rng.standard_normal((BLOCK, 2 * K + 1))
-    xi = normals[:, : K + 1]  # xi0..xiK
-    eta = normals[:, K + 1:]  # eta1..etaK
-    k = np.arange(1, K + 1)
-    phase = 2.0 * np.pi * np.outer(k, times)  # (K, T)
-    vals = amps[0] * xi[:, :1] * np.ones((1, len(times)))
-    if K > 0:
-        vals = vals + (xi[:, 1:] * amps[1:]) @ np.cos(phase)
-        vals = vals + (eta * amps[1:]) @ np.sin(phase)
-    return vals
+    normals = _rng_for_block(seed, block).standard_normal((size, len(basis)))
+    return normals @ basis
+
+
+def _rows(basis: np.ndarray, seed: int, n_paths: int, offset: int,
+          size: int) -> np.ndarray:
+    """Paths offset..offset+n_paths-1 of a series keyed in blocks of `size`."""
+    out = np.empty((n_paths, basis.shape[1]))
+    i = 0
+    while i < n_paths:
+        block, pos = divmod(offset + i, size)
+        take = min(size - pos, n_paths - i)
+        out[i : i + take] = _series_block(basis, seed, block, size)[pos : pos + take]
+        i += take
+    return out
+
+
+def _cos_sin_rows(phase: np.ndarray, first_sin: int) -> np.ndarray:
+    """Rows cos(phase_j), then sin(phase_j) for j >= first_sin."""
+    n = len(phase)
+    basis = np.empty((2 * n - first_sin, phase.shape[1]))
+    np.cos(phase, out=basis[:n])
+    np.sin(phase[first_sin:], out=basis[n:])
+    return basis
+
+
+def _fourier_basis(amps: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Rows amp_k cos 2 pi k t for k = 0..K, then amp_k sin 2 pi k t for
+    k = 1..K: the order of the normals xi_0..xi_K, eta_1..eta_K."""
+    phase = 2.0 * np.pi * np.outer(np.arange(len(amps)), times)
+    return _cos_sin_rows(phase, 1) * np.concatenate([amps, amps[1:]])[:, None]
 
 
 def series_values(amps: np.ndarray, times: np.ndarray, seed: int,
                   n_paths: int, offset: int = 0) -> np.ndarray:
-    """(n_paths, len(times)) matrix of Fourier-series paths, block-keyed."""
-    out = np.empty((n_paths, len(times)))
-    i = 0
-    while i < n_paths:
-        idx = offset + i
-        block, pos = divmod(idx, BLOCK)
-        take = min(BLOCK - pos, n_paths - i)
-        out[i : i + take] = _series_block(amps, times, seed, block)[pos : pos + take]
-        i += take
-    return out
+    """(n_paths, len(times)) matrix of Fourier-series paths, block-keyed:
+    X(t) = amp0*xi0 + sum_k amp_k*(xi_k cos 2 pi k t + eta_k sin 2 pi k t)."""
+    return _rows(_fourier_basis(amps, times), seed, n_paths, offset, BLOCK)
 
 
 def gen_periodic(cfg: PeriodicGenConfig, grid: GridSpec, seed: int,
@@ -217,24 +228,10 @@ def continuous_values(model: spectra.SpectralModel, times: np.ndarray,
     negligible at N_STRATA strata.
     """
     u, m = _strata_frequencies(model)
-    amp = math.sqrt(2.0 * m)
-    out = np.empty((n_paths, len(times)))
-    ct = np.cos(np.outer(u, times))  # (S, T)
-    st = np.sin(np.outer(u, times))
-    i = 0
-    while i < n_paths:
-        idx = offset + i
-        block, pos = divmod(idx, QUAD_BLOCK)
-        take = min(QUAD_BLOCK - pos, n_paths - i)
-        rng = _rng_for_block(seed, block)
-        normals = rng.standard_normal((QUAD_BLOCK, 2 * N_STRATA))
-        xi = normals[:, :N_STRATA]
-        eta = normals[:, N_STRATA:]
-        # the product always spans the whole block: a row of a matrix
-        # product may differ in its last bits with the number of rows
-        out[i : i + take] = (amp * (xi @ ct + eta @ st))[pos : pos + take]
-        i += take
-    return out
+    vals = _rows(_cos_sin_rows(np.outer(u, times), 0), seed, n_paths, offset,
+                 QUAD_BLOCK)
+    vals *= math.sqrt(2.0 * m)
+    return vals
 
 
 def gen_continuous(model: spectra.SpectralModel, grid: GridSpec,
@@ -274,10 +271,11 @@ def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
     if norm not in ("sup", "l2"):
         raise PreconditionError(f"unknown norm {norm!r}")
     times = grid.times()
+    basis = _fourier_basis(amps, times)
     out = np.empty(n_paths)
     for start in range(0, n_paths, chunk):
         cnt = min(chunk, n_paths - start)
-        vals = series_values(amps, times, seed, cnt, offset=start)
+        vals = _rows(basis, seed, cnt, start, BLOCK)
         if norm == "sup":
             out[start : start + cnt] = np.max(np.abs(vals), axis=1)
         else:

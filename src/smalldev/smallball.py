@@ -56,19 +56,8 @@ def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _resolve_amplitudes(cfg) -> tuple[np.ndarray, dict]:
-    if isinstance(cfg, pathgen.PeriodicGenConfig):
-        return cfg.amplitudes(), {"kind": "periodic", "nu": cfg.nu, "K": cfg.K}
-    if isinstance(cfg, np.ndarray):
-        return cfg, {"kind": "amplitudes", "K": len(cfg) - 1}
-    if isinstance(cfg, dict) and cfg.get("kind") == "minorant-discrete":
-        amp = pathgen.minorant_discrete_amplitudes(cfg["l"], cfg["nu"])
-        return amp, dict(cfg)
-    raise PreconditionError(f"unsupported generator config {cfg!r}")
-
-
-def estimate(cfg, grid: pathgen.GridSpec, norm: str, r_list, n_samples: int,
-             seed: int) -> list[SmallBallEstimate]:
+def estimate(cfg: pathgen.PeriodicGenConfig, grid: pathgen.GridSpec, norm: str,
+             r_list, n_samples: int, seed: int) -> list[SmallBallEstimate]:
     """Monte Carlo small-ball estimates on common random numbers.
 
     One batch of paths serves every radius, so p_hat is nondecreasing in r
@@ -79,8 +68,8 @@ def estimate(cfg, grid: pathgen.GridSpec, norm: str, r_list, n_samples: int,
     r_arr = np.asarray(list(r_list), dtype=float)
     if np.any(r_arr <= 0):
         raise PreconditionError("radii must be positive")
-    amps, cfg_desc = _resolve_amplitudes(cfg)
-    norms = pathgen.batch_norms(amps, grid, seed, n_samples, norm)
+    cfg_desc = {"kind": "periodic", "nu": cfg.nu, "K": cfg.K}
+    norms = pathgen.batch_norms(cfg.amplitudes(), grid, seed, n_samples, norm)
     out = []
     for r in r_arr:
         hits = int(np.count_nonzero(norms <= r))

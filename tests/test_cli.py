@@ -97,6 +97,7 @@ def test_usage_errors_exit_2_without_output(tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("manifest", [
     {"command": "bogus", "params": {"out": "o"}},
     {"command": "entropy", "params": {"nu": 1.0, "K": 1, "eps": [0.5]}},
+    {"command": "entropy", "params": {"out": "o"}},
 ])
 def test_bad_manifest_exits_2_without_output(tmp_path, monkeypatch, manifest):
     monkeypatch.chdir(tmp_path)

@@ -215,3 +215,43 @@ def test_gen_continuous_rejects_discrete():
     with pytest.raises(PreconditionError):
         pathgen.gen_continuous(spectra.discrete_nu(1.0), GridSpec(n_points=4),
                                seed=0)
+
+
+def test_series_normals_keying_and_layout():
+    # path i of seed s is sum_k amp_k (xi_k cos 2 pi k t + eta_k sin 2 pi k t)
+    # with xi_0..xi_K, eta_1..eta_K in that order in row i % BLOCK of the
+    # normals of the generator keyed by (s, i // BLOCK)
+    K, seed, offset = 3, 17, pathgen.BLOCK - 2
+    amps = PeriodicGenConfig(nu=1.0, K=K, tail_tol=math.inf).amplitudes()
+    t = np.linspace(0.0, 1.0, 9)
+    vals = pathgen.series_values(amps, t, seed, n_paths=4, offset=offset)
+    k = np.arange(K + 1)[:, None]
+    for row, i in enumerate(range(offset, offset + 4)):
+        block, pos = divmod(i, pathgen.BLOCK)
+        z = pathgen._rng_for_block(seed, block).standard_normal(
+            (pathgen.BLOCK, 2 * K + 1))[pos]
+        xi, eta = z[: K + 1], np.concatenate([[0.0], z[K + 1:]])
+        ref = np.sum(amps[:, None] * (xi[:, None] * np.cos(2 * np.pi * k * t)
+                                      + eta[:, None] * np.sin(2 * np.pi * k * t)),
+                     axis=0)
+        assert np.max(np.abs(vals[row] - ref)) <= 1e-12 * np.max(np.abs(ref)), i
+
+
+def test_quadrature_normals_keying_and_layout():
+    # path i is sum_j sqrt(2 m) (xi_j cos u_j t + eta_j sin u_j t) with
+    # xi_1..xi_S, eta_1..eta_S in row i % QUAD_BLOCK of the normals keyed by
+    # (seed, i // QUAD_BLOCK), at the strata frequencies u_j
+    model = spectra.continuous_nu(1.0)
+    seed, offset, S = 23, pathgen.QUAD_BLOCK - 1, pathgen.N_STRATA
+    t = np.array([0.0, 0.3, 2.5, 7.0])
+    vals = pathgen.continuous_values(model, t, seed, n_paths=3, offset=offset)
+    u, m = pathgen._strata_frequencies(model)
+    for row, i in enumerate(range(offset, offset + 3)):
+        block, pos = divmod(i, pathgen.QUAD_BLOCK)
+        z = pathgen._rng_for_block(seed, block).standard_normal(
+            (pathgen.QUAD_BLOCK, 2 * S))[pos]
+        xi, eta = z[:S], z[S:]
+        ref = math.sqrt(2.0 * m) * np.array(
+            [math.fsum(xi * np.cos(u * x)) + math.fsum(eta * np.sin(u * x))
+             for x in t])
+        assert np.max(np.abs(vals[row] - ref)) <= 1e-12 * np.max(np.abs(ref)), i
