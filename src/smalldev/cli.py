@@ -57,10 +57,23 @@ def float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
+def beta_text(text: str) -> str:
+    """argparse type of --beta: "free" or "fixed:<number>", kept as typed."""
+    if text != "free":
+        tag, _, value = text.partition(":")
+        if tag != "fixed":
+            raise ValueError(text)
+        float(value)  # ValueError unless a number
+    return text
+
+
 def _read_xy_csv(path: str) -> list[tuple[float, float]]:
+    """(x, y) pairs of a CSV file after its header line; ValueError if the
+    file has no header line or a non-numeric field."""
     out = []
     with open(path) as f:
-        next(f)  # header
+        if not f.readline():
+            raise ValueError(f"{path} has no header line")
         for line in f:
             parts = line.strip().split(",")
             if len(parts) >= 2:
@@ -280,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fit")
     common(sp)
     sp.add_argument("--input", required=True)
-    sp.add_argument("--beta", default="free",
+    sp.add_argument("--beta", type=beta_text, default="free",
                     help='"free" or "fixed:<value>"')
 
     sp = sub.add_parser("problem5")
@@ -342,8 +355,8 @@ def _load(argv: list[str]) -> tuple[str, dict]:
     else:
         args = ap.parse_args(_apply_config(argv))
         command, params = args.command, _params_of(args)
-    if params.get("input") is not None and not os.path.isfile(params["input"]):
-        raise FileNotFoundError(f"no such input file: {params['input']}")
+    if params.get("input") is not None:
+        _read_xy_csv(params["input"])
     return command, params
 
 

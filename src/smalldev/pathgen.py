@@ -33,6 +33,9 @@ QUAD_BLOCK = 8
 #: strata for spectral quadrature
 N_STRATA = 4096
 
+#: paths per pass of `batch_norms`; bounds its memory, not its values
+NORM_CHUNK = 2048
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -176,15 +179,6 @@ def minorant_discrete_amplitudes(l: int, nu: float) -> np.ndarray:
     return amp
 
 
-def gen_minorant_discrete(l: int, nu: float, grid: GridSpec, seed: int,
-                          path_index: int = 0) -> PathSample:
-    amp = minorant_discrete_amplitudes(l, nu)
-    vals = series_values(amp, grid.times(), seed, 1, offset=path_index)
-    return PathSample(grid, vals[0], seed,
-                      meta={"method": "fourier-series", "l": l,
-                            "variance": math.exp(-l ** nu) * (2 * l + 1)})
-
-
 def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float]:
     """Midpoint-quantile frequencies of N_STRATA equal-measure strata of the
     positive half of the spectral measure, plus the mass of one stratum."""
@@ -266,15 +260,15 @@ def l2_norm(path: PathSample) -> float:
 
 
 def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
-                norm: str, chunk: int = 2048) -> np.ndarray:
-    """Norms of a batch of Fourier-series paths, computed chunkwise."""
+                norm: str) -> np.ndarray:
+    """Norms of a batch of Fourier-series paths, NORM_CHUNK paths at a time."""
     if norm not in ("sup", "l2"):
         raise PreconditionError(f"unknown norm {norm!r}")
     times = grid.times()
     basis = _fourier_basis(amps, times)
     out = np.empty(n_paths)
-    for start in range(0, n_paths, chunk):
-        cnt = min(chunk, n_paths - start)
+    for start in range(0, n_paths, NORM_CHUNK):
+        cnt = min(NORM_CHUNK, n_paths - start)
         vals = _rows(basis, seed, cnt, start, BLOCK)
         if norm == "sup":
             out[start : start + cnt] = np.max(np.abs(vals), axis=1)

@@ -48,6 +48,8 @@ def fit(points, beta_mode="free") -> RateFitResult:
     regressor and absorbs the fixed term into the response.
     """
     points = list(points)
+    if not points:
+        raise PreconditionError("no points to fit")
     if beta_mode == "free":
         mode, beta_fixed = "free", None
     else:

@@ -64,16 +64,13 @@ class TsirelsonConfig:
 
     @property
     def delta(self) -> float:
-        if self.spectrum == DISCRETE:
-            n = 2 * int(self.l) + 1
-            return 2.0 * math.pi / n if self.convention == PAPER_2PI else 1.0 / n
-        return 2.0 * math.pi / self.l
+        return float(_grid(self.nu, self.spectrum, self.convention,
+                           np.array([float(self.l)]))[1][0])
 
     @property
     def sigma2(self) -> float:
-        if self.spectrum == DISCRETE:
-            return math.exp(-self.l ** self.nu) * (2 * int(self.l) + 1)
-        return 2.0 * self.l * math.exp(-self.l ** self.nu)
+        return float(_grid(self.nu, self.spectrum, self.convention,
+                           np.array([float(self.l)]))[0][0])
 
 
 @dataclass(frozen=True)
@@ -88,71 +85,55 @@ class LowerBoundResult:
     sigma2: float
 
 
-def _paper_exponent_factor(cfg: TsirelsonConfig) -> float:
-    """Grid-count factor E(l) of the asymptotic variant."""
-    if cfg.spectrum == DISCRETE:
-        if cfg.convention == PAPER_2PI:
-            return cfg.l / math.pi
-        return 2.0 * cfg.l
-    return cfg.l / (2.0 * math.pi)
-
-
-def _grid_count(cfg: TsirelsonConfig) -> int:
-    """Independent grid points of step delta inside [0, 1]."""
-    n = int(math.floor(1.0 / cfg.delta)) + 1
-    if cfg.spectrum == DISCRETE and cfg.convention == PERIOD_1:
+def _grid(nu: float, spectrum: str, convention: str,
+          l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma^2, Delta and the count of independent grid points of step Delta
+    inside [0, 1], at every level in the 1-d array l."""
+    if spectrum == DISCRETE:
+        n = 2.0 * l + 1.0
+        sigma2 = np.exp(-l ** nu) * n
+        delta = 2.0 * np.pi / n if convention == PAPER_2PI else 1.0 / n
+    else:
+        sigma2 = 2.0 * l * np.exp(-l ** nu)
+        delta = 2.0 * np.pi / l
+    count = np.floor(1.0 / delta) + 1.0
+    if spectrum == DISCRETE and convention == PERIOD_1:
         # t = 0 and t = 1 are the same point of a period-1 path
-        n = min(n, 2 * int(cfg.l) + 1)
-    return n
+        count = np.minimum(count, n)
+    return sigma2, delta, count
+
+
+def _phi(nu: float, spectrum: str, convention: str, variant: str,
+         l: np.ndarray, r: float) -> np.ndarray:
+    """phi_lower at every level in the 1-d array l; 0 where the bound is
+    invalid."""
+    if variant == PAPER_EXPONENT:
+        # grid-count factor E(l) of the asymptotic variant
+        if spectrum == DISCRETE:
+            factor = l / np.pi if convention == PAPER_2PI else 2.0 * l
+        else:
+            factor = l / (2.0 * np.pi)
+        gap = -math.log(r) - l ** nu
+        return np.where(gap > 0.0, factor * gap, 0.0)
+    if variant == RIGOROUS_GRID_COUNT:
+        sigma2, _, count = _grid(nu, spectrum, convention, l)
+        # sigma underflows to 0 at large l: such a grid bounds nothing
+        with np.errstate(divide="ignore"):
+            per_point = -(_HALF_LOG_2_OVER_PI + np.log(r / np.sqrt(sigma2)))
+        # the exact boundary counts as invalid
+        return np.where(per_point > 1e-12, count * per_point, 0.0)
+    raise PreconditionError(f"unknown variant {variant!r}")
 
 
 def bound_at(cfg: TsirelsonConfig, r: float,
              variant: str = PAPER_EXPONENT) -> LowerBoundResult:
     if r <= 0:
         raise PreconditionError("r must be positive")
-    sigma = math.sqrt(cfg.sigma2)
-    if variant == PAPER_EXPONENT:
-        gap = -math.log(r) - cfg.l ** cfg.nu
-        valid = gap > 0.0
-        phi = _paper_exponent_factor(cfg) * gap if valid else 0.0
-    elif variant == RIGOROUS_GRID_COUNT:
-        # sigma underflows to 0 at large l: such a grid bounds nothing
-        per_point = (-(_HALF_LOG_2_OVER_PI + math.log(r / sigma))
-                     if sigma > 0.0 else -math.inf)
-        valid = per_point > 1e-12  # exact boundary counts as invalid
-        phi = _grid_count(cfg) * per_point if valid else 0.0
-    else:
-        raise PreconditionError(f"unknown variant {variant!r}")
-    return LowerBoundResult(r=r, l_used=cfg.l, phi_lower=phi, valid=valid,
+    phi = float(_phi(cfg.nu, cfg.spectrum, cfg.convention, variant,
+                     np.array([float(cfg.l)]), r)[0])
+    return LowerBoundResult(r=r, l_used=cfg.l, phi_lower=phi, valid=phi > 0.0,
                             variant=variant, convention=cfg.convention,
                             spectrum=cfg.spectrum, sigma2=cfg.sigma2)
-
-
-def _phi_window(nu: float, spectrum: str, convention: str, variant: str,
-                l: np.ndarray, r: float) -> np.ndarray:
-    """phi_lower of `bound_at` at every window candidate l in one numpy pass.
-
-    Mirrors the scalar formulas but may differ from them in the last bits,
-    so it only preselects the candidates that `bound_opt` evaluates exactly.
-    """
-    if spectrum == DISCRETE:
-        n = 2 * l + 1
-        sigma2 = np.exp(-l ** nu) * n
-        delta = 2.0 * np.pi / n if convention == PAPER_2PI else 1.0 / n
-        factor = l / np.pi if convention == PAPER_2PI else 2.0 * l
-    else:
-        sigma2 = 2.0 * l * np.exp(-l ** nu)
-        delta = 2.0 * np.pi / l
-        factor = l / (2.0 * np.pi)
-    if variant == PAPER_EXPONENT:
-        gap = -math.log(r) - l ** nu
-        return np.where(gap > 0.0, factor * gap, 0.0)
-    count = np.floor(1.0 / delta) + 1
-    if spectrum == DISCRETE and convention == PERIOD_1:
-        count = np.minimum(count, n)
-    with np.errstate(divide="ignore"):
-        per_point = -(_HALF_LOG_2_OVER_PI + np.log(r / np.sqrt(sigma2)))
-    return np.where(per_point > 1e-12, count * per_point, 0.0)
 
 
 def bound_opt(nu: float, spectrum: str, r: float,
@@ -160,9 +141,9 @@ def bound_opt(nu: float, spectrum: str, r: float,
               variant: str = PAPER_EXPONENT) -> LowerBoundResult:
     """Best bound over l in a window around the asymptotically optimal l.
 
-    The first l, in ascending order, with the largest `bound_at` value wins.
-    Only the candidates within a relative 1e-9 of the numpy maximum are
-    evaluated by `bound_at`, far more than the rounding gap between the two.
+    Every candidate l goes through the formulas of `bound_at`, `_CHUNK`
+    candidates per numpy pass; the first l, in ascending order, with the
+    largest value wins, and `bound_at` reports it.
     """
     if not 0 < r < 1:
         raise PreconditionError("bound_opt requires 0 < r < 1")
@@ -173,22 +154,15 @@ def bound_opt(nu: float, spectrum: str, r: float,
         step, n = 1.0, max(int(l_max), 1)
     else:
         step, n = 0.25, 4 * int(max(l_max, 1.0)) - 3
-
-    def chunks():
-        for lo in range(0, n, _CHUNK):
-            l = 1.0 + step * np.arange(lo, min(lo + _CHUNK, n))
-            yield l, _phi_window(nu, spectrum, convention, variant, l, r)
-
-    # two passes over the window: its maximum, then the candidates near it
-    top = max(float(np.max(phi)) for _, phi in chunks())
-    best = None
-    for l, phi in chunks():
-        for x in l[phi >= top - 1e-9 * top]:
-            res = bound_at(TsirelsonConfig(nu, spectrum, float(x), convention),
-                           r, variant)
-            if best is None or res.phi_lower > best.phi_lower:
-                best = res
-    return best
+    best_l, best_phi = 1.0, -math.inf
+    for lo in range(0, n, _CHUNK):
+        l = 1.0 + step * np.arange(lo, min(lo + _CHUNK, n))
+        phi = _phi(nu, spectrum, convention, variant, l, r)
+        i = int(np.argmax(phi))  # first maximum of the chunk
+        if phi[i] > best_phi:
+            best_l, best_phi = float(l[i]), phi[i]
+    return bound_at(TsirelsonConfig(nu, spectrum, best_l, convention), r,
+                    variant)
 
 
 def asymptotic_constant(nu: float) -> float:

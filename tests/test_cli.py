@@ -87,11 +87,22 @@ def exit_code(argv):
     ["l2-exact", "--nu", "1", "--r", "1", "--out", "o", "--config", "missing.cfg"],
     ["l2-exact", "--nu", "1", "--r", "a,b", "--out", "o"],
     ["fit", "--input", "missing.csv", "--out", "o"],
+    ["fit", "--input", "empty.csv", "--out", "o"],
+    ["scaling", "--input", "empty.csv", "--c", "0.5", "--out", "o"],
+    ["fit", "--input", "bad.csv", "--out", "o"],
+    ["kl-translate", "--input", "bad.csv", "--out", "o"],
+    ["fit", "--input", "ok.csv", "--beta", "fixed", "--out", "o"],
+    ["fit", "--input", "ok.csv", "--beta", "fixed:x", "--out", "o"],
+    ["fit", "--input", "ok.csv", "--beta", "foo:1", "--out", "o"],
 ])
 def test_usage_errors_exit_2_without_output(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
+    inputs = {"empty.csv": "", "bad.csv": "r,phi\n1e-5,abc\n",
+              "ok.csv": "r,phi\n1e-5,3.0\n1e-10,9.0\n1e-20,25.0\n"}
+    for name, body in inputs.items():
+        (tmp_path / name).write_text(body)
     assert exit_code(argv) == 2
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
 @pytest.mark.parametrize("manifest", [

@@ -54,6 +54,8 @@ def test_fit_refusals():
     assert "factor of 2" in res.reason
     with pytest.raises(PreconditionError):
         ratefit.fit([(0.5, 1.0), (1e-5, 3.0), (1e-12, 9.0)])
+    with pytest.raises(PreconditionError):
+        ratefit.fit([])
 
 
 def test_tsirelson_slope():

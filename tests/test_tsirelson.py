@@ -145,14 +145,27 @@ def _scalar_bound_opt(nu, spectrum, r, convention, variant):
     return best
 
 
-def test_bound_opt_matches_scalar_scan():
+def _scan_cases():
     for nu in (0.5, 1.0, 2.0, 3.0):
         for spectrum, conv in ((DISCRETE, PAPER_2PI), (DISCRETE, PERIOD_1),
                                (CONTINUOUS, PAPER_2PI)):
             for variant in (PAPER_EXPONENT, RIGOROUS_GRID_COUNT):
                 for r in (0.5, 1e-3, 1e-20, 1e-50):
-                    assert tsirelson.bound_opt(nu, spectrum, r, conv, variant) \
-                        == _scalar_bound_opt(nu, spectrum, r, conv, variant)
+                    yield nu, spectrum, r, conv, variant
+
+
+def test_bound_opt_matches_scalar_scan():
+    for case in _scan_cases():
+        assert tsirelson.bound_opt(*case) == _scalar_bound_opt(*case)
+
+
+@pytest.mark.parametrize("chunk", [3, 7])
+def test_bound_opt_first_maximum_across_chunks(monkeypatch, chunk):
+    # windows split into many chunks pick the same l as one chunk
+    expected = {case: tsirelson.bound_opt(*case) for case in _scan_cases()}
+    monkeypatch.setattr(tsirelson, "_CHUNK", chunk)
+    for case, res in expected.items():
+        assert tsirelson.bound_opt(*case) == res
 
 
 def test_rigorous_bound_survives_sigma_underflow():
