@@ -26,6 +26,8 @@ def _env_seed() -> int:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, list):
+        return ",".join(_fmt(v) for v in x)
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, np.integer):
@@ -68,14 +70,16 @@ def beta_text(text: str) -> str:
 
 
 def _read_xy_csv(path: str) -> list[tuple[float, float]]:
-    """(x, y) pairs of a CSV file after its header line; ValueError if the
-    file has no header line or a non-numeric field."""
+    """(x, y) pairs of the non-blank lines after a CSV header line; ValueError
+    without a header line, or on a line with < 2 fields or a non-number."""
     out = []
     with open(path) as f:
         if not f.readline():
             raise ValueError(f"{path} has no header line")
-        for line in f:
+        for n, line in enumerate(f, start=2):
             parts = line.strip().split(",")
+            if len(parts) < 2 and parts != [""]:
+                raise ValueError(f"{path} line {n}: expected x,y")
             if len(parts) >= 2:
                 out.append((float(parts[0]), float(parts[1])))
     return out
@@ -98,10 +102,7 @@ def cmd_simulate(p: dict, outdir: str) -> None:
 
 def cmd_smallball(p: dict, outdir: str) -> None:
     grid = pathgen.GridSpec(0.0, 1.0, p["grid"])
-    if p["spectrum"] == "discrete":
-        cfg = pathgen.PeriodicGenConfig(p["nu"], p["K"], tail_tol=math.inf)
-    else:
-        raise SmallDevError("smallball estimation supports atomic spectra")
+    cfg = pathgen.PeriodicGenConfig(p["nu"], p["K"], tail_tol=math.inf)
     ests = smallball.estimate(cfg, grid, p["norm"], p["r"], p["n"], p["seed"])
     header = ["r", "norm", "n", "hits", "p_hat", "ci_low", "ci_high",
               "phi_hat", "phi_lo", "phi_hi", "grid", "seed"]
@@ -125,7 +126,7 @@ def cmd_tsirelson(p: dict, outdir: str) -> None:
               "sigma2", "phi_lower", "valid"]
     rows = []
     for r in p["r"]:
-        if p.get("l") is not None:
+        if p["l"] is not None:
             cfg = tsirelson.TsirelsonConfig(p["nu"], p["spectrum"], p["l"],
                                             p["convention"])
             res = tsirelson.bound_at(cfg, r, p["variant"])
@@ -333,25 +334,35 @@ def _params_of(args: argparse.Namespace) -> dict:
     return p
 
 
-def _load(argv: list[str]) -> tuple[str, dict]:
-    """Command and parameters of a run, from flags or from a manifest.
+def _flags(params: dict) -> list[str]:
+    """--name=value tokens that set a manifest's parameters; None gives none."""
+    return [f"--{key.replace('_', '-')}={_fmt(value)}"
+            for key, value in params.items() if value is not None]
 
-    Malformed flags exit 2 through argparse; an unreadable config, manifest
-    or input file raises OSError, ValueError or KeyError.
+
+def _load(argv: list[str]) -> tuple[str, dict]:
+    """Command and parameters of a run, from flags or from a manifest, both
+    parsed by the command's subparser.
+
+    Malformed flags or manifest values exit 2 through argparse; an unreadable
+    config, manifest or input file, or an incomplete manifest, raises
+    OSError, ValueError or KeyError.
     """
     ap = _build_parser()
     if argv and argv[0] == "rerun":
         with open(ap.parse_args(argv).manifest) as f:
             manifest = json.load(f)
-        command, params = manifest["command"], manifest["params"]
+        command, given = manifest["command"], manifest["params"]
         if command not in _DISPATCH:
             raise ValueError(f"manifest names an unknown command {command!r}")
-        sub = next(a for a in ap._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        names = {a.dest for a in sub.choices[command]._actions}
-        missing = sorted(names - {"help", "config"} - set(params))
+        # keys that are no flag (old manifests' "format") are kept as given;
+        # a missing one would silently take its flag's default (seed, out)
+        args, _ = ap.parse_known_args([command] + _flags(given))
+        typed = _params_of(args)
+        missing = sorted(set(typed) - set(given))
         if missing:
             raise ValueError(f"manifest lacks parameters {missing}")
+        params = {**given, **typed}
     else:
         args = ap.parse_args(_apply_config(argv))
         command, params = args.command, _params_of(args)

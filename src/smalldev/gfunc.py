@@ -40,10 +40,10 @@ class GFunctionSpec:
     def a(self, k) -> np.ndarray:
         return self.c * np.asarray(k, float) ** (-1.0 - self.gamma)
 
-    def coefficient_sum(self, head_terms: int = 100_000) -> float:
-        """sum_{k=1}^infty a_k, split as explicit head + zeta tail."""
-        head = float(np.sum(self.a(np.arange(1, head_terms + 1))))
-        tail = self.c * float(zeta(1.0 + self.gamma, head_terms + 1.0))
+    def coefficient_sum(self) -> float:
+        """sum_{k=1}^infty a_k, split as 10^5 explicit terms + zeta tail."""
+        head = float(np.sum(self.a(np.arange(1, 100_001))))
+        tail = self.c * float(zeta(1.0 + self.gamma, 100_001.0))
         return head + tail
 
     def _tail_ok(self, D: int, tmax: float) -> bool:
@@ -108,7 +108,7 @@ class GCertificate:
 
 
 def g_certify(spec: GFunctionSpec, t_max: float = 1e4,
-              n_grid: int = 4001, fit_t_min: float = 10.0) -> GCertificate:
+              fit_t_min: float = 10.0) -> GCertificate:
     """Certify the three working properties of G.
 
     * theta_G = inf |G| over [0, 1], from a grid minimum with a Lipschitz
@@ -117,8 +117,8 @@ def g_certify(spec: GFunctionSpec, t_max: float = 1e4,
     * envelope decay: fit log |G| ~ -C_G t^p on local maxima of |G| over
       [fit_t_min, t_max]; p should be close to 1/(1+gamma).
     """
-    # -- theta_G on [0, 1]
-    tg = np.linspace(0.0, 1.0, n_grid)
+    # -- theta_G on [0, 1], 4001-point grid
+    tg = np.linspace(0.0, 1.0, 4001)
     vals = log_abs_g(spec, tg)
     lip = 0.4 * spec.c ** 2 * float(zeta(2.0 + 2.0 * spec.gamma, 1.0))
     pad = lip * (tg[1] - tg[0]) / 2.0

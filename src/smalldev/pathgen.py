@@ -204,7 +204,7 @@ def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float
         # log-power family: inverse CDF by dense tabulation
         U = spectra._quad_upper_limit(model)
         ug = np.linspace(0.0, U, 200001)
-        dens = np.array([spectra.density_eval(model, x) for x in ug])
+        dens = spectra.density(model, ug)
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0
                                                * np.diff(ug))])
         half_mass = cdf[-1]

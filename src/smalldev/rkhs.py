@@ -336,7 +336,7 @@ def scaling_patch(H_curve: BoundCurve, c: float) -> BoundCurve:
 
 
 def rkhs_growth_check(nu: float, sample_count: int, imag_range,
-                      seed: int = 0, n_grid: int = 4001) -> dict:
+                      seed: int = 0) -> dict:
     """Check |h(iy)| <= M_nu(2|y|) for random boundary members of the ball.
 
     h(z) = integral of ell(u) exp(-izu) F(du) with the L2(F) norm of ell
@@ -346,14 +346,13 @@ def rkhs_growth_check(nu: float, sample_count: int, imag_range,
         raise PreconditionError("growth check needs nu > 1")
     model = spectra.continuous_nu(nu)
     U = spectra._quad_upper_limit(model)
-    u = np.linspace(-U, U, n_grid)
-    w = np.array([spectra.density_eval(model, x) for x in u])
-    w *= (u[1] - u[0])
+    u = np.linspace(-U, U, 4001)
+    w = spectra.density(model, u) * (u[1] - u[0])
     rng = np.random.default_rng(seed)
     worst = -math.inf
     checked = 0
     for _ in range(sample_count):
-        ell = rng.standard_normal(n_grid)
+        ell = rng.standard_normal(u.size)
         ell /= math.sqrt(float(np.sum(ell ** 2 * w)))
         for y in imag_range:
             hval = float(np.sum(ell * np.exp(y * u) * w))

@@ -45,11 +45,11 @@ class SmallBallEstimate:
     config: dict
 
 
-def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise PreconditionError("n must be positive")
-    p = hits / n
+    p, z = hits / n, _Z95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
@@ -114,14 +114,13 @@ class WeightedChiSquareSpec:
         return cls(tuple(w), tuple(m))
 
 
-def _log_cdf_contour(w: np.ndarray, h: np.ndarray, x: float,
-                     rtol: float = _INV_RTOL) -> float:
+def _log_cdf_contour(w: np.ndarray, h: np.ndarray, x: float) -> float:
     """log P(sum h_j-fold lambda_j chi-squares <= x) by saddle-point contour.
 
     Bromwich integrand exp(g(z)) with g(z) = x z - log z
     - (1/2) sum h_j log(1 + 2 lambda_j z), integrated along the vertical
     line through the real saddle; trapezoid steps are halved until two
-    refinements agree to rtol, truncation controlled by the polynomial
+    refinements agree to _INV_RTOL, truncation controlled by the polynomial
     decay of the integrand modulus.
     """
 
@@ -166,7 +165,7 @@ def _log_cdf_contour(w: np.ndarray, h: np.ndarray, x: float,
     for _ in range(40):
         step /= 2.0
         cur = contour_integral(step)
-        if abs(cur - prev) <= rtol * abs(cur):
+        if abs(cur - prev) <= _INV_RTOL * abs(cur):
             if cur <= 0:
                 raise NumericFailure("contour inversion returned nonpositive mass")
             return g0 + math.log(cur)

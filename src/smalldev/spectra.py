@@ -87,20 +87,21 @@ class CovarianceValue:
     value: float
 
 
-def density_eval(model: SpectralModel, u: float) -> float:
-    """Spectral density f(u); even in u."""
+def density(model: SpectralModel, u) -> np.ndarray:
+    """Spectral density f(u) over an array of frequencies; even in u."""
     if not model.is_continuous:
-        raise UnsupportedOperation("density_eval needs a continuous spectral measure")
-    a = abs(float(u))
-    if model.kind == CONTINUOUS_NU:
-        return math.exp(-a ** model.nu)
-    if model.kind == BANDLIMITED:
-        return 1.0 if a <= model.cutoff else 0.0
-    if model.kind == TRUNCATED_CONTINUOUS_NU:
-        return math.exp(-a ** model.nu) if a <= model.cutoff else 0.0
-    # log-power family, log+ is max(log, 0)
-    lp = max(math.log(a), 0.0) if a > 0 else 0.0
-    return math.exp(-lp ** model.alpha)
+        raise UnsupportedOperation("density needs a continuous spectral measure")
+    a = np.abs(np.asarray(u, dtype=float))
+    if model.kind == LOG_POWER_ALPHA:  # log+ u = log max(u, 1)
+        return np.exp(-np.log(np.maximum(a, 1.0)) ** model.alpha)
+    f = np.ones_like(a) if model.nu is None else np.exp(-a ** model.nu)
+    return f if model.cutoff is None else np.where(a <= model.cutoff, f, 0.0)
+
+
+def density_eval(model: SpectralModel, u: float) -> float:
+    """f(u) at one frequency, computed in an array as by `density` (`**` on
+    a numpy scalar takes libm's pow, which can differ in the last bit)."""
+    return float(density(model, [u])[0])
 
 
 def atom_mass(model: SpectralModel, k: int) -> float:

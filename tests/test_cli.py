@@ -33,17 +33,46 @@ def test_smallball_schema_and_determinism(tmp_path):
     assert len(lines) == 4
 
 
-def test_manifest_rerun_roundtrip(tmp_path):
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    assert run(["l2-exact", "--nu", "1", "--K", "10", "--r", "0.5,1.0",
-                "--seed", "3", "--out", str(out1)]) == 0
-    manifest = json.loads(read(out1 / "manifest.json"))
-    manifest["params"]["out"] = str(out2)
-    mpath = tmp_path / "m.json"
-    mpath.write_text(json.dumps(manifest))
-    assert run(["rerun", str(mpath)]) == 0
-    assert read(out1 / "l2_exact.csv") == read(out2 / "l2_exact.csv")
+ROUNDTRIP = {
+    "simulate-discrete": ["simulate", "--spectrum", "discrete", "--nu", "1",
+                          "--K", "20", "--n-points", "64", "--seed", "5"],
+    "simulate-continuous": ["simulate", "--spectrum", "continuous",
+                            "--nu", "0.5", "--t-max", "10", "--n-points", "16",
+                            "--path-index", "9", "--seed", "3"],
+    "smallball": ["smallball", "--nu", "1", "--K", "8", "--norm", "sup",
+                  "--r", "0.5,1,2", "--n", "500", "--grid", "64", "--seed", "7"],
+    "l2-exact": ["l2-exact", "--nu", "1", "--K", "10", "--r", "0.5,1.0",
+                 "--seed", "3"],
+    "tsirelson": ["tsirelson", "--spectrum", "discrete", "--nu", "1",
+                  "--r", "1e-20,1e-50"],
+    "tsirelson-l": ["tsirelson", "--spectrum", "continuous", "--nu", "2",
+                    "--r", "1e-10,0.01", "--l", "5", "--convention", "period-1",
+                    "--variant", "rigorous-grid-count"],
+    "entropy": ["entropy", "--nu", "1", "--K", "4", "--eps", "0.5,0.3"],
+    "kl-translate": ["kl-translate", "--input", "phi.csv", "--lam", "2.5"],
+    "g-certify": ["g-certify", "--gamma", "0.5", "--t-max", "1000"],
+    "scaling": ["scaling", "--input", "phi.csv", "--c", "0.5"],
+    "fit": ["fit", "--input", "phi.csv", "--beta", "fixed:0.5"],
+    "problem5": ["problem5", "--alpha", "2", "--r", "1e-10,1e-6"],
+}
+
+
+@pytest.mark.parametrize("argv", ROUNDTRIP.values(), ids=ROUNDTRIP.keys())
+def test_manifest_rerun_roundtrip(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "phi.csv").write_text(
+        "r,phi\n1e-15,357.8\n1e-9,128.8\n1e-6,57.2\n1e-4,25.4\n")
+    assert run(argv + ["--out", "a"]) == 0
+    manifest = json.loads(read("a/manifest.json"))
+    manifest["params"]["out"] = "b"
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    assert run(["rerun", "m.json"]) == 0
+    assert json.loads(read("b/manifest.json")) == manifest
+    results = sorted(os.listdir("a"))
+    assert sorted(os.listdir("b")) == results
+    for name in results:
+        if name != "manifest.json":
+            assert read(f"a/{name}") == read(f"b/{name}"), name
 
 
 def test_tsirelson_asymptotic_via_cli(tmp_path):
@@ -94,10 +123,13 @@ def exit_code(argv):
     ["fit", "--input", "ok.csv", "--beta", "fixed", "--out", "o"],
     ["fit", "--input", "ok.csv", "--beta", "fixed:x", "--out", "o"],
     ["fit", "--input", "ok.csv", "--beta", "foo:1", "--out", "o"],
+    ["kl-translate", "--input", "semi.csv", "--out", "o"],
+    ["scaling", "--input", "semi.csv", "--c", "0.5", "--out", "o"],
 ])
 def test_usage_errors_exit_2_without_output(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     inputs = {"empty.csv": "", "bad.csv": "r,phi\n1e-5,abc\n",
+              "semi.csv": "r;phi\n1e-5;3.0\n",
               "ok.csv": "r,phi\n1e-5,3.0\n1e-10,9.0\n1e-20,25.0\n"}
     for name, body in inputs.items():
         (tmp_path / name).write_text(body)
@@ -105,16 +137,35 @@ def test_usage_errors_exit_2_without_output(tmp_path, monkeypatch, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
+COMMON = {"out": "o", "seed": 0, "threads": 1}
+
+
 @pytest.mark.parametrize("manifest", [
     {"command": "bogus", "params": {"out": "o"}},
     {"command": "entropy", "params": {"nu": 1.0, "K": 1, "eps": [0.5]}},
     {"command": "entropy", "params": {"out": "o"}},
+    # values that the flags of the command reject
+    {"command": "fit", "params": {**COMMON, "input": "../ok.csv",
+                                  "beta": "fixed"}},
+    {"command": "l2-exact", "params": {**COMMON, "nu": 1.0, "K": 4,
+                                       "r": "abc"}},
+    {"command": "smallball", "params": {
+        **COMMON, "spectrum": "continuous", "nu": 1.0, "K": 4, "norm": "sup",
+        "r": [1.0], "n": 100, "grid": 16}},
+    {"command": "tsirelson", "params": {
+        **COMMON, "spectrum": "discrete", "nu": 1.0, "r": [1e-5], "l": None,
+        "convention": "bogus", "variant": "paper-exponent"}},
+    {"command": "l2-exact", "params": {**COMMON, "nu": 1.0, "K": 4.5,
+                                       "r": [1.0]}},
 ])
 def test_bad_manifest_exits_2_without_output(tmp_path, monkeypatch, manifest):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "ok.csv").write_text("r,phi\n1e-5,3.0\n1e-10,9.0\n")
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
     assert exit_code(["rerun", "manifest.json"]) == 2
-    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert [p.name for p in run_dir.iterdir()] == ["manifest.json"]
 
 
 def test_unknown_flag_exits_2(tmp_path):

@@ -23,11 +23,19 @@ def test_density_even():
               spectra.log_power_alpha(2.5), spectra.truncated_continuous_nu(1.0, 3.0)]:
         for u in [0.1, 0.7, 2.3, 9.0]:
             assert spectra.density_eval(m, u) == spectra.density_eval(m, -u)
+        # the array formula is density_eval point by point
+        u = [0.0, 0.1, -0.7, 2.3, -9.0, 1.0, math.e, -math.e, 3.0, -3.0]
+        if m.cutoff is not None:
+            u += [m.cutoff, -m.cutoff, np.nextafter(m.cutoff, 10.0)]
+        got = spectra.density(m, np.array(u))
+        assert got.tolist() == [spectra.density_eval(m, x) for x in u]
 
 
 def test_density_rejects_discrete():
     with pytest.raises(UnsupportedOperation):
         spectra.density_eval(spectra.discrete_nu(1.0), 0.3)
+    with pytest.raises(UnsupportedOperation):
+        spectra.density(spectra.discrete_nu(1.0), np.array([0.0, 0.3]))
 
 
 def test_atom_mass():
