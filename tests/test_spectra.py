@@ -29,6 +29,9 @@ def test_density_even():
             u += [m.cutoff, -m.cutoff, np.nextafter(m.cutoff, 10.0)]
         got = spectra.density(m, np.array(u))
         assert got.tolist() == [spectra.density_eval(m, x) for x in u]
+        assert got.tolist() == spectra.density(m, -np.array(u)).tolist()
+        if m.cutoff is not None:  # the cutoff itself is inside the support
+            assert got[-3] > 0.0 and got[-1] == 0.0
 
 
 def test_density_rejects_discrete():
