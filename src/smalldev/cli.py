@@ -9,6 +9,7 @@ byte-for-byte.  Exit codes: 0 success, 1 numeric failure or invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -71,17 +72,18 @@ def beta_text(text: str) -> str:
 
 def _read_xy_csv(path: str) -> list[tuple[float, float]]:
     """(x, y) pairs of the non-blank lines after a CSV header line; ValueError
-    without a header line, or on a line with < 2 fields or a non-number."""
+    without a header line, or on a line that is not two numeric fields."""
     out = []
     with open(path) as f:
         if not f.readline():
             raise ValueError(f"{path} has no header line")
         for n, line in enumerate(f, start=2):
             parts = line.strip().split(",")
-            if len(parts) < 2 and parts != [""]:
+            if parts == [""]:
+                continue
+            if len(parts) != 2:
                 raise ValueError(f"{path} line {n}: expected x,y")
-            if len(parts) >= 2:
-                out.append((float(parts[0]), float(parts[1])))
+            out.append((float(parts[0]), float(parts[1])))
     return out
 
 
@@ -218,9 +220,14 @@ _DISPATCH = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="smalldev")
+    ap = argparse.ArgumentParser(prog="smalldev", allow_abbrev=False)
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    # no flag abbreviations: a manifest key that only prefixes a flag
+    # ("gam" for "gamma") must not set that flag
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       allow_abbrev=False))
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=_env_seed())

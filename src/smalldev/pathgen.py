@@ -14,6 +14,7 @@ therefore gets the same values no matter how the batch is partitioned.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,9 +33,6 @@ QUAD_BLOCK = 8
 
 #: strata for spectral quadrature
 N_STRATA = 4096
-
-#: paths per pass of `batch_norms`; bounds its memory, not its values
-NORM_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -179,9 +177,13 @@ def minorant_discrete_amplitudes(l: int, nu: float) -> np.ndarray:
     return amp
 
 
+@functools.lru_cache(maxsize=32)
 def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float]:
     """Midpoint-quantile frequencies of N_STRATA equal-measure strata of the
-    positive half of the spectral measure, plus the mass of one stratum."""
+    positive half of the spectral measure, plus the mass of one stratum.
+
+    Cached per model; the frequencies are read-only, as every caller shares
+    them."""
     p = (np.arange(N_STRATA) + 0.5) / N_STRATA
     kind, nu = model.kind, model.nu
     if kind == spectra.BANDLIMITED:
@@ -209,6 +211,7 @@ def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float
                                                * np.diff(ug))])
         half_mass = cdf[-1]
         u = np.interp(p * half_mass, cdf, ug)
+    u.flags.writeable = False
     return u, half_mass / N_STRATA
 
 
@@ -261,17 +264,28 @@ def l2_norm(path: PathSample) -> float:
 
 def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
                 norm: str) -> np.ndarray:
-    """Norms of a batch of Fourier-series paths, NORM_CHUNK paths at a time."""
+    """Norms of a batch of Fourier-series paths, reduced per counter block.
+
+    A squared L2 norm is the trapezoidal quadratic form z G z' of the
+    block's normals z, with G = basis W basis' for the trapezoid weights W,
+    so no L2 path is formed.  Each block is reduced whole, so a path's norm
+    does not depend on how many of its block's paths are read.
+    """
     if norm not in ("sup", "l2"):
         raise PreconditionError(f"unknown norm {norm!r}")
     times = grid.times()
     basis = _fourier_basis(amps, times)
+    if norm == "l2":
+        half = np.diff(times) / 2.0
+        gram = (basis * (np.append(half, 0.0) + np.insert(half, 0, 0.0))) @ basis.T
     out = np.empty(n_paths)
-    for start in range(0, n_paths, NORM_CHUNK):
-        cnt = min(NORM_CHUNK, n_paths - start)
-        vals = _rows(basis, seed, cnt, start, BLOCK)
+    for start in range(0, n_paths, BLOCK):
+        block = start // BLOCK
         if norm == "sup":
-            out[start : start + cnt] = np.max(np.abs(vals), axis=1)
+            v = _series_block(basis, seed, block, BLOCK)
+            norms = np.maximum(v.max(axis=1), -v.min(axis=1))
         else:
-            out[start : start + cnt] = np.sqrt(np.trapezoid(vals ** 2, times, axis=1))
+            z = _rng_for_block(seed, block).standard_normal((BLOCK, len(gram)))
+            norms = np.sqrt(np.einsum("ij,ij->i", z @ gram, z))
+        out[start : start + BLOCK] = norms[: n_paths - start]
     return out

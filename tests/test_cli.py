@@ -102,6 +102,19 @@ def test_manifest_with_format_reruns_identically(tmp_path):
     assert json.loads(read(out2 / "manifest.json")) == manifest
 
 
+def test_manifest_key_prefixing_a_flag_sets_nothing(tmp_path, monkeypatch):
+    # "gam" is no flag: it is kept as given and must not set --gamma
+    monkeypatch.chdir(tmp_path)
+    assert run(["g-certify", "--gamma", "0.5", "--t-max", "100",
+                "--out", "a"]) == 0
+    manifest = json.loads(read("a/manifest.json"))
+    manifest["params"].update(out="b", gam=0.3)
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    assert run(["rerun", "m.json"]) == 0
+    assert json.loads(read("b/manifest.json")) == manifest
+    assert read("a/g_certify.json") == read("b/g_certify.json")
+
+
 def exit_code(argv):
     try:
         return run(argv)
@@ -125,11 +138,15 @@ def exit_code(argv):
     ["fit", "--input", "ok.csv", "--beta", "foo:1", "--out", "o"],
     ["kl-translate", "--input", "semi.csv", "--out", "o"],
     ["scaling", "--input", "semi.csv", "--c", "0.5", "--out", "o"],
+    ["scaling", "--input", "wide.csv", "--c", "0.5", "--out", "o"],
+    ["kl-translate", "--input", "wide.csv", "--out", "o"],
+    ["fit", "--input", "wide.csv", "--out", "o"],
 ])
 def test_usage_errors_exit_2_without_output(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     inputs = {"empty.csv": "", "bad.csv": "r,phi\n1e-5,abc\n",
               "semi.csv": "r;phi\n1e-5;3.0\n",
+              "wide.csv": "epsilon,lower,upper\n0.5,0.69,17.8\n",
               "ok.csv": "r,phi\n1e-5,3.0\n1e-10,9.0\n1e-20,25.0\n"}
     for name, body in inputs.items():
         (tmp_path / name).write_text(body)

@@ -124,13 +124,29 @@ def test_norms():
 
 
 def test_batch_norms_match_per_path():
-    cfg = PeriodicGenConfig(nu=2.0, K=6, tail_tol=1e-8)
-    grid = GridSpec(n_points=128)
-    norms = pathgen.batch_norms(cfg.amplitudes(), grid, seed=21, n_paths=7,
-                                norm="sup")
-    for i in range(7):
-        p = pathgen.gen_periodic(cfg, grid, seed=21, path_index=i)
-        assert norms[i] == pytest.approx(pathgen.sup_norm(p), rel=1e-12)
+    # 1030 paths cross two block boundaries and end in a partial block
+    n = 2 * pathgen.BLOCK + 6
+    for nu, K, grid in [(2.0, 6, GridSpec(n_points=128)),
+                        (1.0, 20, GridSpec(0.0, 1.0, 16)),  # aliases K = 20
+                        (2.0, 6, GridSpec(0.0, 0.7, 100))]:
+        cfg = PeriodicGenConfig(nu=nu, K=K, tail_tol=math.inf)
+        sup = pathgen.batch_norms(cfg.amplitudes(), grid, seed=21, n_paths=n,
+                                  norm="sup")
+        l2 = pathgen.batch_norms(cfg.amplitudes(), grid, seed=21, n_paths=n,
+                                 norm="l2")
+        for i in range(n):
+            p = pathgen.gen_periodic(cfg, grid, seed=21, path_index=i)
+            assert sup[i] == pathgen.sup_norm(p), (K, grid, i)
+            assert l2[i] == pytest.approx(pathgen.l2_norm(p), rel=1e-12), (K, grid, i)
+
+
+@pytest.mark.parametrize("norm", ["sup", "l2"])
+def test_batch_norms_prefix_of_longer_batch(norm):
+    amps = PeriodicGenConfig(nu=1.0, K=8, tail_tol=math.inf).amplitudes()
+    grid = GridSpec(n_points=64)
+    short = pathgen.batch_norms(amps, grid, seed=3, n_paths=513, norm=norm)
+    full = pathgen.batch_norms(amps, grid, seed=3, n_paths=1024, norm=norm)
+    assert np.array_equal(short, full[:513])
 
 
 def test_continuous_pairwise_correlation():
@@ -163,6 +179,14 @@ def test_strata_quantiles_exact(model):
         mass, _ = quad(lambda x: spectra.density_eval(model, x), 0.0, u[j],
                        epsabs=1e-14, epsrel=1e-12, limit=200)
         assert mass / half_mass == pytest.approx(p, rel=1e-9), j
+
+
+def test_strata_frequencies_cached_read_only():
+    u, m = pathgen._strata_frequencies(spectra.continuous_nu(0.5))
+    u2, m2 = pathgen._strata_frequencies(spectra.continuous_nu(0.5))
+    assert u2 is u and m2 == m
+    with pytest.raises(ValueError):
+        u[0] = 0.0
 
 
 def test_continuous_determinism_and_metadata():
