@@ -271,3 +271,12 @@ def test_env_seed(tmp_path, monkeypatch):
                 "--out", str(out)]) == 0
     m = json.loads(read(out / "manifest.json"))
     assert m["params"]["seed"] == 123
+
+
+@pytest.mark.parametrize("t_max", ["0", "-5", "nan", "5", "inf"])
+def test_g_certify_bad_t_max_exits_1(tmp_path, capsys, t_max):
+    assert run(["g-certify", "--gamma", "0.5", "--t-max", t_max,
+                "--out", str(tmp_path / "g")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: need 0 < fit_t_min < t_max < inf")

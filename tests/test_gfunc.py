@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,3 +75,79 @@ def test_certify_other_gammas(gamma):
     assert cert.theta_G > 0.0
     assert cert.bounded_by_one
     assert 1.0 / (1.0 + gamma) - 0.1 <= cert.decay_exponent <= 1.0
+
+
+_K_ORACLE = 2_000_000
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5])
+def test_large_t_matches_deep_product(gamma):
+    # oracle: 2e6 explicit factors plus the quadratic and quartic zeta
+    # tail, whose next term is below 1e-20 at a_K t <= 1e-4
+    spec = GFunctionSpec(gamma)
+    c = spec.c
+    a = spec.a(np.arange(1, _K_ORACLE + 1))
+    for t in (20.0, 137.5, 1234.5, 5000.0):
+        x = a * t
+        # away from the factors' zeros, where log|sin| is ill-conditioned
+        big = x > 1.0
+        assert np.all(np.abs(x[big] - math.pi * np.round(x[big] / math.pi)) > 1e-3)
+        ref = float(np.sum(np.log(np.abs(np.sin(x) / x)))) \
+            - (c * t) ** 2 * float(zeta(2 + 2 * gamma, _K_ORACLE + 1)) / 6 \
+            - (c * t) ** 4 * float(zeta(4 + 4 * gamma, _K_ORACLE + 1)) / 180
+        assert gfunc.log_abs_g(spec, t)[0] == pytest.approx(ref, abs=1e-9)
+
+
+def _series_coef_exact(n_max):
+    """zeta(2n) / (n pi^{2n}) = 2^{2n-1} |B_{2n}| / (n (2n)!), as fractions."""
+    B = [Fraction(1)]
+    for m in range(1, 2 * n_max + 1):
+        B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return [2 ** (2 * n - 1) * abs(B[2 * n]) / (n * math.factorial(2 * n))
+            for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("gamma,t", [(0.25, 9700.0), (0.5, 480.0)])
+def test_tail_bound_covers_omitted_remainder(gamma, t):
+    # at the depth D chosen for t, the omitted remainder
+    # -sum_{k>D} [log sinc(a_k t) + N-term series] is brute-forced in
+    # extended precision over k <= 2e6 (beyond, a_k t < 1e-4 and the
+    # remainder is below 1e-80); t sits just under a depth doubling, so
+    # the bound is close to the tolerance and far above rounding noise
+    spec = GFunctionSpec(gamma)
+    D = spec.depth_needed(t)
+    bound = float(spec._tail_bound(D, t))
+    assert 1e-13 < bound <= gfunc._TAIL_TOL
+    with localcontext() as ctx:
+        ctx.prec = 40
+        coef = [np.longdouble(str(Decimal(f.numerator) / Decimal(f.denominator)))
+                for f in _series_coef_exact(gfunc._SERIES_TERMS)]
+    k = np.arange(D + 1, _K_ORACLE + 1, dtype=np.longdouble)
+    x = np.longdouble(t) * np.longdouble(spec.c) * k ** np.longdouble(-1 - gamma)
+    series = np.zeros_like(x)
+    for b in coef[::-1]:
+        series = (series + b) * x * x
+    omitted = -float(np.sum(np.log(np.sin(x) / x) + series))
+    assert 0.0 < omitted <= bound
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5])
+def test_depth_at_1e4_and_certificate_max_depth(gamma):
+    spec = GFunctionSpec(gamma)
+    assert spec.depth_needed(1e4) <= 1024
+    assert gfunc.g_certify(spec).max_depth == spec.depth_needed(1e4)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_log_abs_g_rejects_non_finite_t(t):
+    with pytest.raises(PreconditionError):
+        gfunc.log_abs_g(GFunctionSpec(0.5), [1.0, t])
+
+
+# bad t_max values are covered through the CLI in test_cli.py
+@pytest.mark.parametrize("t_max,fit_t_min", [
+    (5.0, 10.0), (1e4, 0.0), (1e4, -1.0), (1e4, math.nan),
+])
+def test_certify_rejects_bad_range(t_max, fit_t_min):
+    with pytest.raises(PreconditionError):
+        gfunc.g_certify(GFunctionSpec(0.5), t_max=t_max, fit_t_min=fit_t_min)
