@@ -109,8 +109,18 @@ def _product_bound(axes: np.ndarray, steps: np.ndarray) -> int:
 
 def _term_counts(a: float, s: float) -> np.ndarray:
     """Number of j in 0..floor(a/s) with floor(_GRID (j s / a)^2) == b, for
-    every bin b = 0.._GRID, in O(_GRID) whatever the number of j."""
+    every bin b = 0.._GRID, in O(min(floor(a/s), _GRID))."""
     top = math.floor(a / s)
+    if top > _GRID:
+        return _term_counts_by_inverse(a, s, top)
+    j = np.arange(top + 1)
+    return np.bincount(np.floor(_GRID * (j * s / a) ** 2).astype(np.int64),
+                       minlength=_GRID + 1)
+
+
+def _term_counts_by_inverse(a: float, s: float, top: int) -> np.ndarray:
+    """`_term_counts` in O(_GRID) whatever top = floor(a/s), by inverting the
+    bin formula at every bin edge."""
     b = np.arange(_GRID + 1)
 
     def bin_of(j):

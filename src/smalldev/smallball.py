@@ -6,6 +6,12 @@ intervals.  The squared L2 norm of the periodic process is a weighted sum
 of independent chi-square variables; its CDF is computed exactly by
 saddle-point contour inversion of the Laplace transform, in the log domain
 so deep tails remain representable.
+
+Each trapezoid pass along the contour evaluates the integrand f in chunks
+that double from 64 points to blocks of 4096, and stops on a tail bound
+that holds wherever it is taken: by weighted AM-GM on each factor,
+|f(t)| <= |f(t_hi)| (t_hi / t)^p_eff for t >= t_hi, so once p_eff > 1 the
+rest of the sum is at most |f(t_hi)| t_hi / ((p_eff - 1) step).
 """
 
 from __future__ import annotations
@@ -26,6 +32,17 @@ _Z95 = 1.959963984540054
 
 #: relative tolerance of the contour inversion refinement
 _INV_RTOL = 1e-10
+
+#: a trapezoid pass stops once its tail is bounded by this share of its sum
+_TAIL_RTOL = 1e-13
+
+#: integrand points in the first chunk of a trapezoid pass, and in the
+#: blocks that are summed as one array once the points reach it
+_FIRST_CHUNK = 64
+_BLOCK = 4096
+
+#: integrand points one trapezoid pass may evaluate before giving up
+_MAX_POINTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -114,15 +131,10 @@ class WeightedChiSquareSpec:
         return cls(tuple(w), tuple(m))
 
 
-def _log_cdf_contour(w: np.ndarray, h: np.ndarray, x: float) -> float:
-    """log P(sum h_j-fold lambda_j chi-squares <= x) by saddle-point contour.
-
-    Bromwich integrand exp(g(z)) with g(z) = x z - log z
-    - (1/2) sum h_j log(1 + 2 lambda_j z), integrated along the vertical
-    line through the real saddle; trapezoid steps are halved until two
-    refinements agree to _INV_RTOL, truncation controlled by the polynomial
-    decay of the integrand modulus.
-    """
+def _saddle(w: np.ndarray, h: np.ndarray,
+            x: float) -> tuple[float, float, float]:
+    """Real saddle s0 of g(z) = x z - log z
+    - (1/2) sum h_j log(1 + 2 lambda_j z), with g(s0) and g''(s0)."""
 
     def gprime(s):
         return x - 1.0 / s - np.sum(h * w / (1.0 + 2.0 * w * s))
@@ -135,46 +147,99 @@ def _log_cdf_contour(w: np.ndarray, h: np.ndarray, x: float) -> float:
     s0 = brentq(gprime, 1e-300, hi, rtol=8.9e-16)
     g0 = x * s0 - math.log(s0) - 0.5 * float(np.sum(h * np.log1p(2.0 * w * s0)))
     gpp = 1.0 / s0 ** 2 + float(np.sum(2.0 * h * w ** 2 / (1.0 + 2.0 * w * s0) ** 2))
-    p_decay = 1.0 + float(np.sum(h)) / 2.0
+    return s0, g0, gpp
 
-    def contour_integral(step: float) -> float:
-        # trapezoid of Re exp(g(s0+it) - g0) over t >= 0, in 4096-point chunks
-        total = 0.5  # t = 0 contributes exp(0) = 1, half weight
-        t_hi = 0.0
-        chunk = 4096
-        while True:
-            t = t_hi + step * np.arange(1, chunk + 1)
-            z = s0 + 1j * t
-            gz = x * z - np.log(z) - 0.5 * np.sum(
-                h[:, None] * np.log1p(2.0 * w[:, None] * z[None, :]), axis=0
-            )
-            vals = np.exp(gz - g0)
-            total += float(np.sum(vals.real))
-            t_hi = t[-1]
-            mag = abs(vals[-1])
-            # |integrand| <= mag * (t_hi/t)^p for t > t_hi
-            tail = mag * t_hi / ((p_decay - 1.0) * step)
-            if tail < 1e-13 * abs(total) + 1e-300:
-                break
-            if t_hi > 1e12 / max(step, 1e-12):
-                raise NumericFailure("contour truncation did not converge")
-        return total * step / math.pi
 
+def _integrand(w: np.ndarray, h: np.ndarray, x: float, s0: float, g0: float,
+               t: np.ndarray) -> np.ndarray:
+    """Bromwich integrand exp(g(s0 + i t) - g0) at every t of a 1-d array."""
+    z = s0 + 1j * t
+    gz = x * z - np.log(z) - 0.5 * np.sum(
+        h[:, None] * np.log1p(2.0 * w[:, None] * z[None, :]), axis=0
+    )
+    return np.exp(gz - g0)
+
+
+def _tail_bound(w: np.ndarray, h: np.ndarray, s0: float, t_hi: float,
+                mag: float, step: float) -> float:
+    """Bound on sum_{k >= 1} |f(t_hi + k step)| from mag = |f(t_hi)|; inf
+    unless the decay exponent p_eff exceeds 1.
+
+    |f(t)|^-2 is proportional to |z|^2 prod_j |1 + 2 lambda_j z|^h_j with
+    z = s0 + i t.  Each squared modulus A + B t^2 is at least
+    (A + B t_hi^2) (t / t_hi)^(2 q) for t >= t_hi, with
+    q = B t_hi^2 / (A + B t_hi^2), by weighted AM-GM.  So
+    |f(t)| <= mag (t_hi / t)^p_eff with p_eff = q_0 + (1/2) sum_j h_j q_j,
+    and since |f| decreases the sum is at most mag t_hi / ((p_eff - 1) step).
+    """
+    b = 2.0 * w * t_hi
+    q = (b / np.hypot(1.0 + 2.0 * w * s0, b)) ** 2
+    p_eff = (t_hi / math.hypot(s0, t_hi)) ** 2 + 0.5 * float(np.sum(h * q))
+    if p_eff <= 1.0:
+        return math.inf
+    return mag * t_hi / ((p_eff - 1.0) * step)
+
+
+def _trapezoid(w: np.ndarray, h: np.ndarray, x: float, s0: float, g0: float,
+               step: float) -> tuple[float, int]:
+    """(1/pi) times the trapezoid sum of Re f over t >= 0 at this step, and
+    the number of points of t > 0 it evaluated.
+
+    The points evaluated so far double, from _FIRST_CHUNK up to blocks of
+    _BLOCK, until `_tail_bound` is below _TAIL_RTOL of the sum.  Each block
+    is summed as one zero-padded array from its own base t, so the points
+    kept are added as a single _BLOCK-point chunk would add them.
+    """
+    done = 0.5  # t = 0 contributes exp(0) = 1, half weight
+    t_base, n = 0.0, 0
+    re = np.zeros(_BLOCK)
+    while True:
+        m = n % _BLOCK
+        chunk = min(max(n, _FIRST_CHUNK), _BLOCK - m)
+        t = t_base + step * np.arange(m + 1, m + chunk + 1)
+        vals = _integrand(w, h, x, s0, g0, t)
+        re[m:m + chunk] = vals.real
+        n += chunk
+        total = done + float(np.sum(re))
+        tail = _tail_bound(w, h, s0, t[-1], abs(vals[-1]), step)
+        if tail < _TAIL_RTOL * abs(total) + 1e-300:
+            return total * step / math.pi, n
+        if n >= _MAX_POINTS:
+            raise NumericFailure("contour truncation did not converge")
+        if m + chunk == _BLOCK:
+            done, t_base = total, t[-1]
+            re[:] = 0.0
+
+
+def _log_cdf_contour(w: np.ndarray, h: np.ndarray,
+                     x: float) -> tuple[float, float, int, int]:
+    """log P(sum h_j-fold lambda_j chi-squares <= x) by saddle-point contour,
+    with the saddle s0, the number of step halvings and the integrand points
+    evaluated.
+
+    The Bromwich integrand exp(g(z)) is integrated along the vertical line
+    through the real saddle; trapezoid steps are halved until two
+    refinements agree to _INV_RTOL.
+    """
+    s0, g0, gpp = _saddle(w, h, x)
     step = 0.5 / math.sqrt(gpp)
-    prev = contour_integral(step)
-    for _ in range(40):
+    prev, points = _trapezoid(w, h, x, s0, g0, step)
+    for refinements in range(1, 41):
         step /= 2.0
-        cur = contour_integral(step)
+        cur, n = _trapezoid(w, h, x, s0, g0, step)
+        points += n
         if abs(cur - prev) <= _INV_RTOL * abs(cur):
             if cur <= 0:
                 raise NumericFailure("contour inversion returned nonpositive mass")
-            return g0 + math.log(cur)
+            return g0 + math.log(cur), s0, refinements, points
         prev = cur
     raise NumericFailure("contour inversion did not reach tolerance")
 
 
-def log_exact_l2(spec: WeightedChiSquareSpec, r: float) -> float:
-    """log P(sum lambda_j Z_j^2 <= r^2), exact up to quadrature tolerance."""
+def _log_exact_l2(spec: WeightedChiSquareSpec,
+                  r: float) -> tuple[float, float, int, int]:
+    """`log_exact_l2` with the contour's s0, refinements and points (NaN, 0
+    and 0 when a closed form gave the value)."""
     if r <= 0:
         raise PreconditionError("r must be positive")
     w = np.asarray(spec.weights, float)
@@ -182,7 +247,7 @@ def log_exact_l2(spec: WeightedChiSquareSpec, r: float) -> float:
     x = r * r
     if len(w) == 1 and h[0] == 1:
         # single chi-square: P(Z^2 <= x/lambda) = erf(sqrt(x/(2 lambda)))
-        return math.log(erf(math.sqrt(x / (2.0 * w[0]))))
+        return math.log(erf(math.sqrt(x / (2.0 * w[0])))), math.nan, 0, 0
     if len(w) == 2 and h[0] == 1 and h[1] == 2:
         # chi^2_1 + lambda chi^2_2 in closed form via Dawson's integral
         lam = w[1] / w[0]
@@ -193,9 +258,14 @@ def log_exact_l2(spec: WeightedChiSquareSpec, r: float) -> float:
             * dawsn(math.sqrt(a * y))
         val = base - corr
         if val > 1e-280:
-            return math.log(val)
+            return math.log(val), math.nan, 0, 0
         # fall through to the contour in the extreme tail
     return _log_cdf_contour(w, h, x)
+
+
+def log_exact_l2(spec: WeightedChiSquareSpec, r: float) -> float:
+    """log P(sum lambda_j Z_j^2 <= r^2), exact up to quadrature tolerance."""
+    return _log_exact_l2(spec, r)[0]
 
 
 def exact_l2(spec: WeightedChiSquareSpec, r: float) -> float:
@@ -204,11 +274,20 @@ def exact_l2(spec: WeightedChiSquareSpec, r: float) -> float:
 
 
 def phi_l2_curve(nu: float, K: int, r_list) -> BoundCurve:
-    """phi(r) = -log P(L2 norm <= r) for the periodic process, exact."""
+    """phi(r) = -log P(L2 norm <= r) for the periodic process, exact.
+
+    `extra` carries, per r, the contour's saddle `s0`, its step
+    `refinements` and the integrand `points` it evaluated.
+    """
     spec = WeightedChiSquareSpec.periodic(nu, K)
     r_arr = np.asarray(list(r_list), float)
-    phi = np.array([-log_exact_l2(spec, r) for r in r_arr])
+    rows = [_log_exact_l2(spec, r) for r in r_arr]
+    log_p, s0, refinements, points = (np.array([row[i] for row in rows])
+                                      for i in range(4))
+    phi = -log_p
     with np.errstate(divide="ignore"):
         ratio = phi / np.log(r_arr) ** 2  # infinite at r = 1 by convention
     return BoundCurve(x=r_arr, lower=phi, upper=phi, label="l2-exact",
-                      extra={"nu": nu, "K": K, "phi_over_log2": ratio})
+                      extra={"nu": nu, "K": K, "phi_over_log2": ratio,
+                             "s0": s0, "refinements": refinements,
+                             "points": points})

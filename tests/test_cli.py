@@ -86,6 +86,16 @@ def test_tsirelson_asymptotic_via_cli(tmp_path):
     assert ratio == pytest.approx(1.0 / (4.0 * math.pi), rel=0.05)
 
 
+def test_l2_exact_at_large_contour_step(tmp_path):
+    # the nu = 2, K = 27 contour steps near 7e7; it used to exit 1 with
+    # "contour truncation did not converge"
+    out = tmp_path / "l2"
+    assert run(["l2-exact", "--nu", "2", "--K", "27",
+                "--r", "1.2861081668351373e-4", "--out", str(out)]) == 0
+    row = read(out / "l2_exact.csv").strip().split("\n")[1].split(",")
+    assert float(row[2]) == pytest.approx(57.72628461187268, rel=1e-12)
+
+
 def test_manifest_with_format_reruns_identically(tmp_path):
     # manifests written while --format existed still carry it
     out1 = tmp_path / "a"

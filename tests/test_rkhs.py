@@ -35,6 +35,17 @@ def test_member_to_function():
         rkhs.ellipsoid_member_to_function(ell, c, t)
 
 
+@pytest.mark.parametrize("top", [0, 1, 5, rkhs._GRID - 1, rkhs._GRID,
+                                 rkhs._GRID + 1, 10 * rkhs._GRID])
+def test_term_counts_match_inverse(top):
+    for a in (1.0, 0.37, math.sqrt(2.0) * math.exp(-2.0)):
+        s = a / (top + 0.5)
+        assert math.floor(a / s) == top
+        got = rkhs._term_counts(a, s)
+        assert got.dtype == np.int64 and len(got) == rkhs._GRID + 1
+        assert np.array_equal(got, rkhs._term_counts_by_inverse(a, s, top))
+
+
 def test_entropy_trivial_and_interval():
     ell = CoefficientEllipsoid(1.0, 4)
     # one ball suffices beyond the diameter

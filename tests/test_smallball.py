@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 from smalldev import pathgen, smallball
-from smalldev.errors import PreconditionError
+from smalldev.errors import NumericFailure, PreconditionError
 from smalldev.pathgen import GridSpec, PeriodicGenConfig
 from smalldev.smallball import WeightedChiSquareSpec
 
@@ -64,12 +65,11 @@ def test_exact_l2_two_term_against_quadrature():
 
 
 def test_contour_matches_closed_form():
-    # force the contour path by using multiplicity-2-only specs vs a
-    # direct two-weight closed form check at K>=2
+    # Monte Carlo check of the contour path at K = 4, where no closed form
+    # applies: 4e5 draws of the weighted chi-square sum, within 4 SE
     spec = WeightedChiSquareSpec.periodic(1.0, 4)
     w = np.asarray(spec.weights)
     h = np.asarray(spec.mults, float)
-    # Monte Carlo cross-check of the contour inversion
     rng = np.random.default_rng(11)
     n = 400000
     q = np.zeros(n)
@@ -80,6 +80,81 @@ def test_contour_matches_closed_form():
         p_mc = np.mean(q <= r * r)
         se = math.sqrt(p_mc * (1 - p_mc) / n)
         assert p == pytest.approx(p_mc, abs=4 * se)
+
+
+def test_contour_matches_gamma_and_quadrature_forms():
+    # the contour itself against lambda times a chi^2_h, whose CDF is a
+    # regularized incomplete gamma, and against chi^2_2 + lambda chi^2_4 by
+    # conditioning on the chi^2_2 part
+    for h in (6, 9):
+        for w in (1.0, 0.2):
+            for x in (0.05, 1.0, 5.0):
+                got = smallball._log_cdf_contour(np.array([w]),
+                                                 np.array([float(h)]), x)[0]
+                assert got == pytest.approx(
+                    math.log(gammainc(h / 2.0, x / (2.0 * w))), abs=1e-9)
+    for lam in (math.exp(-1.0), 0.1):
+        for x in (0.01, 0.5, 4.0):
+            ref, _ = quad(lambda u: 0.5 * math.exp(-u / 2.0)
+                          * gammainc(2.0, (x - u) / (2.0 * lam)), 0.0, x,
+                          epsabs=0.0, epsrel=1e-13, limit=200)
+            got = smallball._log_cdf_contour(np.array([1.0, lam]),
+                                             np.array([2.0, 4.0]), x)[0]
+            assert got == pytest.approx(math.log(ref), abs=1e-9)
+
+
+def test_contour_refuses_an_unbounded_tail(monkeypatch):
+    # chi^2_1 + lambda chi^2_2 (the Dawson form) has |f(t)| ~ t^-2.5: its
+    # tail bound needs about 1e9 points, so the point cap raises instead
+    monkeypatch.setattr(smallball, "_MAX_POINTS", 1 << 16)
+    with pytest.raises(NumericFailure):
+        smallball._log_cdf_contour(np.array([1.0, 0.5]), np.array([1.0, 2.0]),
+                                   0.25)
+
+
+@pytest.mark.parametrize("nu,K,r", [(1.0, 10, 0.5), (1.0, 4, 1e-3),
+                                    (2.0, 27, 1.2861081668351373e-4)])
+def test_contour_tail_bound_holds(nu, K, r):
+    # where a trapezoid pass stops, the next 2^20 points sum in modulus to
+    # no more than the stated tail bound, which is below its stopping share
+    spec = WeightedChiSquareSpec.periodic(nu, K)
+    w, h, x = np.asarray(spec.weights), np.asarray(spec.mults, float), r * r
+    s0, g0, gpp = smallball._saddle(w, h, x)
+    step = 0.5 / math.sqrt(gpp)
+    val, n = smallball._trapezoid(w, h, x, s0, g0, step)
+    t_hi = n * step
+    mag = abs(smallball._integrand(w, h, x, s0, g0, np.array([t_hi]))[0])
+    bound = smallball._tail_bound(w, h, s0, t_hi, mag, step)
+    assert bound < smallball._TAIL_RTOL * val * math.pi / step
+    brute = 0.0
+    for k in range(0, 1 << 20, 1 << 14):
+        t = t_hi + step * np.arange(k + 1, k + (1 << 14) + 1)
+        vals = smallball._integrand(w, h, x, s0, g0, t)
+        brute += float(np.sum(np.abs(vals)))
+    assert brute <= bound
+
+
+def test_contour_at_large_step_converges():
+    # nu = 2, K = 27 has weights near 1e-317 and a trapezoid step near 7e7;
+    # the contour used to give up after its first chunk
+    r = 1.2861081668351373e-4
+    lp = smallball.log_exact_l2(WeightedChiSquareSpec.periodic(2.0, 27), r)
+    ref = smallball.log_exact_l2(WeightedChiSquareSpec.periodic(2.0, 6), r)
+    assert math.isfinite(lp)
+    assert lp == pytest.approx(ref, rel=1e-12)
+
+
+def test_phi_l2_curve_reports_contour_work():
+    r = np.geomspace(1e-10, 1e-1, 10)
+    extra = smallball.phi_l2_curve(1.0, 40, r).extra
+    assert np.all(extra["points"] <= 1024)
+    assert np.all(extra["refinements"] >= 1)
+    assert np.all(extra["s0"] > 0)
+    # closed forms evaluate no contour
+    extra = smallball.phi_l2_curve(1.0, 1, [0.5]).extra
+    assert extra["points"].tolist() == [0]
+    assert extra["refinements"].tolist() == [0]
+    assert math.isnan(extra["s0"][0])
 
 
 def test_exact_l2_deep_tail_log_domain():

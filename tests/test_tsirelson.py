@@ -191,6 +191,37 @@ def test_minorant_covariance_forms():
         )
 
 
+def _minorant_covariance_scalar(cfg, t):
+    # one lag at a time, with math's scalar functions
+    scale = math.exp(-(cfg.l ** cfg.nu))
+    if cfg.spectrum == DISCRETE:
+        m = 2 * int(cfg.l) + 1
+        x = t if cfg.convention == PAPER_2PI else 2.0 * math.pi * t
+        if abs(math.sin(x / 2.0)) < 1e-14:
+            return scale * m * math.cos((m - 1) / 2.0 * x)
+        return scale * math.sin(m * x / 2.0) / math.sin(x / 2.0)
+    if t == 0.0:
+        return 2.0 * cfg.l * scale
+    return 2.0 * scale * math.sin(cfg.l * t) / t
+
+
+def test_minorant_covariance_array_matches_scalar():
+    # lags include every Dirichlet pole (t = 0 and whole periods) and t = 0
+    # of the continuous form, where the array form takes its limit branch
+    for cfg, period in [
+        (TsirelsonConfig(1.0, DISCRETE, 3, PAPER_2PI), 2 * math.pi),
+        (TsirelsonConfig(2.0, DISCRETE, 5, PERIOD_1), 1.0),
+        (TsirelsonConfig(1.0, CONTINUOUS, 2.5), 1.0),
+    ]:
+        lags = np.concatenate([np.linspace(-2.5, 2.5, 41) * period,
+                               np.arange(-3, 4) * period])
+        got = tsirelson.minorant_covariance(cfg, lags)
+        assert got.shape == lags.shape
+        ref = [_minorant_covariance_scalar(cfg, t) for t in lags]
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12 * cfg.sigma2)
+
+
 def test_uncorrelated_certificate():
     for l in range(1, 11):
         for conv in (PAPER_2PI, PERIOD_1):
