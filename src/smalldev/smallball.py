@@ -3,15 +3,13 @@
 Monte Carlo estimates use common random numbers across the radius list, so
 hit counts are monotone in r by construction, and report Wilson 95%
 intervals.  The squared L2 norm of the periodic process is a weighted sum
-of independent chi-square variables; its CDF is computed exactly by
-saddle-point contour inversion of the Laplace transform, in the log domain
-so deep tails remain representable.
-
-Each trapezoid pass along the contour evaluates the integrand f in chunks
-that double from 64 points to blocks of 4096, and stops on a tail bound
-that holds wherever it is taken: by weighted AM-GM on each factor,
-|f(t)| <= |f(t_hi)| (t_hi / t)^p_eff for t >= t_hi, so once p_eff > 1 the
-rest of the sum is at most |f(t_hi)| t_hi / ((p_eff - 1) step).
+of chi-squares.  One chi-square has an erf closed form and chi^2_1 + lambda
+chi^2_2 a Dawson one, or a Gauss-Legendre integral where that would cancel;
+other sums take a saddle-point contour in the log domain.  Each trapezoid
+pass is one running sum over chunks of 64, 64, 128, ..., 2048, then 4096
+points, from a step of half the saddle scale (no power of s0 is formed),
+and stops on a tail bound that holds wherever it is taken, by weighted
+AM-GM on each factor.  r^2 must be a normal float (r >= 1.5e-154).
 """
 
 from __future__ import annotations
@@ -36,13 +34,15 @@ _INV_RTOL = 1e-10
 #: a trapezoid pass stops once its tail is bounded by this share of its sum
 _TAIL_RTOL = 1e-13
 
-#: integrand points in the first chunk of a trapezoid pass, and in the
-#: blocks that are summed as one array once the points reach it
+#: integrand points in the first and in the largest chunk of a trapezoid pass
 _FIRST_CHUNK = 64
 _BLOCK = 4096
 
 #: integrand points one trapezoid pass may evaluate before giving up
 _MAX_POINTS = 1 << 24
+
+#: 32-point Gauss-Legendre nodes and weights on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class SmallBallEstimate:
     phi_hi: float
     seed: int
     grid_points: int
-    config: dict
 
 
 def wilson_interval(hits: int, n: int) -> tuple[float, float]:
@@ -85,7 +84,6 @@ def estimate(cfg: pathgen.PeriodicGenConfig, grid: pathgen.GridSpec, norm: str,
     r_arr = np.asarray(list(r_list), dtype=float)
     if np.any(r_arr <= 0):
         raise PreconditionError("radii must be positive")
-    cfg_desc = {"kind": "periodic", "nu": cfg.nu, "K": cfg.K}
     norms = pathgen.batch_norms(cfg.amplitudes(), grid, seed, n_samples, norm)
     out = []
     for r in r_arr:
@@ -98,8 +96,7 @@ def estimate(cfg: pathgen.PeriodicGenConfig, grid: pathgen.GridSpec, norm: str,
         out.append(SmallBallEstimate(
             r=float(r), norm=norm, n_samples=n_samples, hits=hits, p_hat=p,
             ci_low=lo, ci_high=hi, phi_hat=phi, phi_lo=phi_lo, phi_hi=phi_hi,
-            seed=seed, grid_points=grid.n_points, config=cfg_desc,
-        ))
+            seed=seed, grid_points=grid.n_points))
     return out
 
 
@@ -134,7 +131,9 @@ class WeightedChiSquareSpec:
 def _saddle(w: np.ndarray, h: np.ndarray,
             x: float) -> tuple[float, float, float]:
     """Real saddle s0 of g(z) = x z - log z
-    - (1/2) sum h_j log(1 + 2 lambda_j z), with g(s0) and g''(s0)."""
+    - (1/2) sum h_j log(1 + 2 lambda_j z), with g(s0) and the scale
+    g''(s0)^(-1/2) = s0 / sqrt(1 + sum_j 2 h_j q_j^2), where
+    q_j = lambda_j s0 / (1 + 2 lambda_j s0) is below 1/2."""
 
     def gprime(s):
         return x - 1.0 / s - np.sum(h * w / (1.0 + 2.0 * w * s))
@@ -146,8 +145,8 @@ def _saddle(w: np.ndarray, h: np.ndarray,
             raise NumericFailure("saddle search diverged")
     s0 = brentq(gprime, 1e-300, hi, rtol=8.9e-16)
     g0 = x * s0 - math.log(s0) - 0.5 * float(np.sum(h * np.log1p(2.0 * w * s0)))
-    gpp = 1.0 / s0 ** 2 + float(np.sum(2.0 * h * w ** 2 / (1.0 + 2.0 * w * s0) ** 2))
-    return s0, g0, gpp
+    q = w * s0 / (1.0 + 2.0 * w * s0)
+    return s0, g0, s0 / math.sqrt(1.0 + 2.0 * float(np.sum(h * q * q)))
 
 
 def _integrand(w: np.ndarray, h: np.ndarray, x: float, s0: float, g0: float,
@@ -183,32 +182,21 @@ def _tail_bound(w: np.ndarray, h: np.ndarray, s0: float, t_hi: float,
 def _trapezoid(w: np.ndarray, h: np.ndarray, x: float, s0: float, g0: float,
                step: float) -> tuple[float, int]:
     """(1/pi) times the trapezoid sum of Re f over t >= 0 at this step, and
-    the number of points of t > 0 it evaluated.
-
-    The points evaluated so far double, from _FIRST_CHUNK up to blocks of
-    _BLOCK, until `_tail_bound` is below _TAIL_RTOL of the sum.  Each block
-    is summed as one zero-padded array from its own base t, so the points
-    kept are added as a single _BLOCK-point chunk would add them.
+    the number of points of t > 0 it evaluated: each chunk doubles the
+    points, up to _BLOCK, until `_tail_bound` is below _TAIL_RTOL of the sum.
     """
-    done = 0.5  # t = 0 contributes exp(0) = 1, half weight
-    t_base, n = 0.0, 0
-    re = np.zeros(_BLOCK)
+    total, n = 0.5, 0  # t = 0 contributes exp(0) = 1, half weight
     while True:
-        m = n % _BLOCK
-        chunk = min(max(n, _FIRST_CHUNK), _BLOCK - m)
-        t = t_base + step * np.arange(m + 1, m + chunk + 1)
+        chunk = min(max(n, _FIRST_CHUNK), _BLOCK)
+        t = step * np.arange(n + 1, n + chunk + 1)
         vals = _integrand(w, h, x, s0, g0, t)
-        re[m:m + chunk] = vals.real
+        total += float(np.sum(vals.real))
         n += chunk
-        total = done + float(np.sum(re))
         tail = _tail_bound(w, h, s0, t[-1], abs(vals[-1]), step)
         if tail < _TAIL_RTOL * abs(total) + 1e-300:
             return total * step / math.pi, n
         if n >= _MAX_POINTS:
             raise NumericFailure("contour truncation did not converge")
-        if m + chunk == _BLOCK:
-            done, t_base = total, t[-1]
-            re[:] = 0.0
 
 
 def _log_cdf_contour(w: np.ndarray, h: np.ndarray,
@@ -221,8 +209,8 @@ def _log_cdf_contour(w: np.ndarray, h: np.ndarray,
     through the real saddle; trapezoid steps are halved until two
     refinements agree to _INV_RTOL.
     """
-    s0, g0, gpp = _saddle(w, h, x)
-    step = 0.5 / math.sqrt(gpp)
+    s0, g0, scale = _saddle(w, h, x)
+    step = 0.5 * scale
     prev, points = _trapezoid(w, h, x, s0, g0, step)
     for refinements in range(1, 41):
         step /= 2.0
@@ -236,30 +224,41 @@ def _log_cdf_contour(w: np.ndarray, h: np.ndarray,
     raise NumericFailure("contour inversion did not reach tolerance")
 
 
+def _log_cdf_dawson(y: float, lam: float) -> float:
+    """log P(Z_0^2 + lam (Z_1^2 + Z_2^2) <= y) for 0 < lam <= 1: erf(sqrt(y/2))
+    - corr, a = 1/(2 lam) - 1/2, while corr <= erf/2; below, where that
+    difference cancels, the positive integral sqrt(2y/pi)
+    int_0^1 exp(-y s^2/2) (1 - exp(-y (1 - s^2)/(2 lam))) ds instead."""
+    a = 1.0 / (2.0 * lam) - 0.5
+    base = erf(math.sqrt(y / 2.0))
+    if a > 0:
+        corr = math.sqrt(2.0 / (math.pi * a)) * math.exp(-y / 2.0) \
+            * dawsn(math.sqrt(a * y))
+    else:  # lam = 1, where dawsn(u) ~ u
+        corr = math.sqrt(2.0 * y / math.pi) * math.exp(-y / 2.0)
+    if corr <= base / 2.0:
+        return math.log(base - corr)
+    s2 = (0.5 + 0.5 * _GL_NODES) ** 2
+    f = np.exp(-0.5 * y * s2) * -np.expm1(-y * (1.0 - s2) / (2.0 * lam))
+    return 0.5 * math.log(y / (2.0 * math.pi)) + math.log(float(_GL_WEIGHTS @ f))
+
+
 def _log_exact_l2(spec: WeightedChiSquareSpec,
                   r: float) -> tuple[float, float, int, int]:
     """`log_exact_l2` with the contour's s0, refinements and points (NaN, 0
-    and 0 when a closed form gave the value)."""
+    and 0 when a closed form or quadrature gave the value)."""
     if r <= 0:
         raise PreconditionError("r must be positive")
+    x = r * r
+    if x < np.finfo(float).tiny:
+        raise NumericFailure(f"r = {r:g}: r^2 is not a normal float")
     w = np.asarray(spec.weights, float)
     h = np.asarray(spec.mults, float)
-    x = r * r
     if len(w) == 1 and h[0] == 1:
         # single chi-square: P(Z^2 <= x/lambda) = erf(sqrt(x/(2 lambda)))
         return math.log(erf(math.sqrt(x / (2.0 * w[0])))), math.nan, 0, 0
     if len(w) == 2 and h[0] == 1 and h[1] == 2:
-        # chi^2_1 + lambda chi^2_2 in closed form via Dawson's integral
-        lam = w[1] / w[0]
-        y = x / w[0]
-        a = 1.0 / (2.0 * lam) - 0.5
-        base = erf(math.sqrt(y / 2.0))
-        corr = math.sqrt(2.0 / (math.pi * a)) * math.exp(-y / 2.0) \
-            * dawsn(math.sqrt(a * y))
-        val = base - corr
-        if val > 1e-280:
-            return math.log(val), math.nan, 0, 0
-        # fall through to the contour in the extreme tail
+        return _log_cdf_dawson(x / w[0], w[1] / w[0]), math.nan, 0, 0
     return _log_cdf_contour(w, h, x)
 
 

@@ -96,6 +96,28 @@ def test_l2_exact_at_large_contour_step(tmp_path):
     assert float(row[2]) == pytest.approx(57.72628461187268, rel=1e-12)
 
 
+def test_l2_exact_deep_radius(tmp_path):
+    # s0 is near 5.5e200 here, far beyond where s0 ** 2 overflows
+    out = tmp_path / "l2"
+    assert run(["l2-exact", "--nu", "1", "--K", "5", "--r", "1e-100",
+                "--out", str(out)]) == 0
+    row = read(out / "l2_exact.csv").strip().split("\n")[1].split(",")
+    x = 1e-200
+    lam = [math.exp(-k) for k in range(1, 6)]
+    lead = (-5.5 * math.log(x / 2.0) + math.lgamma(6.5)
+            + sum(math.log(v) for v in lam))
+    assert float(row[2]) == pytest.approx(lead, rel=1e-12)
+
+
+@pytest.mark.parametrize("K", ["0", "1", "5"])
+def test_l2_exact_subnormal_r_squared_exits_1(tmp_path, capsys, K):
+    assert run(["l2-exact", "--nu", "1", "--K", K, "--r", "1e-160",
+                "--out", str(tmp_path / "l2")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+
+
 def test_manifest_with_format_reruns_identically(tmp_path):
     # manifests written while --format existed still carry it
     out1 = tmp_path / "a"

@@ -64,6 +64,42 @@ def test_exact_l2_two_term_against_quadrature():
         assert smallball.exact_l2(spec, r) == pytest.approx(ref, abs=1e-9)
 
 
+def _leading_phi(spec, r):
+    # -log of the ellipsoid volume times the density at 0, the small-r limit
+    h = np.asarray(spec.mults, float)
+    d = float(np.sum(h))
+    return (-(d / 2.0) * math.log(r * r / 2.0) + math.lgamma(d / 2.0 + 1.0)
+            + 0.5 * float(np.sum(h * np.log(spec.weights))))
+
+
+@pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-8])
+def test_dawson_branch_small_r_against_conditioning(r):
+    # the closed form erf - corr cancels as r falls; the reference conditions
+    # on the chi^2_1 part, with its u^-1/2 as the quad weight
+    lam, x = math.exp(-1.0), r * r
+    ref, _ = quad(lambda u: -math.expm1(-(x - u) / (2.0 * lam))
+                  * math.exp(-u / 2.0) / math.sqrt(2.0 * math.pi), 0.0, x,
+                  weight="alg", wvar=(-0.5, 0.0), epsabs=0.0, epsrel=1e-13)
+    lp = smallball.log_exact_l2(WeightedChiSquareSpec.periodic(1.0, 1), r)
+    assert lp == pytest.approx(math.log(ref), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [1e-50, 1e-3, 0.5, 2.0])
+def test_dawson_branch_equal_weights_is_chi2_3(r):
+    # lambda = 1 makes a = 0 in the closed form; the sum is a chi^2_3
+    lp = smallball.log_exact_l2(WeightedChiSquareSpec((1.0, 1.0), (1, 2)), r)
+    assert lp == pytest.approx(math.log(gammainc(1.5, r * r / 2.0)), rel=1e-13)
+
+
+@pytest.mark.parametrize("K,r", [(1, 1e-50), (5, 1e-149), (40, 1e-149)])
+def test_deep_radius_matches_leading_term(K, r):
+    # K = 1 is the Dawson branch's quadrature; at K = 5 and 40 the contour's
+    # saddle s0 is near 5e298, where the step scale forms no power of s0
+    spec = WeightedChiSquareSpec.periodic(1.0, K)
+    phi = -smallball.log_exact_l2(spec, r)
+    assert phi == pytest.approx(_leading_phi(spec, r), rel=1e-13)
+
+
 def test_contour_matches_closed_form():
     # Monte Carlo check of the contour path at K = 4, where no closed form
     # applies: 4e5 draws of the weighted chi-square sum, within 4 SE
@@ -119,8 +155,8 @@ def test_contour_tail_bound_holds(nu, K, r):
     # no more than the stated tail bound, which is below its stopping share
     spec = WeightedChiSquareSpec.periodic(nu, K)
     w, h, x = np.asarray(spec.weights), np.asarray(spec.mults, float), r * r
-    s0, g0, gpp = smallball._saddle(w, h, x)
-    step = 0.5 / math.sqrt(gpp)
+    s0, g0, scale = smallball._saddle(w, h, x)
+    step = 0.5 * scale
     val, n = smallball._trapezoid(w, h, x, s0, g0, step)
     t_hi = n * step
     mag = abs(smallball._integrand(w, h, x, s0, g0, np.array([t_hi]))[0])
