@@ -3,23 +3,29 @@
 Monte Carlo estimates use common random numbers across the radius list, so
 hit counts are monotone in r by construction, and report Wilson 95%
 intervals.  The squared L2 norm of the periodic process is a weighted sum
-of chi-squares.  One chi-square has an erf closed form and chi^2_1 + lambda
-chi^2_2 a Dawson one, or a Gauss-Legendre integral where that would cancel;
-other sums take a saddle-point contour in the log domain.  Each trapezoid
-pass is one running sum over chunks of 64, 64, 128, ..., 2048, then 4096
-points, from a step of half the saddle scale (no power of s0 is formed),
-and stops on a tail bound that holds wherever it is taken, by weighted
-AM-GM on each factor.  r^2 must be a normal float (r >= 1.5e-154).
+of chi-squares, h_j-fold lambda_j Z^2.  One chi-square is an erf; other
+sums are inverted on the parabola z(u) = s0 + mu ((1 + i u)^2 - 1), u >= 0
+(Weideman and Trefethen 2007), through a real saddle s0 of g(z) = x z
+- log z - (1/2) sum_j h_j log(1 + 2 lambda_j z), with mu the distance from
+s0 to the nearest singularity.  The mass is exp(log_scale) times
+int_0^inf Re f du, f(u) = (1 + i u) exp(x mu eta) prod_j (1 + b_j eta)^(-h_j/2)
+with eta = u (2i - u), b_0 = mu / s0 for the pole at 0 (h_0 = 2) and
+b_j = 2 lambda_j mu / (1 + 2 lambda_j s0) <= 1.  So f(0) = 1, |f| decays
+like exp(-x mu u^2), and no power of s0 is formed.  Trapezoid passes stop
+on a tail bound that holds for every u beyond them.  Where p > 1/2, the
+saddle in (-1/(2 lambda_1), 0) gives Q = 1 - p, and log p = log1p(-Q).
+r^2 must be a normal float (1.5e-154 <= r < 1.3e154).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import dawsn, erf
+from scipy.special import erf, erfc, erfcx, expit
 
 from . import pathgen
 from .curves import BoundCurve
@@ -28,21 +34,16 @@ from .errors import NumericFailure, PreconditionError
 #: 97.5% standard normal quantile for Wilson intervals
 _Z95 = 1.959963984540054
 
-#: relative tolerance of the contour inversion refinement
-_INV_RTOL = 1e-10
+#: contour passes refine until two agree to _INV_RTOL; a pass adds _CHUNK
+#: integrand points at a time until its tail bound is _TAIL_RTOL of its sum
+_INV_RTOL, _TAIL_RTOL, _CHUNK = 1e-10, 1e-13, 64
 
-#: a trapezoid pass stops once its tail is bounded by this share of its sum
-_TAIL_RTOL = 1e-13
+#: a contour as the module docstring writes it, cx = x mu, the pole first
+_Parabola = namedtuple("_Parabola", "s0 cx b h log_scale")
 
-#: integrand points in the first and in the largest chunk of a trapezoid pass
-_FIRST_CHUNK = 64
-_BLOCK = 4096
-
-#: integrand points one trapezoid pass may evaluate before giving up
-_MAX_POINTS = 1 << 24
-
-#: 32-point Gauss-Legendre nodes and weights on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+#: what an exact-L2 value took: `method` is "erf", "parabola" or
+#: "parabola-complement", `tail_share` the last pass's tail bound over its sum
+_Inversion = namedtuple("_Inversion", "log_p s0 refinements points method tail_share")
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,8 @@ class WeightedChiSquareSpec:
             raise PreconditionError("weights must be positive and nonempty")
         if np.any(np.diff(w) > 0):
             raise PreconditionError("weights must be sorted descending")
-        if len(self.mults) != len(w):
-            raise PreconditionError("weights and mults must align")
+        if len(self.mults) != len(w) or np.any(np.asarray(self.mults) <= 0):
+            raise PreconditionError("mults must be positive and align with weights")
 
     @classmethod
     def periodic(cls, nu: float, K: int) -> "WeightedChiSquareSpec":
@@ -128,143 +129,145 @@ class WeightedChiSquareSpec:
         return cls(tuple(w), tuple(m))
 
 
-def _saddle(w: np.ndarray, h: np.ndarray,
-            x: float) -> tuple[float, float, float]:
-    """Real saddle s0 of g(z) = x z - log z
-    - (1/2) sum h_j log(1 + 2 lambda_j z), with g(s0) and the scale
-    g''(s0)^(-1/2) = s0 / sqrt(1 + sum_j 2 h_j q_j^2), where
-    q_j = lambda_j s0 / (1 + 2 lambda_j s0) is below 1/2."""
-
-    def gprime(s):
-        return x - 1.0 / s - np.sum(h * w / (1.0 + 2.0 * w * s))
-
-    hi = 1.0
-    while gprime(hi) < 0.0:
-        hi *= 4.0
-        if hi > 1e300:
-            raise NumericFailure("saddle search diverged")
-    s0 = brentq(gprime, 1e-300, hi, rtol=8.9e-16)
-    g0 = x * s0 - math.log(s0) - 0.5 * float(np.sum(h * np.log1p(2.0 * w * s0)))
-    q = w * s0 / (1.0 + 2.0 * w * s0)
-    return s0, g0, s0 / math.sqrt(1.0 + 2.0 * float(np.sum(h * q * q)))
+def _parabola(w: np.ndarray, h: np.ndarray, x: float) -> _Parabola:
+    """Contour for p through the saddle s0 > 0, mu = s0.  t = log s0 solves
+    s0 g'(s0) = x s0 - 1 - sum_j h_j b_j / 2 = 0, b_j = expit(log(2 lambda_j)
+    + t), within 1 <= x s0 <= 1 + sum_j h_j / 2; s0 is formed only for the
+    record (inf past 1e308).  Weights whose b_j underflows to 0 drop out."""
+    lx, la = math.log(x), np.log(2.0 * w)
+    t = brentq(lambda t: math.exp(lx + t) - 1.0 - 0.5 * float(h @ expit(la + t)),
+               -lx, math.log(2.0 + 0.5 * float(np.sum(h))) - lx,
+               xtol=1e-300, rtol=8.9e-16)
+    cx, la = math.exp(lx + t), la + t
+    b = expit(la)
+    log_scale = cx - 0.5 * float(h @ np.logaddexp(0.0, la)) + math.log(2.0 / math.pi)
+    return _Parabola(cx / x, cx, np.append(1.0, b[b > 0]),
+                     np.append(2.0, h[b > 0]), log_scale)
 
 
-def _integrand(w: np.ndarray, h: np.ndarray, x: float, s0: float, g0: float,
-               t: np.ndarray) -> np.ndarray:
-    """Bromwich integrand exp(g(s0 + i t) - g0) at every t of a 1-d array."""
-    z = s0 + 1j * t
-    gz = x * z - np.log(z) - 0.5 * np.sum(
-        h[:, None] * np.log1p(2.0 * w[:, None] * z[None, :]), axis=0
-    )
-    return np.exp(gz - g0)
+def _complement_parabola(w: np.ndarray, h: np.ndarray, x: float) -> _Parabola:
+    """Contour for Q = 1 - p through the saddle s0 in (-1/(2 lambda_1), 0),
+    solved for d = s0 + 1/(2 lambda_1) so that 1 + 2 lambda_j s0 keeps its
+    relative accuracy as d -> 0.  g' < 0 at the bracket's lower end by its
+    j = 1 term, > 0 at its upper end, where each 1 + 2 lambda_j s0 >= 1/2."""
+    lam = float(w[0])
+    half, gap = 0.5 / lam, (lam - w) / lam  # 1 + 2 lambda_j s0 = 2 lambda_j d + gap_j
+    d = brentq(lambda d: x + 1.0 / (half - d) - float(h @ (w / (2.0 * w * d + gap))),
+               min(0.5 * half, 0.25 * h[0] / (x + 4.0 * lam)),
+               half - 0.25 / float(h @ w), xtol=1e-300, rtol=8.9e-16)
+    s0, mu, one = d - half, min(d, half - d), 2.0 * w * d + gap
+    b = 2.0 * mu * w / one
+    log_scale = (x * s0 - math.log(-s0) - 0.5 * float(h @ np.log(one))
+                 + math.log(2.0 * mu / math.pi))
+    return _Parabola(s0, x * mu, np.append(mu / s0, b[b > 0]),
+                     np.append(2.0, h[b > 0]), log_scale)
 
 
-def _tail_bound(w: np.ndarray, h: np.ndarray, s0: float, t_hi: float,
-                mag: float, step: float) -> float:
-    """Bound on sum_{k >= 1} |f(t_hi + k step)| from mag = |f(t_hi)|; inf
-    unless the decay exponent p_eff exceeds 1.
+def _log_mod2(b, v):
+    """log |1 + b eta|^2 at u^2 = v, that is log((1 - b v)^2 + 4 b^2 v)."""
+    return np.log1p(b * v * (b * (4.0 + v) - 2.0))
 
-    |f(t)|^-2 is proportional to |z|^2 prod_j |1 + 2 lambda_j z|^h_j with
-    z = s0 + i t.  Each squared modulus A + B t^2 is at least
-    (A + B t_hi^2) (t / t_hi)^(2 q) for t >= t_hi, with
-    q = B t_hi^2 / (A + B t_hi^2), by weighted AM-GM.  So
-    |f(t)| <= mag (t_hi / t)^p_eff with p_eff = q_0 + (1/2) sum_j h_j q_j,
-    and since |f| decreases the sum is at most mag t_hi / ((p_eff - 1) step).
+
+def _log_min_mod2(b: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """log of the minimum of |1 + b eta|^2 over lo <= u^2 <= hi.  It is
+    convex in u^2, with vertex 4 b (1 - b) at u^2 = (1 - 2 b) / b."""
+    out = _log_mod2(b, lo)
+    inside = b * lo < 1.0 - 2.0 * b
+    out[inside] = np.log(4.0 * b[inside]) + np.log1p(-b[inside])
+    beyond = b * hi < 1.0 - 2.0 * b
+    out[beyond] = _log_mod2(b[beyond], hi)
+    return out
+
+
+def _integrand(par: _Parabola, u: np.ndarray) -> np.ndarray:
+    """f(u) at every u of a 1-d array, from log |1 + b_j eta| and
+    arg(1 + b_j eta), which is continuous in [-pi/2, pi) along u >= 0."""
+    v, bu = u * u, par.b[:, None] * u
+    re = -par.cx * v - 0.25 * (par.h @ _log_mod2(par.b[:, None], v))
+    im = 2.0 * par.cx * u - 0.5 * (par.h @ np.arctan2(2.0 * bu, 1.0 - bu * u))
+    return (1.0 + 1j * u) * np.exp(re + 1j * im)
+
+
+def _log_tail(par: _Parabola, u_hi: float, step: float) -> float:
+    """log of a bound on sum_{k >= 1} |f(u_hi + k step)|.  On lo <= u <= top,
+    |f(u)| <= exp(-cx u^2) prod_{j >= 1} m_j^(-h_j / 2) / (min(1, |b_0|)
+    sqrt(1 + lo^2)), m_j^2 the minimum of |1 + b_j eta|^2 there.  The
+    Gaussian's lattice sum beyond lo is at most its integral over the step.
+    The range is split where the Gaussian has absorbed the minima over all
+    u >= u_hi, so tiny b_j, whose vertices lie far out, spare the near part.
     """
-    b = 2.0 * w * t_hi
-    q = (b / np.hypot(1.0 + 2.0 * w * s0, b)) ** 2
-    p_eff = (t_hi / math.hypot(s0, t_hi)) ** 2 + 0.5 * float(np.sum(h * q))
-    if p_eff <= 1.0:
-        return math.inf
-    return mag * t_hi / ((p_eff - 1.0) * step)
+    b, h, cx = par.b[1:], par.h[1:], par.cx
+
+    def piece(lo, top):
+        y = math.sqrt(cx) * lo
+        return (-math.log(min(1.0, abs(par.b[0]))) - 0.5 * math.log1p(lo * lo)
+                - 0.25 * float(h @ _log_min_mod2(b, lo * lo, top * top)) - y * y
+                + math.log(0.5 * math.sqrt(math.pi / cx) * erfcx(y) / step))
+
+    far = -0.25 * float(h @ _log_min_mod2(b, u_hi * u_hi, math.inf))
+    u_mid = u_hi + step * math.ceil(
+        (math.sqrt(u_hi * u_hi + max(far, 0.0) / cx) - u_hi) / step)
+    return float(np.logaddexp(piece(u_hi, u_mid), piece(u_mid, math.inf)))
 
 
-def _trapezoid(w: np.ndarray, h: np.ndarray, x: float, s0: float, g0: float,
-               step: float) -> tuple[float, int]:
-    """(1/pi) times the trapezoid sum of Re f over t >= 0 at this step, and
-    the number of points of t > 0 it evaluated: each chunk doubles the
-    points, up to _BLOCK, until `_tail_bound` is below _TAIL_RTOL of the sum.
-    """
-    total, n = 0.5, 0  # t = 0 contributes exp(0) = 1, half weight
-    while True:
-        chunk = min(max(n, _FIRST_CHUNK), _BLOCK)
-        t = step * np.arange(n + 1, n + chunk + 1)
-        vals = _integrand(w, h, x, s0, g0, t)
-        total += float(np.sum(vals.real))
-        n += chunk
-        tail = _tail_bound(w, h, s0, t[-1], abs(vals[-1]), step)
-        if tail < _TAIL_RTOL * abs(total) + 1e-300:
-            return total * step / math.pi, n
-        if n >= _MAX_POINTS:
-            raise NumericFailure("contour truncation did not converge")
-
-
-def _log_cdf_contour(w: np.ndarray, h: np.ndarray,
-                     x: float) -> tuple[float, float, int, int]:
-    """log P(sum h_j-fold lambda_j chi-squares <= x) by saddle-point contour,
-    with the saddle s0, the number of step halvings and the integrand points
-    evaluated.
-
-    The Bromwich integrand exp(g(z)) is integrated along the vertical line
-    through the real saddle; trapezoid steps are halved until two
-    refinements agree to _INV_RTOL.
-    """
-    s0, g0, scale = _saddle(w, h, x)
-    step = 0.5 * scale
-    prev, points = _trapezoid(w, h, x, s0, g0, step)
-    for refinements in range(1, 41):
+def _invert(par: _Parabola) -> tuple[float, int, int, float]:
+    """log of the mass, step halvings, integrand points and tail share.  A
+    trapezoid pass sums Re f by _CHUNK points until its tail bound is below
+    _TAIL_RTOL of the sum; steps halve from 0.5 / sqrt(x mu) until two
+    passes agree to _INV_RTOL."""
+    step, prev, points = 1.0 / math.sqrt(par.cx), math.nan, 0
+    for refinements in range(41):
         step /= 2.0
-        cur, n = _trapezoid(w, h, x, s0, g0, step)
+        total, n, tail = 0.5, 0, math.inf  # f(0) = 1 at half weight
+        while tail >= _TAIL_RTOL * abs(total):
+            u = step * np.arange(n + 1, n + _CHUNK + 1)
+            total += float(np.sum(_integrand(par, u).real))
+            n += _CHUNK
+            if not math.isfinite(total):
+                raise NumericFailure("contour integrand is not finite")
+            tail = math.exp(min(_log_tail(par, u[-1], step), 700.0))
         points += n
-        if abs(cur - prev) <= _INV_RTOL * abs(cur):
-            if cur <= 0:
+        if abs(total * step - prev) <= _INV_RTOL * abs(total * step):
+            if total <= 0:
                 raise NumericFailure("contour inversion returned nonpositive mass")
-            return g0 + math.log(cur), s0, refinements, points
-        prev = cur
+            return (par.log_scale + math.log(total * step), refinements,
+                    points, tail / abs(total))
+        prev = total * step
     raise NumericFailure("contour inversion did not reach tolerance")
 
 
-def _log_cdf_dawson(y: float, lam: float) -> float:
-    """log P(Z_0^2 + lam (Z_1^2 + Z_2^2) <= y) for 0 < lam <= 1: erf(sqrt(y/2))
-    - corr, a = 1/(2 lam) - 1/2, while corr <= erf/2; below, where that
-    difference cancels, the positive integral sqrt(2y/pi)
-    int_0^1 exp(-y s^2/2) (1 - exp(-y (1 - s^2)/(2 lam))) ds instead."""
-    a = 1.0 / (2.0 * lam) - 0.5
-    base = erf(math.sqrt(y / 2.0))
-    if a > 0:
-        corr = math.sqrt(2.0 / (math.pi * a)) * math.exp(-y / 2.0) \
-            * dawsn(math.sqrt(a * y))
-    else:  # lam = 1, where dawsn(u) ~ u
-        corr = math.sqrt(2.0 * y / math.pi) * math.exp(-y / 2.0)
-    if corr <= base / 2.0:
-        return math.log(base - corr)
-    s2 = (0.5 + 0.5 * _GL_NODES) ** 2
-    f = np.exp(-0.5 * y * s2) * -np.expm1(-y * (1.0 - s2) / (2.0 * lam))
-    return 0.5 * math.log(y / (2.0 * math.pi)) + math.log(float(_GL_WEIGHTS @ f))
+def _log_cdf_contour(w: np.ndarray, h: np.ndarray, x: float) -> _Inversion:
+    """log P(sum h_j-fold lambda_j chi-squares <= x) as an `_Inversion`; past
+    p = 1/2 the contour passes the pole at 0, of residue 1, to give 1 - p."""
+    par = _parabola(w, h, x)
+    log_p, refinements, points, share = _invert(par)
+    if log_p <= -math.log(2.0):
+        return _Inversion(log_p, par.s0, refinements, points, "parabola", share)
+    par = _complement_parabola(w, h, x)
+    log_q, refinements, more, share = _invert(par)
+    return _Inversion(math.log1p(-math.exp(log_q)), par.s0, refinements,
+                      points + more, "parabola-complement", share)
 
 
-def _log_exact_l2(spec: WeightedChiSquareSpec,
-                  r: float) -> tuple[float, float, int, int]:
-    """`log_exact_l2` with the contour's s0, refinements and points (NaN, 0
-    and 0 when a closed form or quadrature gave the value)."""
+def _log_exact_l2(spec: WeightedChiSquareSpec, r: float) -> _Inversion:
+    """`log_exact_l2` with the work behind it."""
     if r <= 0:
         raise PreconditionError("r must be positive")
-    x = r * r
-    if x < np.finfo(float).tiny:
+    x = float(r) * float(r)
+    if not np.finfo(float).tiny <= x < math.inf:
         raise NumericFailure(f"r = {r:g}: r^2 is not a normal float")
-    w = np.asarray(spec.weights, float)
-    h = np.asarray(spec.mults, float)
-    if len(w) == 1 and h[0] == 1:
-        # single chi-square: P(Z^2 <= x/lambda) = erf(sqrt(x/(2 lambda)))
-        return math.log(erf(math.sqrt(x / (2.0 * w[0])))), math.nan, 0, 0
-    if len(w) == 2 and h[0] == 1 and h[1] == 2:
-        return _log_cdf_dawson(x / w[0], w[1] / w[0]), math.nan, 0, 0
-    return _log_cdf_contour(w, h, x)
+    w, h = np.asarray(spec.weights, float), np.asarray(spec.mults, float)
+    if len(w) > 1 or h[0] != 1:
+        return _log_cdf_contour(w, h, x)
+    y = math.sqrt(x / (2.0 * w[0]))  # one chi-square: p = erf(y)
+    p = erf(y)
+    log_p = math.log(p) if p <= 0.5 else math.log1p(-erfc(y))
+    return _Inversion(log_p, math.nan, 0, 0, "erf", math.nan)
 
 
 def log_exact_l2(spec: WeightedChiSquareSpec, r: float) -> float:
     """log P(sum lambda_j Z_j^2 <= r^2), exact up to quadrature tolerance."""
-    return _log_exact_l2(spec, r)[0]
+    return _log_exact_l2(spec, r).log_p
 
 
 def exact_l2(spec: WeightedChiSquareSpec, r: float) -> float:
@@ -274,19 +277,15 @@ def exact_l2(spec: WeightedChiSquareSpec, r: float) -> float:
 
 def phi_l2_curve(nu: float, K: int, r_list) -> BoundCurve:
     """phi(r) = -log P(L2 norm <= r) for the periodic process, exact.
-
-    `extra` carries, per r, the contour's saddle `s0`, its step
-    `refinements` and the integrand `points` it evaluated.
-    """
+    `extra` carries, per r, `s0`, `refinements`, `points`, `method` and
+    `tail_share` as `_Inversion` defines them."""
     spec = WeightedChiSquareSpec.periodic(nu, K)
     r_arr = np.asarray(list(r_list), float)
     rows = [_log_exact_l2(spec, r) for r in r_arr]
-    log_p, s0, refinements, points = (np.array([row[i] for row in rows])
-                                      for i in range(4))
-    phi = -log_p
+    extra = {key: np.array([getattr(row, key) for row in rows])
+             for key in _Inversion._fields}
+    phi = -extra.pop("log_p")
     with np.errstate(divide="ignore"):
         ratio = phi / np.log(r_arr) ** 2  # infinite at r = 1 by convention
     return BoundCurve(x=r_arr, lower=phi, upper=phi, label="l2-exact",
-                      extra={"nu": nu, "K": K, "phi_over_log2": ratio,
-                             "s0": s0, "refinements": refinements,
-                             "points": points})
+                      extra={"nu": nu, "K": K, "phi_over_log2": ratio, **extra})

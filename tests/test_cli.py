@@ -109,6 +109,25 @@ def test_l2_exact_deep_radius(tmp_path):
     assert float(row[2]) == pytest.approx(lead, rel=1e-12)
 
 
+def test_l2_exact_near_one(tmp_path):
+    # p = 1 - 1.08e-6: the vertical-line contour could not bound its tail
+    # here and exited 1; phi is the 40-digit mpmath value
+    out = tmp_path / "l2"
+    assert run(["l2-exact", "--nu", "1", "--K", "2", "--r", "5",
+                "--out", str(out)]) == 0
+    row = read(out / "l2_exact.csv").strip().split("\n")[1].split(",")
+    assert float(row[2]) == pytest.approx(1.0800625733796997e-06, rel=1e-13,
+                                          abs=0.0)
+
+
+def test_l2_exact_overflowing_r_squared_exits_1(tmp_path, capsys):
+    # r^2 = inf used to end in a ValueError traceback from the saddle search
+    assert run(["l2-exact", "--nu", "1", "--K", "2", "--r", "1e200",
+                "--out", str(tmp_path / "l2")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("K", ["0", "1", "5"])
 def test_l2_exact_subnormal_r_squared_exits_1(tmp_path, capsys, K):
     assert run(["l2-exact", "--nu", "1", "--K", K, "--r", "1e-160",

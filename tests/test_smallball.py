@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
 from smalldev import pathgen, smallball
-from smalldev.errors import NumericFailure, PreconditionError
+from smalldev.errors import PreconditionError
 from smalldev.pathgen import GridSpec, PeriodicGenConfig
 from smalldev.smallball import WeightedChiSquareSpec
 
@@ -74,8 +75,9 @@ def _leading_phi(spec, r):
 
 @pytest.mark.parametrize("r", [1e-2, 1e-4, 1e-8])
 def test_dawson_branch_small_r_against_conditioning(r):
-    # the closed form erf - corr cancels as r falls; the reference conditions
-    # on the chi^2_1 part, with its u^-1/2 as the quad weight
+    # chi^2_1 + lambda chi^2_2, whose Dawson closed form cancels as r falls,
+    # on the contour; the reference conditions on the chi^2_1 part, with its
+    # u^-1/2 as the quad weight
     lam, x = math.exp(-1.0), r * r
     ref, _ = quad(lambda u: -math.expm1(-(x - u) / (2.0 * lam))
                   * math.exp(-u / 2.0) / math.sqrt(2.0 * math.pi), 0.0, x,
@@ -86,15 +88,18 @@ def test_dawson_branch_small_r_against_conditioning(r):
 
 @pytest.mark.parametrize("r", [1e-50, 1e-3, 0.5, 2.0])
 def test_dawson_branch_equal_weights_is_chi2_3(r):
-    # lambda = 1 makes a = 0 in the closed form; the sum is a chi^2_3
+    # lambda = 1, where the Dawson form degenerates; the sum is a chi^2_3
     lp = smallball.log_exact_l2(WeightedChiSquareSpec((1.0, 1.0), (1, 2)), r)
     assert lp == pytest.approx(math.log(gammainc(1.5, r * r / 2.0)), rel=1e-13)
 
 
-@pytest.mark.parametrize("K,r", [(1, 1e-50), (5, 1e-149), (40, 1e-149)])
+@pytest.mark.parametrize("K,r", [(1, 1e-50), (5, 1e-149), (40, 1e-149),
+                                 (120, 1e-149), (300, 2e-149),
+                                 (300, 1.5e-154)])
 def test_deep_radius_matches_leading_term(K, r):
-    # K = 1 is the Dawson branch's quadrature; at K = 5 and 40 the contour's
-    # saddle s0 is near 5e298, where the step scale forms no power of s0
+    # the saddle is solved for log s0: K = 120 and 300 at s0 near 1e300 used
+    # to stop its bracket search, and at r = 1.5e-154, where r^2 is barely
+    # normal, s0 exceeds the largest float
     spec = WeightedChiSquareSpec.periodic(1.0, K)
     phi = -smallball.log_exact_l2(spec, r)
     assert phi == pytest.approx(_leading_phi(spec, r), rel=1e-13)
@@ -139,35 +144,51 @@ def test_contour_matches_gamma_and_quadrature_forms():
             assert got == pytest.approx(math.log(ref), abs=1e-9)
 
 
-def test_contour_refuses_an_unbounded_tail(monkeypatch):
-    # chi^2_1 + lambda chi^2_2 (the Dawson form) has |f(t)| ~ t^-2.5: its
-    # tail bound needs about 1e9 points, so the point cap raises instead
-    monkeypatch.setattr(smallball, "_MAX_POINTS", 1 << 16)
-    with pytest.raises(NumericFailure):
-        smallball._log_cdf_contour(np.array([1.0, 0.5]), np.array([1.0, 2.0]),
-                                   0.25)
+# (nu, K) of the exact-L2 sweep; K = 1 and 2 have few non-negligible
+# weights, nu = 2, K = 27 has weights near 1e-317
+SWEEP_SPECS = [(1.0, 1), (1.0, 2), (1.0, 5), (1.0, 8), (1.0, 10), (1.0, 40),
+               (1.0, 120), (1.0, 300), (0.5, 40), (0.7, 60), (1.5, 20),
+               (2.0, 27)]
+
+
+def test_contour_points_budget():
+    # every input of the sweep, from r = 4 (p > 0.99, on the complement)
+    # down to r = 1e-149, takes at most 2048 integrand points
+    for nu, K in SWEEP_SPECS:
+        spec = WeightedChiSquareSpec.periodic(nu, K)
+        for r in (1e-149, 1e-3, 0.5, 2.0, 4.0):
+            inv = smallball._log_exact_l2(spec, r)
+            assert math.isfinite(inv.log_p) and inv.log_p < 0
+            assert 0 < inv.points <= 2048, (nu, K, r, inv.points)
+
+
+def _abs_f(par, u):
+    # |f(u)| straight from the definition of the normalised integrand
+    eta = u * (2j - u)
+    f = (1 + 1j * u) * np.exp(par.cx * eta) * np.prod(
+        (1 + par.b[:, None] * eta) ** (-par.h[:, None] / 2), axis=0)
+    return np.abs(f)
 
 
 @pytest.mark.parametrize("nu,K,r", [(1.0, 10, 0.5), (1.0, 4, 1e-3),
                                     (2.0, 27, 1.2861081668351373e-4)])
 def test_contour_tail_bound_holds(nu, K, r):
-    # where a trapezoid pass stops, the next 2^20 points sum in modulus to
-    # no more than the stated tail bound, which is below its stopping share
+    # on both contours and at several steps and cut-offs u_hi, the sum of
+    # |f| over the next 2^14 lattice points stays within the tail bound;
+    # where a pass stops, the bound is below its stopping share
     spec = WeightedChiSquareSpec.periodic(nu, K)
-    w, h, x = np.asarray(spec.weights), np.asarray(spec.mults, float), r * r
-    s0, g0, scale = smallball._saddle(w, h, x)
-    step = 0.5 * scale
-    val, n = smallball._trapezoid(w, h, x, s0, g0, step)
-    t_hi = n * step
-    mag = abs(smallball._integrand(w, h, x, s0, g0, np.array([t_hi]))[0])
-    bound = smallball._tail_bound(w, h, s0, t_hi, mag, step)
-    assert bound < smallball._TAIL_RTOL * val * math.pi / step
-    brute = 0.0
-    for k in range(0, 1 << 20, 1 << 14):
-        t = t_hi + step * np.arange(k + 1, k + (1 << 14) + 1)
-        vals = smallball._integrand(w, h, x, s0, g0, t)
-        brute += float(np.sum(np.abs(vals)))
-    assert brute <= bound
+    w, h = np.asarray(spec.weights), np.asarray(spec.mults, float)
+    for par in (smallball._parabola(w, h, r * r),
+                smallball._complement_parabola(w, h, r * r)):
+        u = np.linspace(0.0, 8.0, 65)
+        assert np.allclose(np.abs(smallball._integrand(par, u)),
+                           _abs_f(par, u), rtol=1e-12, atol=0.0)
+        for step in 0.5 / math.sqrt(par.cx) / np.array([1.0, 2.0, 4.0]):
+            for u_hi in step * np.array([1.0, 4.0, 16.0, 32.0]):
+                brute = float(np.sum(_abs_f(par, u_hi + step
+                                            * np.arange(1, (1 << 14) + 1))))
+                assert brute <= math.exp(smallball._log_tail(par, u_hi, step))
+        assert smallball._invert(par)[3] < smallball._TAIL_RTOL
 
 
 def test_contour_at_large_step_converges():
@@ -183,14 +204,63 @@ def test_contour_at_large_step_converges():
 def test_phi_l2_curve_reports_contour_work():
     r = np.geomspace(1e-10, 1e-1, 10)
     extra = smallball.phi_l2_curve(1.0, 40, r).extra
-    assert np.all(extra["points"] <= 1024)
+    assert extra["method"].tolist() == ["parabola"] * 10
+    assert np.all(extra["points"] <= 256)
     assert np.all(extra["refinements"] >= 1)
     assert np.all(extra["s0"] > 0)
-    # closed forms evaluate no contour
-    extra = smallball.phi_l2_curve(1.0, 1, [0.5]).extra
+    assert np.all(extra["tail_share"] < smallball._TAIL_RTOL)
+    # K = 1 runs the contour; past p = 1/2 its complement, whose real point
+    # lies between the branch point -1/2 and 0
+    extra = smallball.phi_l2_curve(1.0, 1, [0.5, 5.0]).extra
+    assert extra["method"].tolist() == ["parabola", "parabola-complement"]
+    assert np.all(extra["points"] > 0) and np.all(extra["refinements"] >= 1)
+    assert extra["s0"][0] > 0 and -0.5 < extra["s0"][1] < 0
+    # the one closed form evaluates no contour
+    extra = smallball.phi_l2_curve(1.0, 0, [0.5]).extra
+    assert extra["method"].tolist() == ["erf"]
     assert extra["points"].tolist() == [0]
     assert extra["refinements"].tolist() == [0]
-    assert math.isnan(extra["s0"][0])
+    assert math.isnan(extra["s0"][0]) and math.isnan(extra["tail_share"][0])
+
+
+def _log_p_mpmath(spec, r, s0):
+    # 40-digit log p from Q = 1 - p = -(2 mu / pi) Re int_0^inf
+    # e^{xz} M(z) / z (1 + i u) du on the parabola z = s0 + mu ((1+iu)^2 - 1)
+    # through s0 in (-1/(2 lambda_1), 0), with mpmath's own quadrature
+    with mpmath.workdps(40):
+        w = [mpmath.mpf(v) for v in spec.weights]
+        x, s0 = mpmath.mpf(r) ** 2, mpmath.mpf(s0)
+        mu = min(-s0, s0 + 1 / (2 * w[0]))
+
+        def f(u):
+            z = s0 + mu * ((1 + 1j * u) ** 2 - 1)
+            val = mpmath.exp(x * z) / z * (1 + 1j * u)
+            for wj, hj in zip(w, spec.mults):
+                val *= (1 + 2 * wj * z) ** (-mpmath.mpf(hj) / 2)
+            return val.real
+
+        q = -2 * mu / mpmath.pi * mpmath.quad(f, [0, 1, 4, mpmath.inf])
+        return float(mpmath.log1p(-q))
+
+
+@pytest.mark.parametrize("K,r", [(1, 5.0), (1, 8.0), (2, 5.0), (2, 8.0)])
+def test_log_p_near_one_against_mpmath(K, r):
+    # p > 1 - 1e-6: log p = log1p(-Q) keeps the digits that log(p) loses
+    spec = WeightedChiSquareSpec.periodic(1.0, K)
+    inv = smallball._log_exact_l2(spec, r)
+    assert inv.method == "parabola-complement"
+    assert inv.log_p == pytest.approx(_log_p_mpmath(spec, r, inv.s0),
+                                      rel=1e-13, abs=0.0)
+
+
+def test_single_chi_square_near_one():
+    # the erf line switches to log1p(-erfc) past p = 1/2
+    spec = WeightedChiSquareSpec.periodic(1.0, 0)
+    for r in (1e-10, 0.5, 3.0, 8.0):
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(mpmath.erf(mpmath.mpf(r) / mpmath.sqrt(2))))
+        assert smallball.log_exact_l2(spec, r) == pytest.approx(ref, rel=1e-14,
+                                                                abs=0.0)
 
 
 def test_exact_l2_deep_tail_log_domain():
@@ -266,3 +336,5 @@ def test_spec_validation():
         WeightedChiSquareSpec((0.5, 1.0), (1, 2))  # ascending
     with pytest.raises(PreconditionError):
         WeightedChiSquareSpec((1.0, -0.5), (1, 2))
+    with pytest.raises(PreconditionError):
+        WeightedChiSquareSpec((1.0, 0.5), (1, 0))  # zero multiplicity
