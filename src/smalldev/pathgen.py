@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erfinv, gammainc, gammaincinv
-from scipy.special import gamma as gamma_fn
 
 from . import spectra
 from .errors import PreconditionError
@@ -70,14 +69,10 @@ class PeriodicGenConfig:
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise PreconditionError("nu must be positive")
-        if self.K < 0:
-            raise PreconditionError("K must be >= 0")
-        tail = _discrete_tail(self.nu, self.K)
+        tail = 2.0 * spectra.discrete_tail(self.nu, self.K)  # refuses a bad nu or K
         if tail > self.tail_tol:
             k = self.K
-            while _discrete_tail(self.nu, k) > self.tail_tol:
+            while 2.0 * spectra.discrete_tail(self.nu, k) > self.tail_tol:
                 k += 1
             raise PreconditionError(
                 f"truncated tail variance {tail:.3e} exceeds tail_tol "
@@ -86,23 +81,9 @@ class PeriodicGenConfig:
 
     def amplitudes(self) -> np.ndarray:
         """amp[0] for the constant term, amp[k] for each cos/sin pair."""
-        k = np.arange(0, self.K + 1)
-        amp = np.sqrt(2.0 * np.exp(-k.astype(float) ** self.nu))
+        amp = np.sqrt(2.0 * np.exp(spectra.discrete_log_masses(self.nu, self.K)))
         amp[0] = 1.0
         return amp
-
-
-def _discrete_tail(nu: float, K: int) -> float:
-    """2 * sum_{k > K} exp(-k^nu), summed until terms vanish."""
-    total = 0.0
-    k = K + 1
-    while True:
-        term = math.exp(-k ** nu)
-        total += term
-        if term < 1e-20 * max(total, 1e-300):
-            break
-        k += 1
-    return 2.0 * total
 
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
@@ -126,6 +107,8 @@ def _series_block(basis: np.ndarray, seed: int, block: int,
 def _rows(basis: np.ndarray, seed: int, n_paths: int, offset: int,
           size: int) -> np.ndarray:
     """Paths offset..offset+n_paths-1 of a series keyed in blocks of `size`."""
+    if not offset >= 0:
+        raise PreconditionError(f"path index must be >= 0, got {offset}")
     out = np.empty((n_paths, basis.shape[1]))
     i = 0
     while i < n_paths:
@@ -180,7 +163,8 @@ def minorant_discrete_amplitudes(l: int, nu: float) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float]:
     """Midpoint-quantile frequencies of N_STRATA equal-measure strata of the
-    positive half of the spectral measure, plus the mass of one stratum.
+    positive half of the spectral measure, plus the mass of one stratum,
+    which is `spectra.total_mass` shared out.
 
     Cached per model; the frequencies are read-only, as every caller shares
     them."""
@@ -188,20 +172,14 @@ def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float
     kind, nu = model.kind, model.nu
     if kind == spectra.BANDLIMITED:
         u = p * model.cutoff
-        half_mass = model.cutoff
     elif kind == spectra.CONTINUOUS_NU and nu == 1.0:
         u = -np.log1p(-p)
-        half_mass = 1.0
     elif kind == spectra.CONTINUOUS_NU and nu == 2.0:
         u = erfinv(p)
-        half_mass = math.sqrt(math.pi) / 2.0
     elif kind in (spectra.CONTINUOUS_NU, spectra.TRUNCATED_CONTINUOUS_NU):
-        # int_0^u exp(-x^nu) dx = Gamma(1 + 1/nu) * gammainc(1/nu, u^nu)
-        P = 1.0
-        if kind == spectra.TRUNCATED_CONTINUOUS_NU:
-            P = gammainc(1.0 / nu, model.cutoff ** nu)
+        # int_0^u exp(-x^nu) dx is proportional to gammainc(1/nu, u^nu)
+        P = 1.0 if model.cutoff is None else gammainc(1.0 / nu, model.cutoff ** nu)
         u = gammaincinv(1.0 / nu, p * P) ** (1.0 / nu)
-        half_mass = gamma_fn(1.0 + 1.0 / nu) * P
     else:
         # log-power family: inverse CDF by dense tabulation
         U = spectra._quad_upper_limit(model)
@@ -209,10 +187,9 @@ def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float
         dens = spectra.density(model, ug)
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0
                                                * np.diff(ug))])
-        half_mass = cdf[-1]
-        u = np.interp(p * half_mass, cdf, ug)
+        u = np.interp(p * cdf[-1], cdf, ug)
     u.flags.writeable = False
-    return u, half_mass / N_STRATA
+    return u, spectra.total_mass(model) / (2 * N_STRATA)
 
 
 def continuous_values(model: spectra.SpectralModel, times: np.ndarray,

@@ -106,10 +106,10 @@ def open_problem_curves(alpha: float, r_list) -> tuple[BoundCurve, BoundCurve]:
     lower:  |log r|^{(a-1)/a} exp{(2 |log r|)^{1/a}}
     upper:  |log r| exp{(2 |log r|)^{1/a} + (5/a) |log r|^{2/a - 1}}
     """
-    if alpha <= 1:
+    if not alpha > 1:
         raise PreconditionError("alpha must exceed 1")
     r = np.asarray(list(r_list), float)
-    if np.any(r >= 1.0) or np.any(r <= 0.0):
+    if not np.all((r > 0.0) & (r < 1.0)):
         raise PreconditionError("radii must lie in (0, 1)")
     L = np.abs(np.log(r))
     core = (2.0 * L) ** (1.0 / alpha)

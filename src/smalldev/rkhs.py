@@ -51,30 +51,29 @@ class CoefficientEllipsoid:
     K: int
 
     def __post_init__(self):
-        if self.nu <= 0 or self.K < 0:
-            raise PreconditionError("need nu > 0 and K >= 0")
+        spectra.discrete_log_masses(self.nu, self.K)  # refuses a bad nu or K
 
     def semi_axes(self) -> np.ndarray:
-        """Real-coordinate semi-axes: x0 then (u_k, v_k) pairs, k=1..K."""
-        axes = [1.0]
-        for k in range(1, self.K + 1):
-            a = math.sqrt(2.0) * math.exp(-0.5 * k ** self.nu)
-            axes.extend([a, a])
-        return np.array(axes)
+        """Real-coordinate semi-axes: x0 then (u_k, v_k) pairs, k=1..K, as
+        sqrt(2) exp(-k^nu / 2), normal where exp(-k^nu) underflows."""
+        a = math.sqrt(2.0) * np.exp(0.5 * spectra.discrete_log_masses(self.nu, self.K))
+        a[0] = 1.0
+        return np.repeat(a, 2)[1:]
 
     def membership(self, c: np.ndarray) -> float:
         """sum |c_k|^2 exp(|k|^nu) for complex coefficients c_{-K}..c_K."""
         c = np.asarray(c)
         if len(c) != 2 * self.K + 1:
             raise PreconditionError("coefficient vector must have 2K+1 entries")
-        k = np.arange(-self.K, self.K + 1)
-        return float(np.sum(np.abs(c) ** 2 * np.exp(np.abs(k) ** self.nu)))
+        log_mass = spectra.discrete_log_masses(self.nu, self.K)
+        k = np.abs(np.arange(-self.K, self.K + 1))
+        return float(np.sum(np.abs(c) ** 2 * np.exp(-log_mass[k])))
 
     @property
     def sup_radius(self) -> float:
         """max sup-norm over the ball: sqrt(R(0)) of the process."""
-        k = np.arange(1, self.K + 1)
-        return math.sqrt(1.0 + 2.0 * float(np.sum(np.exp(-k ** self.nu))))
+        log_mass = spectra.discrete_log_masses(self.nu, self.K)
+        return math.sqrt(1.0 + 2.0 * float(np.sum(np.exp(log_mass[1:]))))
 
 
 def ellipsoid_member_to_function(ell: CoefficientEllipsoid, c: np.ndarray,
@@ -167,7 +166,7 @@ def _count_lattice_cells(axes: np.ndarray, steps: np.ndarray) -> int:
 def upper_cover(ell: CoefficientEllipsoid, epsilon: float) -> tuple[int, str]:
     """Balls in a sup-norm epsilon-cover of the unit ball, and the rule
     (SINGLE_BALL, LATTICE_COVERING or COORDINATE_PRODUCT) that counted them."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise PreconditionError("epsilon must be positive")
     if epsilon >= 2.0 * ell.sup_radius:
         return 1, SINGLE_BALL
@@ -207,7 +206,7 @@ def entropy_lower(ell: CoefficientEllipsoid, epsilon: float) -> float:
     eps of the center's, so its d-coordinate section sits in a box of side
     2 eps (x0) and 4 eps (each u_k, v_k); covering-number >= volume ratio.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise PreconditionError("epsilon must be positive")
     axes = np.sort(ell.semi_axes())[::-1]
     best = 0.0

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf, erfc, erfcx, expit
 
-from . import pathgen
+from . import pathgen, spectra
 from .curves import BoundCurve
 from .errors import NumericFailure, PreconditionError
 
@@ -83,7 +83,7 @@ def estimate(cfg: pathgen.PeriodicGenConfig, grid: pathgen.GridSpec, norm: str,
     if n_samples < 100:
         raise PreconditionError("n_samples must be >= 100")
     r_arr = np.asarray(list(r_list), dtype=float)
-    if np.any(r_arr <= 0):
+    if not np.all(r_arr > 0):
         raise PreconditionError("radii must be positive")
     norms = pathgen.batch_norms(cfg.amplitudes(), grid, seed, n_samples, norm)
     out = []
@@ -106,8 +106,8 @@ class WeightedChiSquareSpec:
     """Weights of the quadratic form sum_j lambda_j Z_j^2.
 
     weights[j] with multiplicity mults[j]; the periodic-process L2 norm
-    squared has lambda_0 = 1 (multiplicity 1) and lambda_k = exp(-k^nu)
-    with multiplicity 2 for k = 1..K.
+    squared has lambda_0 = 1 (multiplicity 1) and the atom masses
+    lambda_k = exp(-k^nu) with multiplicity 2 for k = 1..K.
     """
 
     weights: tuple
@@ -115,7 +115,7 @@ class WeightedChiSquareSpec:
 
     def __post_init__(self):
         w = np.asarray(self.weights, float)
-        if len(w) == 0 or np.any(w <= 0):
+        if len(w) == 0 or not np.all(w > 0):
             raise PreconditionError("weights must be positive and nonempty")
         if np.any(np.diff(w) > 0):
             raise PreconditionError("weights must be sorted descending")
@@ -124,9 +124,8 @@ class WeightedChiSquareSpec:
 
     @classmethod
     def periodic(cls, nu: float, K: int) -> "WeightedChiSquareSpec":
-        w = [1.0] + [math.exp(-k ** nu) for k in range(1, K + 1)]
-        m = [1] + [2] * K
-        return cls(tuple(w), tuple(m))
+        w = np.exp(spectra.discrete_log_masses(nu, K))
+        return cls(tuple(w.tolist()), (1,) + (2,) * K)
 
 
 def _parabola(w: np.ndarray, h: np.ndarray, x: float) -> _Parabola:
@@ -251,7 +250,7 @@ def _log_cdf_contour(w: np.ndarray, h: np.ndarray, x: float) -> _Inversion:
 
 def _log_exact_l2(spec: WeightedChiSquareSpec, r: float) -> _Inversion:
     """`log_exact_l2` with the work behind it."""
-    if r <= 0:
+    if not r > 0:
         raise PreconditionError("r must be positive")
     x = float(r) * float(r)
     if not np.finfo(float).tiny <= x < math.inf:

@@ -9,14 +9,16 @@ exp(-|u|^nu) restricted to |u| <= cutoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, gammainc
 
-from .errors import DomainError, NumericFailure, PreconditionError, UnsupportedOperation
+from .errors import (CapacityError, DomainError, NumericFailure, PreconditionError,
+                     UnsupportedOperation)
 
 CONTINUOUS_NU = "continuous-nu"
 DISCRETE_NU = "discrete-nu"
@@ -26,7 +28,7 @@ TRUNCATED_CONTINUOUS_NU = "truncated-continuous-nu"
 
 _CONTINUOUS_KINDS = (CONTINUOUS_NU, BANDLIMITED, LOG_POWER_ALPHA, TRUNCATED_CONTINUOUS_NU)
 
-#: atom mass below which discrete sums are truncated
+#: relative size below which the further atoms of a discrete sum are dropped
 _ATOM_TOL = 1e-18
 
 #: relative tail mass allowed when truncating quadrature domains
@@ -45,13 +47,13 @@ class SpectralModel:
 
     def __post_init__(self):
         if self.kind in (CONTINUOUS_NU, DISCRETE_NU, TRUNCATED_CONTINUOUS_NU):
-            if self.nu is None or self.nu <= 0:
-                raise PreconditionError(f"{self.kind} requires nu > 0, got {self.nu}")
+            if self.nu is None or not 0 < self.nu < math.inf:
+                raise PreconditionError(f"{self.kind} requires finite nu > 0, got {self.nu}")
         if self.kind == LOG_POWER_ALPHA:
-            if self.alpha is None or self.alpha <= 1:
+            if self.alpha is None or not self.alpha > 1:
                 raise PreconditionError(f"{self.kind} requires alpha > 1, got {self.alpha}")
         if self.kind in (BANDLIMITED, TRUNCATED_CONTINUOUS_NU):
-            if self.cutoff is None or self.cutoff <= 0:
+            if self.cutoff is None or not self.cutoff > 0:
                 raise PreconditionError(f"{self.kind} requires cutoff > 0, got {self.cutoff}")
         if self.kind not in _CONTINUOUS_KINDS + (DISCRETE_NU,):
             raise PreconditionError(f"unknown spectral model kind {self.kind!r}")
@@ -104,22 +106,43 @@ def density_eval(model: SpectralModel, u: float) -> float:
     return float(density(model, [u])[0])
 
 
+def discrete_log_masses(nu: float, K: int) -> np.ndarray:
+    """Log masses -k^nu of the discrete-nu atoms at 2*pi*k, k = 0..K.
+
+    The one place the atom sequence is formed; nu must be finite and
+    positive, and K nonnegative and below 2^22 (32 MB of float64).
+    """
+    if not (0 < nu < math.inf and K >= 0):
+        raise PreconditionError(
+            f"{DISCRETE_NU} atoms need finite nu > 0 and K >= 0, got nu = {nu}, K = {K}")
+    if K >= 1 << 22:
+        raise CapacityError(f"{DISCRETE_NU} atoms to k = {K:.3g} exceed 2^22 (nu = {nu})")
+    return -np.arange(K + 1, dtype=float) ** nu
+
+
+def _tail_log_masses(nu: float, K: int) -> np.ndarray:
+    """Log masses of the atoms past K down to _ATOM_TOL times the first."""
+    discrete_log_masses(nu, K)  # refuses a bad nu or K
+    # ((K+1)^nu + log(1/_ATOM_TOL))^(1/nu), in a form that cannot overflow
+    end = math.ceil((K + 1) * (1.0 - math.log(_ATOM_TOL) * (K + 1.0) ** -nu) ** (1.0 / nu))
+    return discrete_log_masses(nu, end)[K + 1:]
+
+
+def discrete_tail(nu: float, K: int) -> float:
+    """sum_{k > K} exp(-k^nu), the mass of the atoms at k > K on one side."""
+    return float(np.sum(np.exp(_tail_log_masses(nu, K))))
+
+
 def atom_mass(model: SpectralModel, k: int) -> float:
     """Mass of the atom at frequency 2*pi*k."""
     if model.kind != DISCRETE_NU:
         raise UnsupportedOperation("atom_mass needs a discrete spectral measure")
-    return math.exp(-abs(int(k)) ** model.nu)
+    return float(np.exp(discrete_log_masses(model.nu, abs(int(k)))[-1]))
 
 
-def _discrete_truncation_order(nu: float) -> int:
-    k = 1
-    while math.exp(-k ** nu) > _ATOM_TOL:
-        k += 1
-    return k
-
-
+@functools.lru_cache(maxsize=32)
 def _quad_upper_limit(model: SpectralModel) -> float:
-    """U such that the density tail beyond U is < _TAIL_REL of the total."""
+    """U such that the density tail beyond U is < _TAIL_REL of the total; cached."""
     if model.kind == BANDLIMITED:
         return model.cutoff
     if model.kind == TRUNCATED_CONTINUOUS_NU:
@@ -140,14 +163,15 @@ def _quad_upper_limit(model: SpectralModel) -> float:
 
 def total_mass(model: SpectralModel) -> float:
     """Total spectral mass (integral of the density or sum of atoms)."""
-    if model.kind == CONTINUOUS_NU:
-        return 2.0 * gamma_fn(1.0 + 1.0 / model.nu)
+    if model.kind in (CONTINUOUS_NU, TRUNCATED_CONTINUOUS_NU):
+        # int_0^c exp(-u^nu) du = Gamma(1 + 1/nu) P(1/nu, c^nu); P = 1 at c = inf
+        nu, c = model.nu, model.cutoff
+        P = 1.0 if c is None else gammainc(1.0 / nu, c ** nu)
+        return 2.0 * gamma_fn(1.0 + 1.0 / nu) * P
     if model.kind == BANDLIMITED:
         return 2.0 * model.cutoff
     if model.kind == DISCRETE_NU:
-        K = _discrete_truncation_order(model.nu)
-        k = np.arange(1, K + 1)
-        return 1.0 + 2.0 * float(np.sum(np.exp(-k ** model.nu)))
+        return 1.0 + 2.0 * discrete_tail(model.nu, 0)
     U = _quad_upper_limit(model)
     val, err = quad(lambda u: density_eval(model, u), 0.0, U, limit=400)
     return 2.0 * val
@@ -162,9 +186,9 @@ def covariance(model: SpectralModel, t: float) -> CovarianceValue:
     t = float(t)
     if model.kind == DISCRETE_NU:
         # atoms at 2*pi*k give period-1 covariance
-        K = _discrete_truncation_order(model.nu)
-        k = np.arange(1, K + 1)
-        val = 1.0 + 2.0 * float(np.sum(np.exp(-k ** model.nu) * np.cos(2.0 * np.pi * k * t)))
+        log_mass = _tail_log_masses(model.nu, 0)
+        k = np.arange(1, len(log_mass) + 1)
+        val = 1.0 + 2.0 * float(np.sum(np.exp(log_mass) * np.cos(2.0 * np.pi * k * t)))
         return CovarianceValue(t, val)
     U = _quad_upper_limit(model)
     if t == 0.0:
@@ -217,21 +241,19 @@ def _moment_diverges(model: SpectralModel, rate: float) -> bool:
 def exp_moment(model: SpectralModel, rate: float) -> float:
     """M(rate) = (integral of exp(rate * |u|) dF(u)) ** (1/2)."""
     rate = float(rate)
-    if rate < 0:
+    if not rate >= 0:
         raise PreconditionError("rate must be nonnegative")
     if _moment_diverges(model, rate):
         raise DomainError(f"exponential moment diverges for {model.kind} at rate {rate}")
     if model.kind == DISCRETE_NU:
-        nu = model.nu
-        total = 1.0
-        k = 1
+        # tilted atoms exp(rate k - k^nu), k = 0..K; K doubles until the
+        # last atom is past their peak and below _ATOM_TOL of their sum
+        K = 4
         while True:
-            term = math.exp(rate * k - k ** nu)
-            total += 2.0 * term
-            if term < _ATOM_TOL * total and k ** nu > rate * k:
-                break
-            k += 1
-        return math.sqrt(total)
+            tilted = np.exp(discrete_log_masses(model.nu, K) + rate * np.arange(K + 1))
+            if tilted[-1] <= tilted[-2] and tilted[-1] < _ATOM_TOL * np.sum(tilted):
+                return math.sqrt(2.0 * float(np.sum(tilted)) - 1.0)
+            K *= 2
     if model.kind == CONTINUOUS_NU and rate > 0:
         # extend the domain so that the tilted tail is negligible
         U = 1.0

@@ -51,13 +51,13 @@ class TsirelsonConfig:
     convention: str = PAPER_2PI
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise PreconditionError("nu must be positive")
+        if not 0 < self.nu < math.inf:
+            raise PreconditionError(f"nu must be finite and positive, got {self.nu}")
         if self.spectrum not in (DISCRETE, CONTINUOUS):
             raise PreconditionError(f"unknown spectrum {self.spectrum!r}")
         if self.convention not in (PAPER_2PI, PERIOD_1):
             raise PreconditionError(f"unknown convention {self.convention!r}")
-        if self.l < 1:
+        if not self.l >= 1:
             raise PreconditionError("l must be >= 1")
         if self.spectrum == DISCRETE and self.l != int(self.l):
             raise PreconditionError("discrete spectrum requires integer l")
@@ -127,7 +127,7 @@ def _phi(nu: float, spectrum: str, convention: str, variant: str,
 
 def bound_at(cfg: TsirelsonConfig, r: float,
              variant: str = PAPER_EXPONENT) -> LowerBoundResult:
-    if r <= 0:
+    if not r > 0:
         raise PreconditionError("r must be positive")
     phi = float(_phi(cfg.nu, cfg.spectrum, cfg.convention, variant,
                      np.array([float(cfg.l)]), r)[0])
@@ -147,6 +147,7 @@ def bound_opt(nu: float, spectrum: str, r: float,
     """
     if not 0 < r < 1:
         raise PreconditionError("bound_opt requires 0 < r < 1")
+    TsirelsonConfig(nu, spectrum, 1, convention)  # refuses a bad nu first
     seed = (abs(math.log(r)) / (nu + 1.0)) ** (1.0 / nu)
     l_max = 4.0 * math.ceil(seed)
     # candidates 1, 1 + step, ..., l_max
@@ -167,8 +168,8 @@ def bound_opt(nu: float, spectrum: str, r: float,
 
 def asymptotic_constant(nu: float) -> float:
     """Limit of bound_opt(r) / |log r|^{1 + 1/nu} as r -> 0 (atomic case)."""
-    if nu <= 0:
-        raise PreconditionError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise PreconditionError("nu must be finite and positive")
     return nu / (math.pi * (nu + 1.0) ** (1.0 + 1.0 / nu))
 
 

@@ -331,3 +331,49 @@ def test_g_certify_bad_t_max_exits_1(tmp_path, capsys, t_max):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: need 0 < fit_t_min < t_max < inf")
+
+
+BAD_INPUT = {
+    "l2-exact-nu-0": (["l2-exact", "--nu", "0", "--K", "4", "--r", "1"],
+                      "finite nu > 0 and K >= 0"),
+    "l2-exact-K-negative": (["l2-exact", "--nu", "1", "--K", "-3", "--r", "1"],
+                            "finite nu > 0 and K >= 0"),
+    "l2-exact-nu-negative": (["l2-exact", "--nu", "-1", "--K", "4", "--r", "1"],
+                             "finite nu > 0 and K >= 0"),
+    "l2-exact-nu-nan": (["l2-exact", "--nu", "nan", "--K", "4", "--r", "1"],
+                        "finite nu > 0 and K >= 0"),
+    "entropy-nu-nan": (["entropy", "--nu", "nan", "--K", "4", "--eps", "0.5"],
+                       "finite nu > 0 and K >= 0"),
+    "entropy-eps-nan": (["entropy", "--nu", "1", "--K", "4", "--eps", "nan"],
+                        "epsilon must be positive"),
+    "tsirelson-nu-0": (["tsirelson", "--spectrum", "discrete", "--nu", "0",
+                        "--r", "0.1"], "nu must be finite and positive"),
+    "tsirelson-nu-negative": (["tsirelson", "--spectrum", "discrete", "--nu",
+                               "-1", "--r", "0.1"],
+                              "nu must be finite and positive"),
+    "tsirelson-nu-nan": (["tsirelson", "--spectrum", "discrete", "--nu", "nan",
+                          "--r", "0.1"], "nu must be finite and positive"),
+    "simulate-path-index-negative": (["simulate", "--spectrum", "discrete",
+                                      "--nu", "1", "--K", "4", "--n-points",
+                                      "8", "--path-index", "-1"],
+                                     "path index must be >= 0"),
+    "smallball-r-nan": (["smallball", "--nu", "1", "--K", "4", "--norm", "sup",
+                         "--r", "nan", "--n", "200", "--grid", "16"],
+                        "radii must be positive"),
+    "simulate-continuous-nu-nan": (["simulate", "--spectrum", "continuous",
+                                    "--nu", "nan", "--n-points", "8"],
+                                   "requires finite nu > 0"),
+    "problem5-alpha-nan": (["problem5", "--alpha", "nan", "--r", "0.1"],
+                           "alpha must exceed 1"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUT.values(),
+                         ids=BAD_INPUT.keys())
+def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, argv, message):
+    # each of these used to exit 0 with a number or NaN, exit 1 with a
+    # misleading message, or end in a traceback
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and message in err[0]

@@ -25,6 +25,14 @@ def test_periodic_config_tail():
     PeriodicGenConfig(nu=1.0, K=20, tail_tol=1e-8)  # ok
 
 
+@pytest.mark.parametrize("nu, K", [(float("nan"), 3), (0.0, 3), (math.inf, 3),
+                                   (1.0, -1)])
+def test_periodic_config_rejects_bad_nu_and_K(nu, K):
+    # nu = nan used to loop forever in the tail sum
+    with pytest.raises(PreconditionError, match="finite nu > 0 and K >= 0"):
+        PeriodicGenConfig(nu, K)
+
+
 def test_periodic_single_atom_variance():
     cfg = PeriodicGenConfig(nu=1.0, K=0, tail_tol=2.0)
     grid = GridSpec(n_points=4)

@@ -91,3 +91,7 @@ def test_open_problem_validation():
         ratefit.open_problem_curves(1.0, [0.5])
     with pytest.raises(PreconditionError):
         ratefit.open_problem_curves(2.0, [1.5])
+    with pytest.raises(PreconditionError):
+        ratefit.open_problem_curves(math.nan, [0.5])
+    with pytest.raises(PreconditionError):
+        ratefit.open_problem_curves(2.0, [math.nan])

@@ -115,6 +115,19 @@ def test_overflowing_count_returns_labelled_product():
     assert br.H_upper == math.log(br.upper_cells)
 
 
+def test_semi_axes_past_mass_underflow():
+    # exp(-k^2) underflows to 0 from k = 28 on; the semi-axes stay normal
+    ell = CoefficientEllipsoid(2.0, 28)
+    axes = ell.semi_axes()
+    assert axes[0] == 1.0 and len(axes) == 57
+    assert axes[-1] == pytest.approx(math.sqrt(2.0) * math.exp(-392.0), rel=1e-13)
+    assert math.isfinite(rkhs.entropy_lower(ell, 0.1))
+    with pytest.raises(PreconditionError):
+        CoefficientEllipsoid(math.nan, 4)
+    with pytest.raises(PreconditionError):
+        rkhs.entropy_lower(CoefficientEllipsoid(1.0, 4), math.nan)
+
+
 def test_entropy_capacity_error():
     ell = CoefficientEllipsoid(0.35, 40)
     with pytest.raises(CapacityError, match="smallest supported"):

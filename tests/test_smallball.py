@@ -338,3 +338,8 @@ def test_spec_validation():
         WeightedChiSquareSpec((1.0, -0.5), (1, 2))
     with pytest.raises(PreconditionError):
         WeightedChiSquareSpec((1.0, 0.5), (1, 0))  # zero multiplicity
+    with pytest.raises(PreconditionError):
+        WeightedChiSquareSpec((1.0, math.nan), (1, 2))
+    for nu, K in [(math.nan, 3), (0.0, 3), (1.0, -3)]:
+        with pytest.raises(PreconditionError):
+            WeightedChiSquareSpec.periodic(nu, K)

@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from smalldev import spectra
-from smalldev.errors import DomainError, PreconditionError, UnsupportedOperation
+from smalldev.errors import (
+    CapacityError,
+    DomainError,
+    PreconditionError,
+    UnsupportedOperation,
+)
 
 
 def test_density_values():
@@ -49,6 +55,49 @@ def test_atom_mass():
     assert spectra.atom_mass(m2, -2) == pytest.approx(math.exp(-4.0), rel=1e-12)
     with pytest.raises(UnsupportedOperation):
         spectra.atom_mass(spectra.continuous_nu(1.0), 1)
+
+
+def test_discrete_atoms_and_tail():
+    assert np.array_equal(spectra.discrete_log_masses(1.5, 6),
+                          -np.arange(7.0) ** 1.5)
+    for nu, K in [(0.5, 0), (0.5, 40), (1.0, 20), (2.0, 0), (2.0, 5)]:
+        ref = math.fsum(math.exp(-k ** nu) for k in range(K + 1, K + 20000))
+        assert spectra.discrete_tail(nu, K) == pytest.approx(ref, rel=1e-13)
+    m = spectra.discrete_nu(1.0)
+    assert spectra.total_mass(m) == pytest.approx(
+        1.0 + 2.0 / (math.e - 1.0), rel=1e-14)
+    for nu, K in [(math.nan, 2), (0.0, 2), (-1.0, 2), (math.inf, 2), (1.0, -1)]:
+        with pytest.raises(PreconditionError):
+            spectra.discrete_log_masses(nu, K)
+        with pytest.raises(PreconditionError):
+            spectra.discrete_tail(nu, K)
+    # 2.1e16 atoms would be summed: refused before any is formed
+    with pytest.raises(CapacityError):
+        spectra.total_mass(spectra.discrete_nu(0.1))
+    with pytest.raises(CapacityError):
+        spectra.discrete_log_masses(1.0, 1 << 22)
+
+
+def test_truncated_total_mass_closed_form():
+    m = spectra.truncated_continuous_nu(1.0, 2.0)
+    assert spectra.total_mass(m) == pytest.approx(2.0 * (1.0 - math.exp(-2.0)),
+                                                  rel=1e-14)
+    for nu, c in [(0.5, 3.0), (2.5, 0.7), (3.0, 40.0)]:
+        m = spectra.truncated_continuous_nu(nu, c)
+        ref, _ = quad(lambda u: math.exp(-u ** nu), 0.0, min(c, 10.0),
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        assert spectra.total_mass(m) == pytest.approx(2.0 * ref, rel=1e-12)
+
+
+def test_quad_upper_limit_is_computed_once_per_model(monkeypatch):
+    model = spectra.log_power_alpha(2.5)
+    U = spectra._quad_upper_limit(model)
+
+    def no_density_eval(m, u):
+        raise AssertionError("density evaluated again")
+
+    monkeypatch.setattr(spectra, "density_eval", no_density_eval)
+    assert spectra._quad_upper_limit(spectra.log_power_alpha(2.5)) == U
 
 
 def test_total_mass():
@@ -137,12 +186,19 @@ def test_exp_moment():
         spectra.exp_moment(spectra.log_power_alpha(2.0), 0.1)
     # truncated/bandlimited always converge
     assert spectra.exp_moment(spectra.bandlimited(1.0), 5.0) > 0
+    with pytest.raises(PreconditionError):
+        spectra.exp_moment(m2, math.nan)
 
 
 def test_exp_moment_discrete():
     m = spectra.discrete_nu(2.0)
     ref = 1.0 + 2.0 * sum(math.exp(1.0 * k - k * k) for k in range(1, 60))
     assert spectra.exp_moment(m, 1.0) == pytest.approx(math.sqrt(ref), rel=1e-12)
+    # nu = 10: every atom past k = 1 underflows to 0
+    assert spectra.exp_moment(spectra.discrete_nu(10.0), 1.0) == math.sqrt(3.0)
+    # nu = 1: 1 + 2 sum_k exp(-k / 2) = 1 + 2 / (e^(1/2) - 1)
+    assert spectra.exp_moment(spectra.discrete_nu(1.0), 0.5) == pytest.approx(
+        math.sqrt(1.0 + 2.0 / math.expm1(0.5)), rel=1e-13)
 
 
 def test_log_moment_asym():
@@ -165,3 +221,9 @@ def test_model_validation():
         spectra.bandlimited(-1.0)
     with pytest.raises(PreconditionError):
         spectra.SpectralModel("nope")
+    for bad in (lambda: spectra.continuous_nu(math.nan),
+                lambda: spectra.discrete_nu(math.inf),
+                lambda: spectra.log_power_alpha(math.nan),
+                lambda: spectra.truncated_continuous_nu(1.0, math.nan)):
+        with pytest.raises(PreconditionError):
+            bad()

@@ -36,6 +36,14 @@ def test_config_validation():
     with pytest.raises(PreconditionError):
         TsirelsonConfig(1.0, "other", 1)
     TsirelsonConfig(1.0, CONTINUOUS, 1.5)  # real l fine for continuous
+    for nu in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            TsirelsonConfig(nu, DISCRETE, 1)
+        # the window used to be sized first: ZeroDivisionError or ValueError
+        with pytest.raises(PreconditionError):
+            tsirelson.bound_opt(nu, DISCRETE, 0.1)
+    with pytest.raises(PreconditionError):
+        TsirelsonConfig(1.0, CONTINUOUS, math.nan)
 
 
 def test_bound_at_invalid_radius():
