@@ -2,28 +2,27 @@
 
 Every run writes a manifest (full parameter set + library version + seed)
 next to its result file; `smalldev rerun manifest.json` reproduces the run
-byte-for-byte.  Exit codes: 0 success, 1 numeric failure or invalid input,
-2 usage error.
+byte-for-byte.  `--config FILE` and `--config=FILE` both insert the file's
+`key=value` lines, keys spelled as flag names, before the explicit flags,
+which override them.  `--threads` is recorded in the manifest but changes
+neither the result nor any thread count.  Exit codes: 0 success, 1 numeric
+failure or invalid input, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
 from . import __version__, gfunc, pathgen, ratefit, rkhs, smallball, spectra, tsirelson
 from .curves import BoundCurve
 from .errors import SmallDevError
-
-
-def _env_seed() -> int:
-    return int(os.environ.get("SMALLDEV_SEED", "0"))
 
 
 def _fmt(x) -> str:
@@ -47,12 +46,6 @@ def _write_json(path: str, obj) -> None:
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _write_manifest(outdir: str, command: str, params: dict) -> None:
-    manifest = {"command": command, "params": params,
-                "version": __version__}
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def float_list(text: str) -> list[float]:
@@ -116,10 +109,8 @@ def cmd_smallball(p: dict, outdir: str) -> None:
 
 def cmd_l2_exact(p: dict, outdir: str) -> None:
     spec = smallball.WeightedChiSquareSpec.periodic(p["nu"], p["K"])
-    rows = []
-    for r in p["r"]:
-        lp = smallball.log_exact_l2(spec, r)
-        rows.append([r, math.exp(lp), -lp])
+    logs = [smallball.log_exact_l2(spec, r) for r in p["r"]]
+    rows = [[r, math.exp(lp), -lp] for r, lp in zip(p["r"], logs)]
     _write_csv(os.path.join(outdir, "l2_exact.csv"), ["r", "p", "phi"], rows)
 
 
@@ -143,28 +134,29 @@ def cmd_tsirelson(p: dict, outdir: str) -> None:
 
 def cmd_entropy(p: dict, outdir: str) -> None:
     ell = rkhs.CoefficientEllipsoid(p["nu"], p["K"])
-    rows = []
-    for eps in p["eps"]:
-        br = rkhs.entropy_bracket(ell, eps)
-        rows.append([eps, br.H_lower, br.H_upper, br.lower_method,
-                     br.upper_method])
+    brackets = [rkhs.entropy_bracket(ell, eps) for eps in p["eps"]]
+    rows = [[b.epsilon, b.H_lower, b.H_upper, b.lower_method, b.upper_method]
+            for b in brackets]
     _write_csv(os.path.join(outdir, "entropy.csv"),
                ["epsilon", "lower", "upper", "lower_method", "upper_method"],
                rows)
 
 
+def _input_curve(path: str) -> BoundCurve:
+    """The (x, y) points of an --input file as the upper side of a curve."""
+    pts = _read_xy_csv(path)
+    return BoundCurve(x=np.array([x for x, _ in pts]), lower=None,
+                      upper=np.array([y for _, y in pts]), label="input")
+
+
+def _write_H_upper(path: str, curve: BoundCurve) -> None:
+    _write_csv(path, ["epsilon", "H_upper"],
+               [[x, u] for x, u in zip(curve.x, curve.upper)])
+
+
 def cmd_kl_translate(p: dict, outdir: str) -> None:
-    pts = _read_xy_csv(p["input"])
-    curve_in = BoundCurve(
-        x=np.array([r for r, _ in pts]),
-        lower=np.array([v for _, v in pts]),
-        upper=np.array([v for _, v in pts]),
-        label="input",
-    )
-    out = rkhs.kl_phi_to_H(curve_in, p["lam"])
-    rows = [[x, u] for x, u in zip(out.x, out.upper)]
-    _write_csv(os.path.join(outdir, "kl_translate.csv"),
-               ["epsilon", "H_upper"], rows)
+    _write_H_upper(os.path.join(outdir, "kl_translate.csv"),
+                   rkhs.kl_phi_to_H(_input_curve(p["input"]), p["lam"]))
 
 
 def cmd_g_certify(p: dict, outdir: str) -> None:
@@ -178,13 +170,8 @@ def cmd_g_certify(p: dict, outdir: str) -> None:
 
 
 def cmd_scaling(p: dict, outdir: str) -> None:
-    pts = _read_xy_csv(p["input"])
-    curve_in = BoundCurve(x=np.array([e for e, _ in pts]), lower=None,
-                          upper=np.array([h for _, h in pts]), label="input")
-    out = rkhs.scaling_patch(curve_in, p["c"])
-    rows = [[x, u] for x, u in zip(out.x, out.upper)]
-    _write_csv(os.path.join(outdir, "scaling.csv"),
-               ["epsilon", "H_upper"], rows)
+    _write_H_upper(os.path.join(outdir, "scaling.csv"),
+                   rkhs.scaling_patch(_input_curve(p["input"]), p["c"]))
 
 
 def cmd_fit(p: dict, outdir: str) -> None:
@@ -205,39 +192,33 @@ def cmd_problem5(p: dict, outdir: str) -> None:
                ["r", "phi_lower", "phi_upper"], rows)
 
 
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "smallball": cmd_smallball,
-    "l2-exact": cmd_l2_exact,
-    "tsirelson": cmd_tsirelson,
-    "entropy": cmd_entropy,
-    "kl-translate": cmd_kl_translate,
-    "g-certify": cmd_g_certify,
-    "scaling": cmd_scaling,
-    "fit": cmd_fit,
-    "problem5": cmd_problem5,
-}
+#: the --config flag alone: read before the full parse, which needs the
+#: file's keys as flags
+_CONFIG = argparse.ArgumentParser(prog="smalldev", add_help=False,
+                                  allow_abbrev=False)
+_CONFIG.add_argument("--config", help="flat key=value file; flags override it")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="smalldev", allow_abbrev=False)
     ap.add_argument("--version", action="version", version=__version__)
-    # no flag abbreviations: a manifest key that only prefixes a flag
-    # ("gam" for "gamma") must not set that flag
-    sub = ap.add_subparsers(
-        dest="command", required=True,
-        parser_class=functools.partial(argparse.ArgumentParser,
-                                       allow_abbrev=False))
+    sub = ap.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False, parents=[_CONFIG])
+    common.add_argument("--seed", type=int,
+                        default=int(os.environ.get("SMALLDEV_SEED", "0")))
+    common.add_argument("--out", default="out")
+    common.add_argument("--threads", type=int, default=1,
+                        help="recorded in the manifest; changes neither the "
+                             "result nor any thread count")
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=_env_seed())
-        sp.add_argument("--out", default="out")
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--config", default=None,
-                        help="flat key=value file; flags override it")
+    def command(name, run):
+        # no flag abbreviations: a manifest key that only prefixes a flag
+        # ("gam" for "gamma") must not set that flag
+        sp = sub.add_parser(name, parents=[common], allow_abbrev=False)
+        sp.set_defaults(run=run)
+        return sp
 
-    sp = sub.add_parser("simulate")
-    common(sp)
+    sp = command("simulate", cmd_simulate)
     sp.add_argument("--spectrum", choices=["discrete", "continuous"],
                     required=True)
     sp.add_argument("--nu", type=float, required=True)
@@ -246,8 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-max", type=float, default=1.0)
     sp.add_argument("--path-index", type=int, default=0)
 
-    sp = sub.add_parser("smallball")
-    common(sp)
+    sp = command("smallball", cmd_smallball)
     sp.add_argument("--spectrum", choices=["discrete"], default="discrete")
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--K", type=int, default=40)
@@ -256,14 +236,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=100000)
     sp.add_argument("--grid", type=int, default=1024)
 
-    sp = sub.add_parser("l2-exact")
-    common(sp)
+    sp = command("l2-exact", cmd_l2_exact)
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--K", type=int, default=40)
     sp.add_argument("--r", type=float_list, required=True)
 
-    sp = sub.add_parser("tsirelson")
-    common(sp)
+    sp = command("tsirelson", cmd_tsirelson)
     sp.add_argument("--spectrum", choices=["discrete", "continuous"],
                     required=True)
     sp.add_argument("--nu", type=float, required=True)
@@ -277,68 +255,34 @@ def _build_parser() -> argparse.ArgumentParser:
                              tsirelson.RIGOROUS_GRID_COUNT],
                     default=tsirelson.PAPER_EXPONENT)
 
-    sp = sub.add_parser("entropy")
-    common(sp)
+    sp = command("entropy", cmd_entropy)
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--K", type=int, default=8)
     sp.add_argument("--eps", type=float_list, required=True)
 
-    sp = sub.add_parser("kl-translate")
-    common(sp)
+    sp = command("kl-translate", cmd_kl_translate)
     sp.add_argument("--input", required=True)
     sp.add_argument("--lam", type=float, default=2.0)
 
-    sp = sub.add_parser("g-certify")
-    common(sp)
+    sp = command("g-certify", cmd_g_certify)
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--t-max", type=float, default=1e4)
 
-    sp = sub.add_parser("scaling")
-    common(sp)
+    sp = command("scaling", cmd_scaling)
     sp.add_argument("--input", required=True)
     sp.add_argument("--c", type=float, required=True)
 
-    sp = sub.add_parser("fit")
-    common(sp)
+    sp = command("fit", cmd_fit)
     sp.add_argument("--input", required=True)
     sp.add_argument("--beta", type=beta_text, default="free",
                     help='"free" or "fixed:<value>"')
 
-    sp = sub.add_parser("problem5")
-    common(sp)
+    sp = command("problem5", cmd_problem5)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--r", type=float_list, required=True)
 
-    sp = sub.add_parser("rerun")
-    sp.add_argument("manifest")
+    sub.add_parser("rerun").add_argument("manifest")
     return ap
-
-
-def _apply_config(argv: list[str]) -> list[str]:
-    """Insert key=value pairs from a --config file as flags after the
-    subcommand, so explicit flags keep priority.  A trailing --config is left
-    for the parser to reject."""
-    if "--config" not in argv[:-1]:
-        return argv
-    i = argv.index("--config")
-    path = argv[i + 1]
-    tokens = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            tokens.extend([f"--{key.strip()}", value.strip()])
-    return argv[:1] + tokens + argv[1:]
-
-
-def _params_of(args: argparse.Namespace) -> dict:
-    p = dict(vars(args))
-    p.pop("command", None)
-    p.pop("config", None)
-    # argparse stores --t-max, --n-points, --path-index with underscores
-    return p
 
 
 def _flags(params: dict) -> list[str]:
@@ -347,52 +291,71 @@ def _flags(params: dict) -> list[str]:
             for key, value in params.items() if value is not None]
 
 
-def _load(argv: list[str]) -> tuple[str, dict]:
-    """Command and parameters of a run, from flags or from a manifest, both
-    parsed by the command's subparser.
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the key=value lines of its --config file as flags right
+    after the subcommand, where the explicit flags that follow override them."""
+    path = _CONFIG.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    with open(path) as f:
+        lines = [line.strip() for line in f]
+    pairs = [line.partition("=") for line in lines
+             if line and not line.startswith("#")]
+    config = {key.strip(): value.strip() for key, _, value in pairs}
+    return argv[:1] + _flags(config) + argv[1:]
+
+
+def _load(argv: list[str]) -> tuple[str, Callable[[dict, str], None], dict]:
+    """The parsed run, from flags or from a manifest, both parsed by the
+    command's subparser: its `command`, its `run` function and its params.
 
     Malformed flags or manifest values exit 2 through argparse; an unreadable
     config, manifest or input file, or an incomplete manifest, raises
     OSError, ValueError or KeyError.
     """
     ap = _build_parser()
-    if argv and argv[0] == "rerun":
+    if argv[:1] == ["rerun"]:
         with open(ap.parse_args(argv).manifest) as f:
             manifest = json.load(f)
         command, given = manifest["command"], manifest["params"]
-        if command not in _DISPATCH:
-            raise ValueError(f"manifest names an unknown command {command!r}")
-        # keys that are no flag (old manifests' "format") are kept as given;
-        # a missing one would silently take its flag's default (seed, out)
+        if not isinstance(command, str) or command.startswith("-") \
+                or command == "rerun":
+            raise ValueError(f"manifest names no command: {command!r}")
+        # the subparsers refuse an unknown command; keys that are no flag
+        # (old manifests' "format") are kept as given
         args, _ = ap.parse_known_args([command] + _flags(given))
-        typed = _params_of(args)
-        missing = sorted(set(typed) - set(given))
+    else:
+        args, given = ap.parse_args(_with_config(argv)), None
+    params = vars(args)
+    command, run = params.pop("command"), params.pop("run")
+    del params["config"]
+    if given is not None:
+        # a missing key would silently take its flag's default (seed, out)
+        missing = sorted(set(params) - set(given))
         if missing:
             raise ValueError(f"manifest lacks parameters {missing}")
-        params = {**given, **typed}
-    else:
-        args = ap.parse_args(_apply_config(argv))
-        command, params = args.command, _params_of(args)
+        params = {**given, **params}
     if params.get("input") is not None:
         _read_xy_csv(params["input"])
-    return command, params
+    return command, run, params
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        command, params = _load(argv)
+        command, run, params = _load(argv)
     except (OSError, ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     outdir = params["out"]
     os.makedirs(outdir, exist_ok=True)
     try:
-        _DISPATCH[command](params, outdir)
+        run(params, outdir)
     except SmallDevError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(outdir, command, params)
+    _write_json(os.path.join(outdir, "manifest.json"),
+                {"command": command, "params": params, "version": __version__})
     return 0
 
 

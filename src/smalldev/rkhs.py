@@ -67,7 +67,12 @@ class CoefficientEllipsoid:
             raise PreconditionError("coefficient vector must have 2K+1 entries")
         log_mass = spectra.discrete_log_masses(self.nu, self.K)
         k = np.abs(np.arange(-self.K, self.K + 1))
-        return float(np.sum(np.abs(c) ** 2 * np.exp(-log_mass[k])))
+        # in logs, over the nonzero c_k only: a zero adds 0 whatever its
+        # weight, and a term past the float range adds inf, never NaN
+        nonzero = c != 0
+        with np.errstate(over="ignore"):
+            terms = np.exp(2.0 * np.log(np.abs(c[nonzero])) - log_mass[k[nonzero]])
+        return float(np.sum(terms))
 
     @property
     def sup_radius(self) -> float:
@@ -79,7 +84,7 @@ class CoefficientEllipsoid:
 def ellipsoid_member_to_function(ell: CoefficientEllipsoid, c: np.ndarray,
                                  t_grid: np.ndarray) -> np.ndarray:
     """h(t) = sum_k c_k exp(-2 pi i k t); real part for symmetric c."""
-    if ell.membership(c) > 1.0 + 1e-12:
+    if not ell.membership(c) <= 1.0 + 1e-12:  # NaN is outside too
         raise PreconditionError("coefficients lie outside the unit ball")
     k = np.arange(-ell.K, ell.K + 1)
     phases = np.exp(-2j * np.pi * np.outer(k, np.asarray(t_grid)))
@@ -146,11 +151,20 @@ def _count_lattice_cells(axes: np.ndarray, steps: np.ndarray) -> int:
     is smaller, or when the histogram could overflow int64.
     """
     product = _product_bound(axes, steps)
+    reach = [math.floor(a / s) + 1 for a, s in zip(axes, steps)]
+    # the running total after i coordinates is at least the count of j in
+    # the box of half-sides a / sqrt(i) inscribed in their ellipsoid, so
+    # when that count already trips the guard below, skip the convolutions
+    for i in range(1, len(axes)):
+        box = math.prod(math.floor(a / (s * math.sqrt(i))) + 1
+                        for a, s in zip(axes[:i], steps[:i]))
+        if box * reach[i] > _INT64_MAX:
+            return product
     hist = np.zeros(_GRID + 1, dtype=np.int64)
     hist[0] = 1
     total = 1
-    for a, s in zip(axes, steps):
-        if total * (math.floor(a / s) + 1) > _INT64_MAX:
+    for a, s, n in zip(axes, steps, reach):
+        if total * n > _INT64_MAX:
             return product
         term = _term_counts(a, s)
         # convolve, shifting the denser of the two by the sparser one's bins

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateError, PreconditionError
+from .errors import CapacityError, CertificateError, PreconditionError
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -148,7 +148,14 @@ def bound_opt(nu: float, spectrum: str, r: float,
     if not 0 < r < 1:
         raise PreconditionError("bound_opt requires 0 < r < 1")
     TsirelsonConfig(nu, spectrum, 1, convention)  # refuses a bad nu first
-    seed = (abs(math.log(r)) / (nu + 1.0)) ** (1.0 / nu)
+    x = abs(math.log(r)) / (nu + 1.0)
+    # the window holds about 4 seed candidates (16 seed for continuous
+    # spectra); past 2^32 the scan takes hours, and seed may overflow
+    log_n = math.log(x) / nu + math.log(4.0 if spectrum == DISCRETE else 16.0)
+    if log_n > 32.0 * math.log(2.0):
+        raise CapacityError(f"l window of about 10^{log_n / math.log(10.0):.1f} "
+                            f"candidates exceeds 2^32")
+    seed = x ** (1.0 / nu)
     l_max = 4.0 * math.ceil(seed)
     # candidates 1, 1 + step, ..., l_max
     if spectrum == DISCRETE:

@@ -257,6 +257,16 @@ def test_config_file_with_flag_override(tmp_path):
     assert m2["params"]["K"] == 40
 
 
+def test_config_equals_form_applies_the_file(tmp_path):
+    # --config=FILE used to be parsed and then ignored: the run took K = 40
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("K=10\n")
+    out = tmp_path / "a"
+    assert run(["l2-exact", "--nu", "1", "--r", "0.5", f"--config={cfgfile}",
+                "--out", str(out)]) == 0
+    assert json.loads(read(out / "manifest.json"))["params"]["K"] == 10
+
+
 def test_simulate_path_csv(tmp_path):
     out = tmp_path / "s"
     assert run(["simulate", "--spectrum", "discrete", "--nu", "1",
@@ -365,6 +375,9 @@ BAD_INPUT = {
                                    "requires finite nu > 0"),
     "problem5-alpha-nan": (["problem5", "--alpha", "nan", "--r", "0.1"],
                            "alpha must exceed 1"),
+    "tsirelson-window-past-2-to-32": (["tsirelson", "--spectrum", "discrete",
+                                       "--nu", "0.2", "--r", "1e-100"],
+                                      "l window of about 10^12.0 candidates"),
 }
 
 
@@ -372,7 +385,7 @@ BAD_INPUT = {
                          ids=BAD_INPUT.keys())
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, argv, message):
     # each of these used to exit 0 with a number or NaN, exit 1 with a
-    # misleading message, or end in a traceback
+    # misleading message, end in a traceback, or (the window) run for hours
     assert run(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1

@@ -25,6 +25,38 @@ def test_periodic_config_tail():
     PeriodicGenConfig(nu=1.0, K=20, tail_tol=1e-8)  # ok
 
 
+def reported_minimal_K(nu, K, tail_tol):
+    with pytest.raises(PreconditionError, match="minimal admissible K") as e:
+        PeriodicGenConfig(nu, K, tail_tol=tail_tol)
+    return int(str(e.value).rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize("nu, K, tail_tol", [(0.4, 40, 1e-6),
+                                             (0.5, 40, 1e-12),
+                                             (1.0, 20, 1e-12)])
+def test_minimal_admissible_K_matches_brute_force(nu, K, tail_tol):
+    k = K
+    while 2.0 * spectra.discrete_tail(nu, k) > tail_tol:
+        k += 1
+    assert reported_minimal_K(nu, K, tail_tol) == k
+
+
+def test_minimal_admissible_K_calls_tail_at_most_three_times(monkeypatch):
+    # it used to call discrete_tail once per k: 7000 calls and 2 s here
+    calls = []
+    tail = spectra.discrete_tail
+    monkeypatch.setattr(spectra, "discrete_tail",
+                        lambda nu, K: calls.append(K) or tail(nu, K))
+    assert reported_minimal_K(0.4, 40, 1e-12) == 7042
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, -1.0, float("nan")])
+def test_periodic_config_rejects_bad_tail_tol(tail_tol):
+    with pytest.raises(PreconditionError, match="tail_tol must be positive"):
+        PeriodicGenConfig(1.0, 4, tail_tol=tail_tol)
+
+
 @pytest.mark.parametrize("nu, K", [(float("nan"), 3), (0.0, 3), (math.inf, 3),
                                    (1.0, -1)])
 def test_periodic_config_rejects_bad_nu_and_K(nu, K):

@@ -115,6 +115,32 @@ def test_overflowing_count_returns_labelled_product():
     assert br.H_upper == math.log(br.upper_cells)
 
 
+def test_overflowing_count_returns_product_before_convolving(monkeypatch):
+    # the inscribed box of the first two coordinates already trips the int64
+    # guard at the third; this used to convolve for 3 s first
+    def no_convolution(a, s):
+        raise AssertionError("convolved")
+
+    monkeypatch.setattr(rkhs, "_term_counts", no_convolution)
+    cells, rule = rkhs.upper_cover(CoefficientEllipsoid(2.0, 3), 1e-5)
+    assert (cells, rule) == (548025106444131806142487337543663616,
+                             rkhs.COORDINATE_PRODUCT)
+
+
+def test_membership_with_overflowing_weights():
+    # exp(27^2) overflows: a zero c_27 gave 0 * inf = nan, and any c passed
+    ell = CoefficientEllipsoid(2.0, 27)
+    c = np.zeros(55)
+    c[27] = 100.0  # k = 0
+    assert ell.membership(c) == pytest.approx(1e4, rel=1e-14)
+    with pytest.raises(PreconditionError, match="outside the unit ball"):
+        rkhs.ellipsoid_member_to_function(ell, c, np.linspace(0.0, 1.0, 5))
+    c[0] = 1e-200  # k = -27: |c|^2 underflows, its weight overflows
+    assert ell.membership(c) == pytest.approx(1e4, rel=1e-14)
+    c[0] = 1e-3  # the term itself exceeds the float range
+    assert ell.membership(c) == math.inf
+
+
 def test_semi_axes_past_mass_underflow():
     # exp(-k^2) underflows to 0 from k = 28 on; the semi-axes stay normal
     ell = CoefficientEllipsoid(2.0, 28)
