@@ -310,13 +310,16 @@ def _load(argv: list[str]) -> tuple[str, Callable[[dict, str], None], dict]:
     command's subparser: its `command`, its `run` function and its params.
 
     Malformed flags or manifest values exit 2 through argparse; an unreadable
-    config, manifest or input file, or an incomplete manifest, raises
-    OSError, ValueError or KeyError.
+    config, manifest or input file, or an incomplete or malformed manifest,
+    raises OSError, ValueError or KeyError.
     """
     ap = _build_parser()
     if argv[:1] == ["rerun"]:
         with open(ap.parse_args(argv).manifest) as f:
             manifest = json.load(f)
+        if not isinstance(manifest, dict) \
+                or not isinstance(manifest.get("params"), dict):
+            raise ValueError("manifest must be a JSON object with a params object")
         command, given = manifest["command"], manifest["params"]
         if not isinstance(command, str) or command.startswith("-") \
                 or command == "rerun":

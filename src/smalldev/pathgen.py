@@ -10,6 +10,11 @@ All randomness comes from one keying scheme: a counter-based generator keyed
 by (seed, path_index // block), where the block is BLOCK paths for Fourier
 series and QUAD_BLOCK paths for spectral quadrature.  Any path index
 therefore gets the same values no matter how the batch is partitioned.
+
+`batch_norms` reduces each block to its paths' norms as soon as it is drawn.
+Given a cap, as `smallball.estimate` gives its largest radius, the sup norm
+screens every path on a column subsample of the grid first and evaluates the
+whole grid only for paths that are not already above the cap.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ QUAD_BLOCK = 8
 
 #: strata for spectral quadrature
 N_STRATA = 4096
+
+#: grid points per screened point of the capped sup norm in `batch_norms`
+SCREEN_STRIDE = 32
 
 
 @dataclass(frozen=True)
@@ -253,14 +261,30 @@ def l2_norm(path: PathSample) -> float:
     return float(math.sqrt(np.trapezoid(path.values ** 2, t)))
 
 
+def _max_abs(v: np.ndarray) -> np.ndarray:
+    return np.maximum(v.max(axis=1), -v.min(axis=1))
+
+
 def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
-                norm: str) -> np.ndarray:
+                norm: str, cap: float = math.inf) -> np.ndarray:
     """Norms of a batch of Fourier-series paths, reduced per counter block.
 
     A squared L2 norm is the trapezoidal quadratic form z G z' of the
     block's normals z, with G = basis W basis' for the trapezoid weights W,
-    so no L2 path is formed.  Each block is reduced whole, so a path's norm
-    does not depend on how many of its block's paths are read.
+    so no L2 path is formed.
+
+    sup norms above `cap` are returned as a lower bound that is itself above
+    `cap`.  With a finite cap each block is screened first: its normals times
+    every SCREEN_STRIDE-th basis column give each path's maximum over those
+    grid points, and only paths whose screen maximum is at most `cap` are
+    evaluated on the whole grid; the others keep the screen maximum.  The
+    BLAS may round the products of a column or row subset differently in the
+    last bits from the whole block's, so both the lower bound and the norms
+    at most `cap` hold to that rounding; with `cap` infinite the norms are
+    those of the whole block's paths, as `gen_periodic` forms them.
+
+    Each block is reduced whole, so a path's norm depends on (seed, block,
+    cap) and not on how many of its block's paths are read.
     """
     if norm not in ("sup", "l2"):
         raise PreconditionError(f"unknown norm {norm!r}")
@@ -269,12 +293,20 @@ def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
     if norm == "l2":
         half = np.diff(times) / 2.0
         gram = (basis * (np.append(half, 0.0) + np.insert(half, 0, 0.0))) @ basis.T
+    screen = norm == "sup" and cap < math.inf
+    if screen:
+        coarse = np.ascontiguousarray(basis[:, ::SCREEN_STRIDE])
     out = np.empty(n_paths)
     for start in range(0, n_paths, BLOCK):
         block = start // BLOCK
-        if norm == "sup":
-            v = _series_block(basis, seed, block, BLOCK)
-            norms = np.maximum(v.max(axis=1), -v.min(axis=1))
+        if screen:
+            z = _rng_for_block(seed, block).standard_normal((BLOCK, len(basis)))
+            norms = _max_abs(z @ coarse)
+            near = np.flatnonzero(norms <= cap)
+            if len(near):
+                norms[near] = _max_abs(z[near] @ basis)
+        elif norm == "sup":
+            norms = _max_abs(_series_block(basis, seed, block, BLOCK))
         else:
             z = _rng_for_block(seed, block).standard_normal((BLOCK, len(gram)))
             norms = np.sqrt(np.einsum("ij,ij->i", z @ gram, z))

@@ -78,14 +78,16 @@ def estimate(cfg: pathgen.PeriodicGenConfig, grid: pathgen.GridSpec, norm: str,
     """Monte Carlo small-ball estimates on common random numbers.
 
     One batch of paths serves every radius, so p_hat is nondecreasing in r
-    exactly, not just statistically.
+    exactly, not just statistically.  Norms are capped at the largest
+    radius: a path above it misses every radius whatever its exact norm.
     """
     if n_samples < 100:
         raise PreconditionError("n_samples must be >= 100")
     r_arr = np.asarray(list(r_list), dtype=float)
     if not np.all(r_arr > 0):
         raise PreconditionError("radii must be positive")
-    norms = pathgen.batch_norms(cfg.amplitudes(), grid, seed, n_samples, norm)
+    norms = pathgen.batch_norms(cfg.amplitudes(), grid, seed, n_samples, norm,
+                                cap=float(r_arr.max(initial=0.0)))
     out = []
     for r in r_arr:
         hits = int(np.count_nonzero(norms <= r))

@@ -123,8 +123,15 @@ def discrete_log_masses(nu: float, K: int) -> np.ndarray:
 def _tail_log_masses(nu: float, K: int) -> np.ndarray:
     """Log masses of the atoms past K down to _ATOM_TOL times the first."""
     discrete_log_masses(nu, K)  # refuses a bad nu or K
-    # ((K+1)^nu + log(1/_ATOM_TOL))^(1/nu), in a form that cannot overflow
-    end = math.ceil((K + 1) * (1.0 - math.log(_ATOM_TOL) * (K + 1.0) ** -nu) ** (1.0 / nu))
+    # end = ((K+1)^nu + log(1/_ATOM_TOL))^(1/nu) = (K+1) base^(1/nu), sized in
+    # logs first: for a tiny nu the power overflows long before k = 2^22
+    base = 1.0 - math.log(_ATOM_TOL) * (K + 1.0) ** -nu
+    log_end = math.log(K + 1.0) + math.log(base) / nu
+    if log_end >= 22.0 * math.log(2.0):
+        raise CapacityError(
+            f"{DISCRETE_NU} atoms to k = 10^{log_end / math.log(10.0):.4g} "
+            f"exceed 2^22 (nu = {nu})")
+    end = math.ceil((K + 1) * base ** (1.0 / nu))
     return discrete_log_masses(nu, end)[K + 1:]
 
 

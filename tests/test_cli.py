@@ -236,6 +236,20 @@ def test_bad_manifest_exits_2_without_output(tmp_path, monkeypatch, manifest):
     assert [p.name for p in run_dir.iterdir()] == ["manifest.json"]
 
 
+@pytest.mark.parametrize("manifest", [[1], {"command": "entropy",
+                                             "params": [1, 2]}])
+def test_malformed_manifest_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                             manifest):
+    # a list manifest ended in a TypeError, a list of params in an
+    # AttributeError, both as tracebacks
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert run(["rerun", "manifest.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as e:
         run(["tsirelson", "--bogus", "1"])
@@ -375,6 +389,9 @@ BAD_INPUT = {
                                    "requires finite nu > 0"),
     "problem5-alpha-nan": (["problem5", "--alpha", "nan", "--r", "0.1"],
                            "alpha must exceed 1"),
+    "simulate-discrete-nu-tiny": (["simulate", "--spectrum", "discrete",
+                                   "--nu", "0.001", "--n-points", "8"],
+                                  "exceed 2^22"),
     "tsirelson-window-past-2-to-32": (["tsirelson", "--spectrum", "discrete",
                                        "--nu", "0.2", "--r", "1e-100"],
                                       "l window of about 10^12.0 candidates"),

@@ -141,9 +141,13 @@ def test_minorant_continuous_variance():
     grid = GridSpec(n_points=3)
     target = 4.0 * math.exp(-2.0)
     assert target == pytest.approx(0.541341, abs=1e-6)
-    samples = [pathgen.gen_minorant_continuous(2, 1.0, grid, seed=1,
-                                               path_index=i).values[0]
-               for i in range(3000)]
+    # paths 0..2999 in one batch: the same values as 3000 single-path calls
+    batch = math.exp(-1.0) * pathgen.continuous_values(
+        spectra.bandlimited(2), grid.times(), seed=1, n_paths=3000)
+    for i in (0, 7, 8, 2999):  # block edges at QUAD_BLOCK = 8
+        path = pathgen.gen_minorant_continuous(2, 1.0, grid, seed=1, path_index=i)
+        assert np.array_equal(path.values, batch[i])
+    samples = batch[:, 0]
     v = float(np.var(samples))
     assert v == pytest.approx(target, abs=3 * target * math.sqrt(2 / 3000))
 
@@ -180,13 +184,50 @@ def test_batch_norms_match_per_path():
             assert l2[i] == pytest.approx(pathgen.l2_norm(p), rel=1e-12), (K, grid, i)
 
 
-@pytest.mark.parametrize("norm", ["sup", "l2"])
-def test_batch_norms_prefix_of_longer_batch(norm):
+@pytest.mark.parametrize("norm, cap", [("sup", math.inf), ("sup", 0.0),
+                                       ("sup", 1.5), ("l2", math.inf),
+                                       ("l2", 1.5)],
+                         ids=["sup", "sup-cap-0", "sup-cap-1.5", "l2",
+                              "l2-cap-1.5"])
+def test_batch_norms_prefix_of_longer_batch(norm, cap):
     amps = PeriodicGenConfig(nu=1.0, K=8, tail_tol=math.inf).amplitudes()
     grid = GridSpec(n_points=64)
-    short = pathgen.batch_norms(amps, grid, seed=3, n_paths=513, norm=norm)
-    full = pathgen.batch_norms(amps, grid, seed=3, n_paths=1024, norm=norm)
+    short = pathgen.batch_norms(amps, grid, seed=3, n_paths=513, norm=norm,
+                                cap=cap)
+    full = pathgen.batch_norms(amps, grid, seed=3, n_paths=1024, norm=norm,
+                               cap=cap)
     assert np.array_equal(short, full[:513])
+
+
+#: even, odd, two-point and off-[0, 1] grids for the sup-norm screen
+SCREEN_GRIDS = [GridSpec(n_points=1024), GridSpec(n_points=1023),
+                GridSpec(n_points=2), GridSpec(-0.4, 1.7, 101)]
+
+
+@pytest.mark.parametrize("grid", SCREEN_GRIDS,
+                         ids=["1024", "1023", "2", "off-unit-101"])
+def test_capped_sup_norms(grid):
+    amps = PeriodicGenConfig(nu=1.0, K=20, tail_tol=math.inf).amplitudes()
+    n = 2 * pathgen.BLOCK + 6
+    exact = pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="sup")
+    median = float(np.median(exact))
+    for cap in (0.0, median):
+        got = pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="sup",
+                                  cap=cap)
+        near = got <= cap
+        assert np.array_equal(near, exact <= cap), cap
+        # a product over a subset of rows or columns may round differently
+        # in its last bits from the whole block's
+        np.testing.assert_allclose(got[near], exact[near], rtol=1e-13, atol=0)
+        assert np.all(got[~near] > cap)
+        assert np.all(got[~near] <= exact[~near] * (1.0 + 1e-13))
+    # cap = inf screens nothing: the norms of the whole block's paths
+    assert np.array_equal(pathgen.batch_norms(amps, grid, seed=5, n_paths=n,
+                                              norm="sup", cap=math.inf), exact)
+    # the L2 norm forms no path and takes no cap
+    assert np.array_equal(
+        pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="l2", cap=median),
+        pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="l2"))
 
 
 def test_continuous_pairwise_correlation():

@@ -300,6 +300,26 @@ def test_estimate_monotone_and_common_randoms():
     assert [e.hits for e in ests2] == [e.hits for e in ests]
 
 
+@pytest.mark.parametrize("grid", [GridSpec(n_points=1024),
+                                  GridSpec(n_points=333),
+                                  GridSpec(0.25, 3.0, 2)],
+                         ids=["1024", "333", "off-unit-2"])
+def test_estimate_hits_match_uncapped_norms(grid, monkeypatch):
+    # estimate caps the sup norms at its largest radius; the hits at every
+    # radius are those of the exact norms
+    cfg = PeriodicGenConfig(nu=1.0, K=45, tail_tol=math.inf)
+    radii = [1.0, 2.0, 0.6, 1.5, 0.8]
+    norms = pathgen.batch_norms(cfg.amplitudes(), grid, 9, 3000, "sup")
+    caps = []
+    batch_norms = pathgen.batch_norms
+    monkeypatch.setattr(pathgen, "batch_norms", lambda *a, cap: caps.append(cap)
+                        or batch_norms(*a, cap=cap))
+    ests = smallball.estimate(cfg, grid, "sup", radii, n_samples=3000, seed=9)
+    assert caps == [2.0]
+    assert [e.hits for e in ests] == [int(np.count_nonzero(norms <= r))
+                                      for r in radii]
+
+
 def test_estimate_zero_hits_marker():
     cfg = PeriodicGenConfig(nu=1.0, K=8, tail_tol=1e-3)
     grid = GridSpec(n_points=128)
