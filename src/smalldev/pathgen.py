@@ -12,9 +12,10 @@ series and QUAD_BLOCK paths for spectral quadrature.  Any path index
 therefore gets the same values no matter how the batch is partitioned.
 
 `batch_norms` reduces each block to its paths' norms as soon as it is drawn.
-Given a cap, as `smallball.estimate` gives its largest radius, the sup norm
-screens every path on a column subsample of the grid first and evaluates the
-whole grid only for paths that are not already above the cap.
+The sup norm screens every path on a column subsample of the grid first and
+evaluates the whole grid only for paths that are not already above the cap,
+which `smallball.estimate` sets to its largest radius; an infinite cap
+screens none out.
 """
 
 from __future__ import annotations
@@ -203,9 +204,11 @@ def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float
         P = 1.0 if model.cutoff is None else gammainc(1.0 / nu, model.cutoff ** nu)
         u = gammaincinv(1.0 / nu, p * P) ** (1.0 / nu)
     else:
-        # log-power family: inverse CDF by dense tabulation
+        # log-power family: inverse CDF tabulated uniformly on [0, 1] and
+        # geometrically from 1 to U, as the density varies on the log scale
         U = spectra._quad_upper_limit(model)
-        ug = np.linspace(0.0, U, 200001)
+        ug = np.concatenate([np.linspace(0.0, 1.0, 1000, endpoint=False),
+                             np.geomspace(1.0, U, 200000)])
         dens = spectra.density(model, ug)
         cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0
                                                * np.diff(ug))])
@@ -274,14 +277,15 @@ def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
     so no L2 path is formed.
 
     sup norms above `cap` are returned as a lower bound that is itself above
-    `cap`.  With a finite cap each block is screened first: its normals times
-    every SCREEN_STRIDE-th basis column give each path's maximum over those
-    grid points, and only paths whose screen maximum is at most `cap` are
+    `cap`.  Each block is screened first: its normals times every
+    SCREEN_STRIDE-th basis column give each path's maximum over those grid
+    points, and only paths whose screen maximum is at most `cap` are
     evaluated on the whole grid; the others keep the screen maximum.  The
     BLAS may round the products of a column or row subset differently in the
     last bits from the whole block's, so both the lower bound and the norms
-    at most `cap` hold to that rounding; with `cap` infinite the norms are
-    those of the whole block's paths, as `gen_periodic` forms them.
+    at most `cap` hold to that rounding; with `cap` infinite every row is
+    evaluated and the norms are those of the whole block's paths, as
+    `gen_periodic` forms them.
 
     Each block is reduced whole, so a path's norm depends on (seed, block,
     cap) and not on how many of its block's paths are read.
@@ -293,22 +297,16 @@ def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
     if norm == "l2":
         half = np.diff(times) / 2.0
         gram = (basis * (np.append(half, 0.0) + np.insert(half, 0, 0.0))) @ basis.T
-    screen = norm == "sup" and cap < math.inf
-    if screen:
+    else:
         coarse = np.ascontiguousarray(basis[:, ::SCREEN_STRIDE])
     out = np.empty(n_paths)
     for start in range(0, n_paths, BLOCK):
-        block = start // BLOCK
-        if screen:
-            z = _rng_for_block(seed, block).standard_normal((BLOCK, len(basis)))
+        z = _rng_for_block(seed, start // BLOCK).standard_normal((BLOCK, len(basis)))
+        if norm == "sup":
             norms = _max_abs(z @ coarse)
             near = np.flatnonzero(norms <= cap)
-            if len(near):
-                norms[near] = _max_abs(z[near] @ basis)
-        elif norm == "sup":
-            norms = _max_abs(_series_block(basis, seed, block, BLOCK))
+            norms[near] = _max_abs(z[near] @ basis)
         else:
-            z = _rng_for_block(seed, block).standard_normal((BLOCK, len(gram)))
             norms = np.sqrt(np.einsum("ij,ij->i", z @ gram, z))
         out[start : start + BLOCK] = norms[: n_paths - start]
     return out

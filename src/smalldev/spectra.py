@@ -31,10 +31,7 @@ _CONTINUOUS_KINDS = (CONTINUOUS_NU, BANDLIMITED, LOG_POWER_ALPHA, TRUNCATED_CONT
 #: relative size below which the further atoms of a discrete sum are dropped
 _ATOM_TOL = 1e-18
 
-#: relative tail mass allowed when truncating quadrature domains
-_TAIL_REL = 1e-15
-
-#: absolute tolerance for covariance quadrature
+#: absolute error allowed in the sum of a `_spectral_integral`
 _COV_ATOL = 1e-10
 
 
@@ -149,10 +146,8 @@ def atom_mass(model: SpectralModel, k: int) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _quad_upper_limit(model: SpectralModel) -> float:
-    """U such that the density tail beyond U is < _TAIL_REL of the total; cached."""
-    if model.kind == BANDLIMITED:
-        return model.cutoff
-    if model.kind == TRUNCATED_CONTINUOUS_NU:
+    """U beyond which the density's tail is negligible; cached."""
+    if model.cutoff is not None:
         return model.cutoff
     if model.kind == CONTINUOUS_NU:
         # exp(-U^nu) * max(U, 1) <= 1e-16  (tail of a super-polynomially
@@ -163,9 +158,34 @@ def _quad_upper_limit(model: SpectralModel) -> float:
         return U
     # log-power family: density * u eventually decreasing; double until small
     U = math.e
-    while density_eval(model, U) * U > 1e-17:
+    while density_eval(model, U) * U > 1e-17:  # inf gives nan and stops
         U *= 2.0
+    if U == math.inf:
+        raise CapacityError(f"{model.kind} tail at alpha = {model.alpha} runs past 1e308")
     return U
+
+
+def _spectral_integral(model: SpectralModel, t: float = 0.0, g=lambda u: 1.0) -> float:
+    """2 * integral_0^U g(u) cos(u t) f(u) du, U = _quad_upper_limit(model), as
+    one QUADPACK pass per piece [0, 1], [1, e], [e, e^2], ..., so that a slowly
+    decaying density is sampled at every scale.  A flagged piece, or a summed
+    error that is not within _COV_ATOL (NaN included), is a NumericFailure."""
+    U = _quad_upper_limit(model)
+    cuts = [0.0]
+    while cuts[-1] < U:
+        cuts.append(min(math.exp(len(cuts) - 1), U))
+    weight = {"weight": "cos", "wvar": t} if t else {}
+    val = err = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        v, e, _, *flag = quad(lambda u: g(u) * density_eval(model, u), a, b, epsabs=1e-13,
+                              epsrel=1e-13, limit=400, full_output=1, **weight)
+        if flag:
+            raise NumericFailure(f"{model.kind} quadrature on [{a:.6g}, {b:.6g}]: "
+                                 + " ".join(flag[0].split()))
+        val, err = val + v, err + e
+    if not err <= _COV_ATOL:
+        raise NumericFailure(f"{model.kind} quadrature error {err:.3e} > {_COV_ATOL:.1e}")
+    return 2.0 * val
 
 
 def total_mass(model: SpectralModel) -> float:
@@ -179,16 +199,14 @@ def total_mass(model: SpectralModel) -> float:
         return 2.0 * model.cutoff
     if model.kind == DISCRETE_NU:
         return 1.0 + 2.0 * discrete_tail(model.nu, 0)
-    U = _quad_upper_limit(model)
-    val, err = quad(lambda u: density_eval(model, u), 0.0, U, limit=400)
-    return 2.0 * val
+    return _spectral_integral(model)
 
 
 def covariance(model: SpectralModel, t: float) -> CovarianceValue:
     """R(t) = integral of exp(i u t) against the spectral measure.
 
-    Real by symmetry; computed by cosine-weighted adaptive quadrature for
-    continuous measures and by truncated summation for discrete ones.
+    Real by symmetry; computed by `_spectral_integral` for continuous
+    measures and by truncated summation for discrete ones.
     """
     t = float(t)
     if model.kind == DISCRETE_NU:
@@ -197,18 +215,9 @@ def covariance(model: SpectralModel, t: float) -> CovarianceValue:
         k = np.arange(1, len(log_mass) + 1)
         val = 1.0 + 2.0 * float(np.sum(np.exp(log_mass) * np.cos(2.0 * np.pi * k * t)))
         return CovarianceValue(t, val)
-    U = _quad_upper_limit(model)
     if t == 0.0:
         return CovarianceValue(0.0, total_mass(model))
-    val, err = quad(
-        lambda u: density_eval(model, u), 0.0, U, weight="cos", wvar=t,
-        epsabs=1e-13, epsrel=1e-13, limit=400,
-    )
-    if err > _COV_ATOL:
-        raise NumericFailure(
-            f"covariance quadrature reached tolerance {err:.3e} > {_COV_ATOL:.1e}"
-        )
-    return CovarianceValue(t, 2.0 * val)
+    return CovarianceValue(t, _spectral_integral(model, t))
 
 
 def closed_form_covariance(model: SpectralModel, t: float) -> float | None:
@@ -230,27 +239,17 @@ def closed_form_covariance(model: SpectralModel, t: float) -> float | None:
     return None
 
 
-def _moment_diverges(model: SpectralModel, rate: float) -> bool:
-    if model.kind in (BANDLIMITED, TRUNCATED_CONTINUOUS_NU):
-        return False
-    if rate == 0.0:
-        return False
-    if model.kind == LOG_POWER_ALPHA:
-        return True
-    nu = model.nu
-    if nu > 1.0:
-        return False
-    if nu == 1.0:
-        return rate >= 1.0
-    return True  # nu < 1: any positive rate diverges
-
-
 def exp_moment(model: SpectralModel, rate: float) -> float:
-    """M(rate) = (integral of exp(rate * |u|) dF(u)) ** (1/2)."""
+    """M(rate) = (integral of exp(rate * |u|) dF(u)) ** (1/2); M(0)^2 is the mass."""
     rate = float(rate)
     if not rate >= 0:
         raise PreconditionError("rate must be nonnegative")
-    if _moment_diverges(model, rate):
+    if rate == 0.0:
+        return math.sqrt(total_mass(model))
+    # without a cutoff the tilted density decays only for nu > 1, or nu = 1
+    # and rate < 1; the log-power density never outweighs a tilt
+    if model.cutoff is None and (model.kind == LOG_POWER_ALPHA or model.nu < 1.0
+                                 or (model.nu == 1.0 and rate >= 1.0)):
         raise DomainError(f"exponential moment diverges for {model.kind} at rate {rate}")
     if model.kind == DISCRETE_NU:
         # tilted atoms exp(rate k - k^nu), k = 0..K; K doubles until the
@@ -261,7 +260,7 @@ def exp_moment(model: SpectralModel, rate: float) -> float:
             if tilted[-1] <= tilted[-2] and tilted[-1] < _ATOM_TOL * np.sum(tilted):
                 return math.sqrt(2.0 * float(np.sum(tilted)) - 1.0)
             K *= 2
-    if model.kind == CONTINUOUS_NU and rate > 0:
+    if model.kind == CONTINUOUS_NU:
         # extend the domain so that the tilted tail is negligible
         U = 1.0
         while rate * U - U ** model.nu + math.log(max(U, 1.0)) > math.log(1e-16):
@@ -271,13 +270,12 @@ def exp_moment(model: SpectralModel, rate: float) -> float:
         ustar = (rate / nu) ** (1.0 / (nu - 1.0)) if nu > 1.0 else U
         ustar = min(max(ustar, 0.0), U)
         m = rate * ustar - ustar ** nu
-        val, _ = quad(
-            lambda u: math.exp(rate * u - u ** nu - m), 0.0, U, limit=400
-        )
+        val, _ = quad(lambda u: math.exp(rate * u - u ** nu - m), 0.0, U, limit=400)
         return math.exp(0.5 * (m + math.log(2.0 * val)))
-    U = _quad_upper_limit(model)
-    val, _ = quad(lambda u: math.exp(rate * u) * density_eval(model, u), 0.0, U, limit=400)
-    return math.sqrt(2.0 * val)
+    # a cutoff c: shift by the tilt at c, so the error check is relative to it
+    m = rate * model.cutoff
+    val = _spectral_integral(model, g=lambda u: math.exp(rate * u - m))
+    return math.exp(0.5 * (m + math.log(val)))
 
 
 def log_moment_asym(nu: float, rate: float) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,6 +9,7 @@ from smalldev import spectra
 from smalldev.errors import (
     CapacityError,
     DomainError,
+    NumericFailure,
     PreconditionError,
     UnsupportedOperation,
 )
@@ -118,6 +120,65 @@ def test_total_mass():
     assert got == pytest.approx(ref, rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha, ref", [(1.05, 18.31161096094057),
+                                        (1.2, 8.636240430394646),
+                                        (1.5, 6.262160113915515)])
+def test_log_power_total_mass(alpha, ref):
+    # 2 (1 + int_0^inf e^(s - s^alpha) ds) to 30 digits (mpmath); the mass
+    # spreads over u up to about e^40, and one QUADPACK pass over [0, U]
+    # never samples its bulk
+    assert spectra.total_mass(spectra.log_power_alpha(alpha)) == pytest.approx(
+        ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha, t, ref, tol", [
+    (1.2, 0.5, 2.4519729446941551, {"rel": 1e-8}),
+    (1.5, 0.5, 2.7071451071166638, {"rel": 1e-8}),
+    (1.2, 2.0, -0.0022018795061131960, {"abs": 1e-9}),
+    (1.5, 2.0, -0.084298154821058323, {"abs": 1e-9}),
+])
+def test_log_power_covariance(alpha, t, ref, tol):
+    # references from mpmath.quadosc, which differs from two float methods
+    # by up to 2.8e-10
+    got = spectra.covariance(spectra.log_power_alpha(alpha), t).value
+    assert got == pytest.approx(ref, **tol)
+
+
+def test_log_power_out_of_reach_raises():
+    # at alpha = 1.01 the mass reaches u = e^600, past what QUADPACK resolves
+    # against cos(u t): a flagged piece, never a silent number
+    with pytest.raises(NumericFailure):
+        spectra.covariance(spectra.log_power_alpha(1.01), 0.5)
+    # at alpha = 1.001 the tail runs past the largest float
+    with pytest.raises(CapacityError):
+        spectra.total_mass(spectra.log_power_alpha(1.001))
+
+
+def _continuous_nu_covariance_mp(nu, t):
+    """2 int_0^inf exp(-u^nu) cos(u t) du by mpmath, away from QUADPACK.
+
+    For nu < 1 along the rotated contour u = i y, where exp(-u^nu) stays
+    bounded and e^(-y t) damps the integrand; for nu > 1 by the Taylor
+    series in t, sum_n (-1)^n t^(2n) Gamma((2n + 1)/nu) / ((2n)! nu), whose
+    terms rise and then fall (the largest is about 1e34 at nu 1.5, t 10).
+    """
+    if nu < 1:
+        with mpmath.workdps(30):
+            rot = mpmath.expjpi(mpmath.mpf(nu) / 2)
+            val = -mpmath.quad(lambda y: mpmath.exp(-y ** nu * rot - y * t),
+                               [0, 1, 10, 100, 1000, mpmath.inf]).imag
+            return float(2 * val)
+    with mpmath.workdps(80):
+        nu, t = mpmath.mpf(nu), mpmath.mpf(t)
+        val, n, term = 0, 0, 1
+        while term > mpmath.mpf(10) ** -40:
+            term = (t ** (2 * n) * mpmath.gamma((2 * n + 1) / nu)
+                    / (mpmath.factorial(2 * n) * nu))
+            val += (-1) ** n * term
+            n += 1
+        return float(2 * val)
+
+
 def test_covariance_closed_forms():
     m1 = spectra.continuous_nu(1.0)
     cv = spectra.covariance(m1, 0.5)
@@ -126,10 +187,12 @@ def test_covariance_closed_forms():
     assert spectra.covariance(m2, 0.0).value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     mb = spectra.bandlimited(1.0)
     assert abs(spectra.covariance(mb, math.pi).value) < 1e-9
-    for m in (m1, m2, mb):
-        for t in [0.0, 0.3, 1.7, 4.0]:
+    for m in [mb] + [spectra.continuous_nu(nu) for nu in (0.3, 0.5, 1.0, 1.5, 2.0, 4.0)]:
+        for t in [0.0, 0.01, 0.1, 0.3, 0.5, 1.7, 2.0, 4.0, 10.0]:
             ref = spectra.closed_form_covariance(m, t)
-            assert spectra.covariance(m, t).value == pytest.approx(ref, abs=1e-8)
+            if ref is None:
+                ref = _continuous_nu_covariance_mp(m.nu, t)
+            assert spectra.covariance(m, t).value == pytest.approx(ref, abs=1e-12), (m, t)
 
 
 def test_covariance_at_zero_is_total_mass():
@@ -184,10 +247,23 @@ def test_exp_moment():
         spectra.exp_moment(spectra.continuous_nu(0.5), 0.1)
     with pytest.raises(DomainError):
         spectra.exp_moment(spectra.log_power_alpha(2.0), 0.1)
-    # truncated/bandlimited always converge
-    assert spectra.exp_moment(spectra.bandlimited(1.0), 5.0) > 0
+    # truncated/bandlimited always converge: 2 int_0^c exp(rate u) du, whose
+    # error check is relative to the tilt at c, so c = 10 passes it too
+    for c, rate in [(1.0, 5.0), (10.0, 5.0)]:
+        assert spectra.exp_moment(spectra.bandlimited(c), rate) == pytest.approx(
+            math.sqrt(2.0 * math.expm1(rate * c) / rate), rel=1e-12)
+    # truncated nu = 1: 2 int_0^3 exp(-u / 2) du
+    assert spectra.exp_moment(spectra.truncated_continuous_nu(1.0, 3.0), 0.5) == (
+        pytest.approx(math.sqrt(4.0 * -math.expm1(-1.5)), rel=1e-12))
     with pytest.raises(PreconditionError):
         spectra.exp_moment(m2, math.nan)
+
+
+def test_exp_moment_at_rate_zero_is_root_mass():
+    for m in [spectra.continuous_nu(1.5), spectra.discrete_nu(2.0),
+              spectra.bandlimited(2.0), spectra.log_power_alpha(3.0),
+              spectra.truncated_continuous_nu(1.0, 2.0)]:
+        assert spectra.exp_moment(m, 0.0) == math.sqrt(spectra.total_mass(m))
 
 
 def test_exp_moment_discrete():
