@@ -28,6 +28,3 @@ class CapacityError(SmallDevError):
 class CertificateError(SmallDevError):
     """A claimed structural property failed numerical verification."""
 
-
-class PropertyViolation(SmallDevError):
-    """A sampled object violated a bound it is supposed to satisfy."""

@@ -19,17 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, log_ndtr, ndtri_exp
 
 from . import spectra
 from .curves import BoundCurve
-from .errors import (
-    CapacityError,
-    CertificateError,
-    PreconditionError,
-    PropertyViolation,
-)
+from .errors import CapacityError, CertificateError, PreconditionError
 
 #: truncated-ellipsoid dimension cap for the covering count
 MAX_DIM = 14
@@ -327,14 +321,11 @@ def truncation_entropy_upper(inp: TruncationBoundInput) -> TruncationBoundResult
     """
     nu = inp.model.nu
     v, delta, eps = inp.v, inp.delta, inp.epsilon
-    I_half, _ = quad(lambda u: math.exp(delta * u - u ** nu), 0.0, v, limit=400)
-    I = 2.0 * I_half
+    I = spectra.exp_moment(spectra.truncated_continuous_nu(nu, v), delta) ** 2
     if I > 2.0 * v * (1.0 + 1e-12):
         raise CertificateError(f"tilted mass I = {I:.6g} exceeds 2v = {2 * v:.6g}")
     # sup-norm effect of dropping |u| > v: Cauchy-Schwarz against tail mass
-    tail_half, _ = quad(lambda u: math.exp(-((u + v) ** nu)), 0.0, np.inf,
-                        limit=400)
-    tail_sup = math.sqrt(2.0 * tail_half)
+    tail_sup = math.sqrt(2.0 * spectra.continuous_tail(nu, v))
     if tail_sup > eps:
         raise CertificateError(
             f"truncation remainder {tail_sup:.3g} exceeds epsilon {eps:.3g}"
@@ -357,35 +348,3 @@ def scaling_patch(H_curve: BoundCurve, c: float) -> BoundCurve:
                       upper=n * np.asarray(upper), label="scaling-patch",
                       extra={"c": c, "n": n, "source": H_curve.label})
 
-
-def rkhs_growth_check(nu: float, sample_count: int, imag_range,
-                      seed: int = 0) -> dict:
-    """Check |h(iy)| <= M_nu(2|y|) for random boundary members of the ball.
-
-    h(z) = integral of ell(u) exp(-izu) F(du) with the L2(F) norm of ell
-    equal to 1; the bound is Cauchy-Schwarz against the tilted mass.
-    """
-    if nu <= 1.0:
-        raise PreconditionError("growth check needs nu > 1")
-    model = spectra.continuous_nu(nu)
-    U = spectra._quad_upper_limit(model)
-    u = np.linspace(-U, U, 4001)
-    w = spectra.density(model, u) * (u[1] - u[0])
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    checked = 0
-    for _ in range(sample_count):
-        ell = rng.standard_normal(u.size)
-        ell /= math.sqrt(float(np.sum(ell ** 2 * w)))
-        for y in imag_range:
-            hval = float(np.sum(ell * np.exp(y * u) * w))
-            bound = spectra.exp_moment(model, 2.0 * abs(y))
-            ratio = abs(hval) / bound
-            worst = max(worst, ratio)
-            checked += 1
-            if ratio > 1.0 + 1e-8:
-                raise PropertyViolation(
-                    f"|h({y}i)| = {abs(hval):.6g} exceeds M({2 * abs(y)}) "
-                    f"= {bound:.6g}"
-                )
-    return {"checked": checked, "worst_ratio": worst, "passed": True}

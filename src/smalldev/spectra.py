@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn, gammainc
+from scipy.special import gamma as gamma_fn, gammainc, gammaincc
 
 from .errors import (CapacityError, DomainError, NumericFailure, PreconditionError,
                      UnsupportedOperation)
@@ -33,6 +33,9 @@ _ATOM_TOL = 1e-18
 
 #: absolute error allowed in the sum of a `_spectral_integral`
 _COV_ATOL = 1e-10
+
+#: log of the largest float
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -165,10 +168,10 @@ def _quad_upper_limit(model: SpectralModel) -> float:
     return U
 
 
-def _spectral_integral(model: SpectralModel, t: float = 0.0, g=lambda u: 1.0) -> float:
-    """2 * integral_0^U g(u) cos(u t) f(u) du, U = _quad_upper_limit(model), as
+def _spectral_integral(model: SpectralModel, f, t: float = 0.0) -> float:
+    """2 * integral_0^U f(u) cos(u t) du, U = _quad_upper_limit(model), as
     one QUADPACK pass per piece [0, 1], [1, e], [e, e^2], ..., so that a slowly
-    decaying density is sampled at every scale.  A flagged piece, or a summed
+    decaying integrand is sampled at every scale.  A flagged piece, or a summed
     error that is not within _COV_ATOL (NaN included), is a NumericFailure."""
     U = _quad_upper_limit(model)
     cuts = [0.0]
@@ -177,8 +180,8 @@ def _spectral_integral(model: SpectralModel, t: float = 0.0, g=lambda u: 1.0) ->
     weight = {"weight": "cos", "wvar": t} if t else {}
     val = err = 0.0
     for a, b in zip(cuts, cuts[1:]):
-        v, e, _, *flag = quad(lambda u: g(u) * density_eval(model, u), a, b, epsabs=1e-13,
-                              epsrel=1e-13, limit=400, full_output=1, **weight)
+        v, e, _, *flag = quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=400,
+                              full_output=1, **weight)
         if flag:
             raise NumericFailure(f"{model.kind} quadrature on [{a:.6g}, {b:.6g}]: "
                                  + " ".join(flag[0].split()))
@@ -199,7 +202,7 @@ def total_mass(model: SpectralModel) -> float:
         return 2.0 * model.cutoff
     if model.kind == DISCRETE_NU:
         return 1.0 + 2.0 * discrete_tail(model.nu, 0)
-    return _spectral_integral(model)
+    return _spectral_integral(model, lambda u: density_eval(model, u))
 
 
 def covariance(model: SpectralModel, t: float) -> CovarianceValue:
@@ -217,7 +220,7 @@ def covariance(model: SpectralModel, t: float) -> CovarianceValue:
         return CovarianceValue(t, val)
     if t == 0.0:
         return CovarianceValue(0.0, total_mass(model))
-    return CovarianceValue(t, _spectral_integral(model, t))
+    return CovarianceValue(t, _spectral_integral(model, lambda u: density_eval(model, u), t))
 
 
 def closed_form_covariance(model: SpectralModel, t: float) -> float | None:
@@ -240,7 +243,9 @@ def closed_form_covariance(model: SpectralModel, t: float) -> float | None:
 
 
 def exp_moment(model: SpectralModel, rate: float) -> float:
-    """M(rate) = (integral of exp(rate * |u|) dF(u)) ** (1/2); M(0)^2 is the mass."""
+    """M(rate) = (integral of exp(rate * |u|) dF(u)) ** (1/2); M(0)^2 is the mass.
+
+    A moment past the float range is a CapacityError."""
     rate = float(rate)
     if not rate >= 0:
         raise PreconditionError("rate must be nonnegative")
@@ -260,27 +265,31 @@ def exp_moment(model: SpectralModel, rate: float) -> float:
             if tilted[-1] <= tilted[-2] and tilted[-1] < _ATOM_TOL * np.sum(tilted):
                 return math.sqrt(2.0 * float(np.sum(tilted)) - 1.0)
             K *= 2
-    if model.kind == CONTINUOUS_NU:
-        # extend the domain so that the tilted tail is negligible
-        U = 1.0
-        while rate * U - U ** model.nu + math.log(max(U, 1.0)) > math.log(1e-16):
-            U *= 1.5
-        # shift by the exponent maximum so the integrand stays in range
-        nu = model.nu
-        ustar = (rate / nu) ** (1.0 / (nu - 1.0)) if nu > 1.0 else U
-        ustar = min(max(ustar, 0.0), U)
-        m = rate * ustar - ustar ** nu
-        val, _ = quad(lambda u: math.exp(rate * u - u ** nu - m), 0.0, U, limit=400)
-        return math.exp(0.5 * (m + math.log(2.0 * val)))
-    # a cutoff c: shift by the tilt at c, so the error check is relative to it
-    m = rate * model.cutoff
-    val = _spectral_integral(model, g=lambda u: math.exp(rate * u - m))
-    return math.exp(0.5 * (m + math.log(val)))
+    nu, c, support = model.nu, model.cutoff, model
+    if c is None:
+        # the tilted tail past c is negligible: integrate the truncation at c
+        c = 1.0
+        while rate * c - c ** nu + math.log(max(c, 1.0)) > math.log(1e-16):
+            c *= 1.5
+        support = truncated_continuous_nu(nu, c)
+
+    def h(u):  # log of the tilted density; flat for bandlimited
+        return rate * u - (0.0 if nu is None else u ** nu)
+    # m, the largest h on [0, c], shifts the integrand's peak to 1, the error
+    # check's scale; h peaks inside (0, c) only for nu > 1 and rate < nu c^(nu-1)
+    inner = nu is not None and nu > 1.0 and math.log(rate / nu) < (nu - 1.0) * math.log(c)
+    m = max(h(0.0), h(c), h((rate / nu) ** (1.0 / (nu - 1.0))) if inner else 0.0)
+    # h lies above its chord from 0 to its maximum, or for nu <= 1 its tangent
+    # at c, so the integral is >= 2 (1 - e^-m) / rate and, past m = log 2, log M
+    # >= 0.5 (m - log rate): refuse that before h rounds past the float range
+    log_M = 0.5 * (m - math.log(rate))
+    if log_M <= _LOG_MAX:
+        log_M = 0.5 * (m + math.log(_spectral_integral(support, lambda u: math.exp(h(u) - m))))
+    if not log_M <= _LOG_MAX:
+        raise CapacityError(f"exp_moment of {model.kind} at rate {rate} is past the float range")
+    return math.exp(log_M)
 
 
-def log_moment_asym(nu: float, rate: float) -> float:
-    """Leading asymptotic of log M_nu(rate) as rate -> infinity, for nu > 1."""
-    if nu <= 1.0:
-        raise PreconditionError("asymptotic form requires nu > 1")
-    p = nu / (nu - 1.0)
-    return (nu - 1.0) * rate ** p / (2.0 * nu ** p)
+def continuous_tail(nu: float, c: float) -> float:
+    """int_c^inf exp(-u^nu) du = Gamma(1 + 1/nu) Q(1/nu, c^nu), one side's mass past c."""
+    return float(gamma_fn(1.0 + 1.0 / nu) * gammaincc(1.0 / nu, c ** nu))

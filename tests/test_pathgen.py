@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,3 +377,19 @@ def test_quadrature_normals_keying_and_layout():
             [math.fsum(xi * np.cos(u * x)) + math.fsum(eta * np.sin(u * x))
              for x in t])
         assert np.max(np.abs(vals[row] - ref)) <= 1e-12 * np.max(np.abs(ref)), i
+
+
+def test_one_rng_keying_scheme():
+    # every random number in the library comes from the Philox generator that
+    # _rng_for_block keys by (seed, block); no module builds its own
+    found = set()
+    for path in Path(pathgen.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        functions = [node for node in ast.walk(ast.parse(text))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for line, code in enumerate(text.splitlines(), start=1):
+            if "np.random." in code:
+                # ast.walk is breadth first: the innermost enclosing def is last
+                inner = [f.name for f in functions if f.lineno <= line <= f.end_lineno]
+                found.add((path.name, inner[-1] if inner else "<module>"))
+    assert found == {("pathgen.py", "_rng_for_block")}

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -231,6 +232,34 @@ def test_truncation_I_leq_2v_sweep():
             assert res.I <= 2.0 * res.input.v
 
 
+def test_truncation_tail_sup_matches_mpmath():
+    # 2 int_v^inf exp(-w^nu) dw, with w^nu = V + s, is
+    # 2 e^-V / nu * int_0^inf e^-s (V + s)^(1/nu - 1) ds
+    for nu in (0.5, 1.0):
+        for eps in (1e-12, 1e-8, 1e-3):
+            inp = TruncationBoundInput(spectra.continuous_nu(nu), eps,
+                                       theta=3.0 ** (-1.0 / nu))
+            with mpmath.workdps(30):
+                V = mpmath.mpf(inp.v) ** nu
+                tail = mpmath.exp(-V) / nu * mpmath.quad(
+                    lambda s: mpmath.exp(-s) * (V + s) ** (1 / mpmath.mpf(nu) - 1),
+                    [0, 1, 10, mpmath.inf])
+                ref = float(mpmath.sqrt(2 * tail))
+            res = rkhs.truncation_entropy_upper(inp)
+            assert res.tail_sup == pytest.approx(ref, rel=1e-10), (nu, eps)
+
+
+def test_truncation_I_matches_mpmath():
+    inp = TruncationBoundInput(spectra.continuous_nu(0.5), 1e-12, theta=1.0 / 9.0)
+    v, delta = inp.v, inp.delta
+    with mpmath.workdps(30):
+        ref = float(2 * mpmath.quad(lambda u: mpmath.exp(delta * u - mpmath.sqrt(u)),
+                                    [0, 1, 10, 100, 1000, v]))
+    got = spectra.exp_moment(spectra.truncated_continuous_nu(0.5, v), delta) ** 2
+    assert got == pytest.approx(ref, rel=1e-10)
+    assert rkhs.truncation_entropy_upper(inp).I == pytest.approx(ref, rel=1e-10)
+
+
 def test_scaling_patch():
     H = BoundCurve(x=np.array([0.1, 0.2]), lower=None,
                    upper=np.array([10.0, 5.0]), label="H")
@@ -239,13 +268,6 @@ def test_scaling_patch():
     assert np.allclose(out.upper, [20.0, 10.0])
     assert rkhs.scaling_patch(H, 1.0).upper[0] == pytest.approx(10.0)
     assert rkhs.scaling_patch(H, 0.4).extra["n"] == 3
-
-
-def test_rkhs_growth_check():
-    report = rkhs.rkhs_growth_check(2.0, sample_count=20,
-                                    imag_range=[0.0, 0.5, 1.0], seed=2)
-    assert report["passed"]
-    assert report["worst_ratio"] <= 1.0 + 1e-8
 
 
 def test_kl_cross_consistency_with_exact_l2():

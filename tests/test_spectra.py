@@ -233,11 +233,10 @@ def test_discrete_covariance_period_one():
 def test_exp_moment():
     m2 = spectra.continuous_nu(2.0)
     assert spectra.exp_moment(m2, 0.0) == pytest.approx(math.pi ** 0.25, rel=1e-10)
-    # independent oracle: integral of exp(r*u - u^2) = sqrt(pi)*exp(r^2/4)*Phi-type form
-    from scipy.integrate import quad
-
-    ref = 2.0 * quad(lambda u: math.exp(2.0 * u - u * u), 0, 60, limit=300)[0]
-    assert spectra.exp_moment(m2, 2.0) == pytest.approx(math.sqrt(ref), rel=1e-9)
+    # nu = 2: M(r)^2 = 2 int_0^inf exp(r u - u^2) du = sqrt(pi) e^(r^2/4) (1 + erf(r/2))
+    for r in (2.0, 40.0):
+        ref = math.sqrt(math.pi) * math.exp(r * r / 4.0) * (1.0 + math.erf(r / 2.0))
+        assert spectra.exp_moment(m2, r) ** 2 == pytest.approx(ref, rel=1e-12)
     m1 = spectra.continuous_nu(1.0)
     with pytest.raises(DomainError):
         spectra.exp_moment(m1, 1.0)
@@ -247,8 +246,9 @@ def test_exp_moment():
         spectra.exp_moment(spectra.continuous_nu(0.5), 0.1)
     with pytest.raises(DomainError):
         spectra.exp_moment(spectra.log_power_alpha(2.0), 0.1)
-    # truncated/bandlimited always converge: 2 int_0^c exp(rate u) du, whose
-    # error check is relative to the tilt at c, so c = 10 passes it too
+    # truncated/bandlimited always converge: 2 int_0^c exp(rate u) du; the
+    # integrand is shifted by its largest exponent, here rate c, so the error
+    # check is relative to the peak and c = 10 passes it too
     for c, rate in [(1.0, 5.0), (10.0, 5.0)]:
         assert spectra.exp_moment(spectra.bandlimited(c), rate) == pytest.approx(
             math.sqrt(2.0 * math.expm1(rate * c) / rate), rel=1e-12)
@@ -257,6 +257,21 @@ def test_exp_moment():
         pytest.approx(math.sqrt(4.0 * -math.expm1(-1.5)), rel=1e-12))
     with pytest.raises(PreconditionError):
         spectra.exp_moment(m2, math.nan)
+
+
+def test_exp_moment_past_float_range():
+    # log M = 0.5 (1400 + log(1 - e^-1400)) = 700 is still in range
+    assert math.log(spectra.exp_moment(spectra.bandlimited(700.0), 2.0)) == (
+        pytest.approx(700.0, rel=1e-14))
+    with pytest.raises(CapacityError):  # log M = 1000
+        spectra.exp_moment(spectra.bandlimited(1000.0), 2.0)
+    # the peak near u = 0.44 dwarfs exp(rate c - c^nu), which underflows
+    with mpmath.workdps(30):
+        ref = 2 * mpmath.quad(lambda u: mpmath.exp(u - u ** 1.5), [0, 1, 3, 10, 50])
+    assert spectra.exp_moment(spectra.truncated_continuous_nu(1.5, 2000.0), 1.0) ** 2 == (
+        pytest.approx(float(ref), rel=1e-12))
+    with pytest.raises(CapacityError):  # the peak is near u = 5^100
+        spectra.exp_moment(spectra.continuous_nu(1.01), 5.0)
 
 
 def test_exp_moment_at_rate_zero_is_root_mass():
@@ -275,17 +290,6 @@ def test_exp_moment_discrete():
     # nu = 1: 1 + 2 sum_k exp(-k / 2) = 1 + 2 / (e^(1/2) - 1)
     assert spectra.exp_moment(spectra.discrete_nu(1.0), 0.5) == pytest.approx(
         math.sqrt(1.0 + 2.0 / math.expm1(0.5)), rel=1e-13)
-
-
-def test_log_moment_asym():
-    # nu=2: (nu-1) r^{nu/(nu-1)} / (2 nu^{nu/(nu-1)}) = r^2/8
-    assert spectra.log_moment_asym(2.0, 3.0) == pytest.approx(9.0 / 8.0, rel=1e-12)
-    with pytest.raises(PreconditionError):
-        spectra.log_moment_asym(1.0, 3.0)
-    # convergence of the true log-moment to the asymptote at large rate
-    rate = 40.0
-    val = math.log(spectra.exp_moment(spectra.continuous_nu(2.0), rate))
-    assert val / spectra.log_moment_asym(2.0, rate) == pytest.approx(1.0, rel=5e-2)
 
 
 def test_model_validation():
