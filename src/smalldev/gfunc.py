@@ -42,8 +42,8 @@ class GFunctionSpec:
     depth: int = 2_000_000
 
     def __post_init__(self):
-        if not 0 < self.gamma < 1:
-            raise PreconditionError("gamma must be in (0, 1)")
+        if not (0 < self.gamma < 1 and 1.0 + self.gamma > 1.0):  # zeta(1 + gamma) finite
+            raise PreconditionError("gamma must be in (0, 1), with 1 + gamma > 1 in floats")
         if self.depth < 10:
             raise PreconditionError("depth must be >= 10")
 

@@ -2,9 +2,9 @@
 
 Every process is one trigonometric series, sampled by one kernel: the
 normals of a counter block times a cos/sin basis built once per call.
-Atomic spectra are exact finite Fourier series; continuous spectra,
-including the flat Tsirelson minorants, use stratified spectral quadrature
-with one cos/sin pair per equal-mass stratum.
+Atomic spectra are exact finite Fourier series; continuous spectra use
+stratified spectral quadrature with one cos/sin pair per equal-mass stratum.
+No minorant is defined here: `tsirelson` gives the inputs of its paths.
 
 All randomness comes from one keying scheme: a counter-based generator keyed
 by (seed, path_index // block), where the block is BLOCK paths for Fourier
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import erfinv, gammainc, gammaincinv
 
 from . import spectra
-from .errors import PreconditionError
+from .errors import CapacityError, PreconditionError
 
 #: paths per counter block; fixed so batches are partition-independent
 BLOCK = 512
@@ -173,16 +173,6 @@ def gen_periodic(cfg: PeriodicGenConfig, grid: GridSpec, seed: int,
                             "path_index": path_index})
 
 
-def minorant_discrete_amplitudes(l: int, nu: float) -> np.ndarray:
-    """Equal-mass atomic minorant: atoms of mass exp(-l^nu) at |k| <= l."""
-    if l < 1:
-        raise PreconditionError("l must be >= 1")
-    s = math.exp(-0.5 * l ** nu)
-    amp = np.full(l + 1, math.sqrt(2.0) * s)
-    amp[0] = s
-    return amp
-
-
 @functools.lru_cache(maxsize=32)
 def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float]:
     """Midpoint-quantile frequencies of N_STRATA equal-measure strata of the
@@ -191,6 +181,7 @@ def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float
 
     Cached per model; the frequencies are read-only, as every caller shares
     them."""
+    mass = spectra.total_mass(model)  # refuses a mass past the float range first
     p = (np.arange(N_STRATA) + 0.5) / N_STRATA
     kind, nu = model.kind, model.nu
     if kind == spectra.BANDLIMITED:
@@ -202,7 +193,10 @@ def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float
     elif kind in (spectra.CONTINUOUS_NU, spectra.TRUNCATED_CONTINUOUS_NU):
         # int_0^u exp(-x^nu) dx is proportional to gammainc(1/nu, u^nu)
         P = 1.0 if model.cutoff is None else gammainc(1.0 / nu, model.cutoff ** nu)
-        u = gammaincinv(1.0 / nu, p * P) ** (1.0 / nu)
+        g = gammaincinv(1.0 / nu, p * P)
+        if math.log(g[-1]) / nu >= spectra._LOG_MAX:  # below nu of about 0.0074
+            raise CapacityError(f"{kind} strata at nu {nu} are past the float range")
+        u = g ** (1.0 / nu)
     else:
         # log-power family: inverse CDF tabulated uniformly on [0, 1] and
         # geometrically from 1 to U, as the density varies on the log scale
@@ -214,7 +208,7 @@ def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float
                                                * np.diff(ug))])
         u = np.interp(p * cdf[-1], cdf, ug)
     u.flags.writeable = False
-    return u, spectra.total_mass(model) / (2 * N_STRATA)
+    return u, mass / (2 * N_STRATA)
 
 
 def continuous_values(model: spectra.SpectralModel, times: np.ndarray,
@@ -241,18 +235,6 @@ def gen_continuous(model: spectra.SpectralModel, grid: GridSpec,
     return PathSample(grid, vals[0], seed,
                       meta={"method": "spectral-quadrature",
                             "n_strata": N_STRATA})
-
-
-def gen_minorant_continuous(l: float, nu: float, grid: GridSpec, seed: int,
-                            path_index: int = 0) -> PathSample:
-    """Flat-density minorant: density exp(-l^nu) on [-l, l]."""
-    if l < 1:
-        raise PreconditionError("l must be >= 1")
-    vals = continuous_values(spectra.bandlimited(l), grid.times(), seed, 1,
-                             offset=path_index)
-    return PathSample(grid, math.exp(-(l ** nu) / 2.0) * vals[0], seed,
-                      meta={"method": "spectral-quadrature", "l": l,
-                            "variance": 2.0 * l * math.exp(-(l ** nu))})
 
 
 def sup_norm(path: PathSample) -> float:

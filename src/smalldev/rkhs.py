@@ -102,7 +102,7 @@ class EntropyBracket:
 
 def _product_bound(axes: np.ndarray, steps: np.ndarray) -> int:
     """Cells of the lattice box that contains the ellipsoid."""
-    return int(np.prod(2 * np.ceil(axes / steps) + 1))
+    return math.prod(2 * math.ceil(a / s) + 1 for a, s in zip(axes, steps))
 
 
 def _term_counts(a: float, s: float) -> np.ndarray:
@@ -196,6 +196,8 @@ def upper_cover(ell: CoefficientEllipsoid, epsilon: float) -> tuple[int, str]:
     axes = axes_all[:d]
     budget = epsilon - tails[d]
     steps = np.full(d, 2.0 * budget / d)  # cell sup-radius sums to budget
+    if float(axes[0]) / float(steps[0]) == math.inf:
+        raise CapacityError(f"epsilon {epsilon:.3g} puts cells per axis past the float range")
     cells = _count_lattice_cells(axes, steps)
     if cells == _product_bound(axes, steps):
         return cells, COORDINATE_PRODUCT

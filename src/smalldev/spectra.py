@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn, gammainc, gammaincc
+from scipy.special import gamma as gamma_fn, gammainc, gammaincc, gammaln
 
 from .errors import (CapacityError, DomainError, NumericFailure, PreconditionError,
                      UnsupportedOperation)
@@ -147,18 +147,27 @@ def atom_mass(model: SpectralModel, k: int) -> float:
     return float(np.exp(discrete_log_masses(model.nu, abs(int(k)))[-1]))
 
 
+def _tail_point(model: SpectralModel, rate: float) -> float:
+    """The cutoff, or sooner the first c of 1, 1.5, 1.5^2, ... past which the
+    decaying tilted density's tail is negligible: exp(rate c - c^nu) c <= 1e-16.
+    A c or c^nu past the float range is a CapacityError, before c^nu is formed."""
+    nu, c = model.nu, 1.0
+    while c < (model.cutoff or math.inf):
+        if rate * c - c ** nu + math.log(c) <= math.log(1e-16):
+            return c
+        c *= 1.5
+        if not max(nu, 1.0) * math.log(c) < _LOG_MAX:
+            raise CapacityError(f"{model.kind} tail at nu {nu}, rate {rate} is past the float range")
+    return model.cutoff
+
+
 @functools.lru_cache(maxsize=32)
 def _quad_upper_limit(model: SpectralModel) -> float:
     """U beyond which the density's tail is negligible; cached."""
     if model.cutoff is not None:
         return model.cutoff
     if model.kind == CONTINUOUS_NU:
-        # exp(-U^nu) * max(U, 1) <= 1e-16  (tail of a super-polynomially
-        # decaying density is below its value times one unit of length scale)
-        U = 1.0
-        while density_eval(model, U) * max(U, 1.0) > 1e-16:
-            U *= 1.5
-        return U
+        return _tail_point(model, 0.0)
     # log-power family: density * u eventually decreasing; double until small
     U = math.e
     while density_eval(model, U) * U > 1e-17:  # inf gives nan and stops
@@ -196,6 +205,8 @@ def total_mass(model: SpectralModel) -> float:
     if model.kind in (CONTINUOUS_NU, TRUNCATED_CONTINUOUS_NU):
         # int_0^c exp(-u^nu) du = Gamma(1 + 1/nu) P(1/nu, c^nu); P = 1 at c = inf
         nu, c = model.nu, model.cutoff
+        if gammaln(1.0 + 1.0 / nu) > _LOG_MAX - math.log(2.0):
+            raise CapacityError(f"{model.kind} mass at nu {nu} is past the float range")
         P = 1.0 if c is None else gammainc(1.0 / nu, c ** nu)
         return 2.0 * gamma_fn(1.0 + 1.0 / nu) * P
     if model.kind == BANDLIMITED:
@@ -251,10 +262,10 @@ def exp_moment(model: SpectralModel, rate: float) -> float:
         raise PreconditionError("rate must be nonnegative")
     if rate == 0.0:
         return math.sqrt(total_mass(model))
-    # without a cutoff the tilted density decays only for nu > 1, or nu = 1
-    # and rate < 1; the log-power density never outweighs a tilt
-    if model.cutoff is None and (model.kind == LOG_POWER_ALPHA or model.nu < 1.0
-                                 or (model.nu == 1.0 and rate >= 1.0)):
+    # the tilted density decays only for nu > 1, or nu = 1 and rate < 1 (never log-power)
+    nu = model.nu
+    decays = nu is not None and (nu > 1.0 or (nu == 1.0 and rate < 1.0))
+    if model.cutoff is None and not decays:
         raise DomainError(f"exponential moment diverges for {model.kind} at rate {rate}")
     if model.kind == DISCRETE_NU:
         # tilted atoms exp(rate k - k^nu), k = 0..K; K doubles until the
@@ -265,13 +276,8 @@ def exp_moment(model: SpectralModel, rate: float) -> float:
             if tilted[-1] <= tilted[-2] and tilted[-1] < _ATOM_TOL * np.sum(tilted):
                 return math.sqrt(2.0 * float(np.sum(tilted)) - 1.0)
             K *= 2
-    nu, c, support = model.nu, model.cutoff, model
-    if c is None:
-        # the tilted tail past c is negligible: integrate the truncation at c
-        c = 1.0
-        while rate * c - c ** nu + math.log(max(c, 1.0)) > math.log(1e-16):
-            c *= 1.5
-        support = truncated_continuous_nu(nu, c)
+    c = _tail_point(model, rate) if decays else model.cutoff
+    support = truncated_continuous_nu(nu, c) if decays else model
 
     def h(u):  # log of the tilted density; flat for bandlimited
         return rate * u - (0.0 if nu is None else u ** nu)

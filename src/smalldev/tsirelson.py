@@ -64,13 +64,15 @@ class TsirelsonConfig:
 
     @property
     def delta(self) -> float:
-        return float(_grid(self.nu, self.spectrum, self.convention,
-                           np.array([float(self.l)]))[1][0])
+        return float(self._grid()[2][0])
 
     @property
     def sigma2(self) -> float:
-        return float(_grid(self.nu, self.spectrum, self.convention,
-                           np.array([float(self.l)]))[0][0])
+        return float(self._grid()[1][0])
+
+    def _grid(self) -> tuple[np.ndarray, ...]:
+        return _grid(self.nu, self.spectrum, self.convention,
+                     np.array([float(self.l)]))
 
 
 @dataclass(frozen=True)
@@ -86,27 +88,30 @@ class LowerBoundResult:
 
 
 def _grid(nu: float, spectrum: str, convention: str,
-          l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sigma^2, Delta and the count of independent grid points of step Delta
-    inside [0, 1], at every level in the 1-d array l."""
+          l: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The one definition of the minorant at every l of the 1-d array l: its
+    level exp(-l^nu) (0 past the float range), the mass of each of its 2l + 1
+    atoms or its density on [-l, l]; sigma^2; Delta; and the grid count."""
+    with np.errstate(over="ignore"):
+        level = np.exp(-l ** nu)
     if spectrum == DISCRETE:
         n = 2.0 * l + 1.0
-        sigma2 = np.exp(-l ** nu) * n
+        sigma2 = level * n
         delta = 2.0 * np.pi / n if convention == PAPER_2PI else 1.0 / n
     else:
-        sigma2 = 2.0 * l * np.exp(-l ** nu)
+        sigma2 = 2.0 * l * level
         delta = 2.0 * np.pi / l
     count = np.floor(1.0 / delta) + 1.0
     if spectrum == DISCRETE and convention == PERIOD_1:
         # t = 0 and t = 1 are the same point of a period-1 path
         count = np.minimum(count, n)
-    return sigma2, delta, count
+    return level, sigma2, delta, count
 
 
 def _phi(nu: float, spectrum: str, convention: str, variant: str,
-         l: np.ndarray, r: float) -> np.ndarray:
-    """phi_lower at every level in the 1-d array l; 0 where the bound is
-    invalid."""
+         l: np.ndarray, r: float, grid: tuple | None = None) -> np.ndarray:
+    """phi_lower at every level in the 1-d array l, 0 where invalid; the
+    rigorous variant reads `grid`, `_grid` at l, if given."""
     if variant == PAPER_EXPONENT:
         # grid-count factor E(l) of the asymptotic variant
         if spectrum == DISCRETE:
@@ -116,7 +121,7 @@ def _phi(nu: float, spectrum: str, convention: str, variant: str,
         gap = -math.log(r) - l ** nu
         return np.where(gap > 0.0, factor * gap, 0.0)
     if variant == RIGOROUS_GRID_COUNT:
-        sigma2, _, count = _grid(nu, spectrum, convention, l)
+        _, sigma2, _, count = grid or _grid(nu, spectrum, convention, l)
         # sigma underflows to 0 at large l: such a grid bounds nothing
         with np.errstate(divide="ignore"):
             per_point = -(_HALF_LOG_2_OVER_PI + np.log(r / np.sqrt(sigma2)))
@@ -129,11 +134,12 @@ def bound_at(cfg: TsirelsonConfig, r: float,
              variant: str = PAPER_EXPONENT) -> LowerBoundResult:
     if not r > 0:
         raise PreconditionError("r must be positive")
+    grid = cfg._grid()
     phi = float(_phi(cfg.nu, cfg.spectrum, cfg.convention, variant,
-                     np.array([float(cfg.l)]), r)[0])
+                     np.array([float(cfg.l)]), r, grid)[0])
     return LowerBoundResult(r=r, l_used=cfg.l, phi_lower=phi, valid=phi > 0.0,
                             variant=variant, convention=cfg.convention,
-                            spectrum=cfg.spectrum, sigma2=cfg.sigma2)
+                            spectrum=cfg.spectrum, sigma2=float(grid[1][0]))
 
 
 def bound_opt(nu: float, spectrum: str, r: float,
@@ -180,22 +186,31 @@ def asymptotic_constant(nu: float) -> float:
     return nu / (math.pi * (nu + 1.0) ** (1.0 + 1.0 / nu))
 
 
-def minorant_covariance(cfg: TsirelsonConfig, t) -> np.ndarray:
-    """Closed-form covariance of the grid minorant over an array of lags."""
-    l, nu = cfg.l, cfg.nu
+def minorant_amplitudes(cfg: TsirelsonConfig) -> np.ndarray:
+    """amp[0] for the constant term and amp[k] for each cos/sin pair of a
+    discrete minorant, the form `pathgen.series_values` takes."""
+    if cfg.spectrum != DISCRETE:
+        raise PreconditionError("minorant_amplitudes needs a discrete spectrum")
+    return np.sqrt(cfg._grid()[0][0] * np.r_[1.0, np.full(int(cfg.l), 2.0)])
+
+
+def _kernel(cfg: TsirelsonConfig, t) -> np.ndarray:
+    """Covariance over sigma^2 at an array of lags: the Dirichlet kernel
+    sin(m x/2) / (m sin(x/2)), m = 2l + 1, or the sinc sin(l t) / (l t)."""
     t = np.asarray(t, dtype=float)
-    scale = math.exp(-(l ** nu))
+    if cfg.spectrum == CONTINUOUS:
+        return np.sinc(cfg.l * t / np.pi)
+    m = 2 * int(cfg.l) + 1
+    x = t if cfg.convention == PAPER_2PI else 2.0 * math.pi * t  # period convention
+    half = np.sin(x / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if cfg.spectrum == DISCRETE:
-            m = 2 * int(l) + 1
-            # Dirichlet kernel; argument scaled by the period convention
-            x = t if cfg.convention == PAPER_2PI else 2.0 * math.pi * t
-            half = np.sin(x / 2.0)
-            return np.where(np.abs(half) < 1e-14,
-                            scale * m * np.cos((m - 1) / 2.0 * x),
-                            scale * np.sin(m * x / 2.0) / half)
-        return np.where(t == 0.0, 2.0 * l * scale,
-                        2.0 * scale * np.sin(l * t) / t)
+        return np.where(np.abs(half) < 1e-14, np.cos((m - 1) / 2.0 * x),
+                        np.sin(m * x / 2.0) / (m * half))
+
+
+def minorant_covariance(cfg: TsirelsonConfig, t) -> np.ndarray:
+    """Closed-form covariance of the grid minorant, sigma^2 times `_kernel`."""
+    return cfg.sigma2 * _kernel(cfg, t)
 
 
 @dataclass(frozen=True)
@@ -215,21 +230,14 @@ def uncorrelated_certificate(cfg: TsirelsonConfig,
     Evaluates the closed-form covariance at every lag k * delta and asserts
     |R| <= 1e-10 * sigma^2; a failure indicates a grid/convention mismatch.
     """
-    d = cfg.delta if delta is None else delta
-    if cfg.spectrum == DISCRETE:
-        ks = np.arange(1, 2 * int(cfg.l) + 1)
-    else:
-        ks = np.arange(1, max(int(math.floor(1.0 / d)), 1) + 1)
-    lags = ks * d
-    vals = minorant_covariance(cfg, lags)
-    max_abs = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    passed = max_abs <= 1e-10 * cfg.sigma2
-    report = CertificateReport(cfg=cfg, lags=lags, values=vals,
-                               sigma2=cfg.sigma2, max_abs=max_abs,
-                               passed=passed)
-    if not passed:
-        raise CertificateError(
-            f"minorant covariance {max_abs:.3e} exceeds 1e-10 * sigma^2 "
-            f"= {1e-10 * cfg.sigma2:.3e} on the grid (step {d})"
-        )
-    return report
+    _, sigma2, d, _ = (float(a[0]) for a in cfg._grid())
+    d = d if delta is None else delta
+    n = 2 * int(cfg.l) if cfg.spectrum == DISCRETE else max(math.floor(1.0 / d), 1)
+    lags = np.arange(1, n + 1) * d
+    vals = sigma2 * _kernel(cfg, lags)
+    max_abs = float(np.max(np.abs(vals)))
+    if not max_abs <= 1e-10 * sigma2:
+        raise CertificateError(f"minorant covariance {max_abs:.3e} exceeds 1e-10 * "
+                               f"sigma^2 = {1e-10 * sigma2:.3e} on the grid (step {d})")
+    return CertificateReport(cfg=cfg, lags=lags, values=vals, sigma2=sigma2,
+                             max_abs=max_abs, passed=True)

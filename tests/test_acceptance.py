@@ -115,7 +115,8 @@ def test_criterion_05_remark1_trend():
 
 
 def test_criterion_06_anderson_domination(sup_norms_nu2):
-    amps = pathgen.minorant_discrete_amplitudes(4, 2.0)
+    amps = tsirelson.minorant_amplitudes(
+        tsirelson.TsirelsonConfig(2.0, tsirelson.DISCRETE, 4, tsirelson.PERIOD_1))
     y_norms = pathgen.batch_norms(amps, GRID, SEED + 1, N_MC, "sup")
     for r in (0.1, 0.3):
         p_x = float(np.mean(sup_norms_nu2 <= r))

@@ -392,6 +392,17 @@ BAD_INPUT = {
     "simulate-discrete-nu-tiny": (["simulate", "--spectrum", "discrete",
                                    "--nu", "0.001", "--n-points", "8"],
                                   "exceed 2^22"),
+    "simulate-continuous-nu-tiny": (["simulate", "--spectrum", "continuous",
+                                     "--nu", "0.001", "--n-points", "4"],
+                                    "past the float range"),
+    "simulate-continuous-strata-past-float": (["simulate", "--spectrum",
+                                               "continuous", "--nu", "0.006",
+                                               "--n-points", "4"],
+                                              "strata at nu 0.006"),
+    "entropy-eps-tiny": (["entropy", "--nu", "1", "--K", "3", "--eps", "1e-320"],
+                         "past the float range"),
+    "g-certify-gamma-below-resolution": (["g-certify", "--gamma", "1e-300"],
+                                         "1 + gamma > 1"),
     "tsirelson-window-past-2-to-32": (["tsirelson", "--spectrum", "discrete",
                                        "--nu", "0.2", "--r", "1e-100"],
                                       "l window of about 10^12.0 candidates"),

@@ -118,42 +118,6 @@ def test_gen_periodic_is_a_batch_row():
             assert np.array_equal(path.values, batch[i])
 
 
-def test_minorant_discrete_variance_and_dirichlet_zeros():
-    # Var = exp(-l^nu) (2l+1): l=3, nu=1 -> 7 e^-3
-    grid = GridSpec(n_points=8)
-    vals = pathgen.series_values(pathgen.minorant_discrete_amplitudes(3, 1.0),
-                                 np.array([0.0, 0.3]), seed=11, n_paths=30000)
-    target = 7.0 * math.exp(-3.0)
-    assert target == pytest.approx(0.348509, abs=1e-6)
-    for col in range(2):
-        v = np.var(vals[:, col])
-        assert v == pytest.approx(target, abs=3 * target * math.sqrt(2 / 30000))
-    # sample correlation between Y(0) and Y(k/(2l+1)) vanishes
-    l = 3
-    lags = np.arange(0, 2 * l + 1) / (2 * l + 1)
-    vals = pathgen.series_values(pathgen.minorant_discrete_amplitudes(l, 1.0),
-                                 lags, seed=13, n_paths=30000)
-    C = np.corrcoef(vals.T)
-    off = C[0, 1:]
-    assert np.max(np.abs(off)) < 3.0 / math.sqrt(30000) * 1.5
-
-
-def test_minorant_continuous_variance():
-    # Var = 2 l exp(-l^nu): l=2, nu=1 -> 4 e^-2
-    grid = GridSpec(n_points=3)
-    target = 4.0 * math.exp(-2.0)
-    assert target == pytest.approx(0.541341, abs=1e-6)
-    # paths 0..2999 in one batch: the same values as 3000 single-path calls
-    batch = math.exp(-1.0) * pathgen.continuous_values(
-        spectra.bandlimited(2), grid.times(), seed=1, n_paths=3000)
-    for i in (0, 7, 8, 2999):  # block edges at QUAD_BLOCK = 8
-        path = pathgen.gen_minorant_continuous(2, 1.0, grid, seed=1, path_index=i)
-        assert np.array_equal(path.values, batch[i])
-    samples = batch[:, 0]
-    v = float(np.var(samples))
-    assert v == pytest.approx(target, abs=3 * target * math.sqrt(2 / 3000))
-
-
 def test_norms():
     grid = GridSpec(n_points=5)
     p = PathSample(grid, np.full(5, 0.7), seed=0)

@@ -114,6 +114,12 @@ def test_overflowing_count_returns_labelled_product():
     assert br.upper_method == rkhs.COORDINATE_PRODUCT
     assert br.upper_cells > np.iinfo(np.int64).max
     assert br.H_upper == math.log(br.upper_cells)
+    # at eps = 1e-200 the product of cells per axis passes 1e308 and stays an
+    # exact int, where a float product overflowed
+    br = rkhs.entropy_bracket(CoefficientEllipsoid(1.0, 3), 1e-200)
+    assert br.upper_method == rkhs.COORDINATE_PRODUCT
+    assert br.upper_cells > 1e308
+    assert math.isfinite(br.H_upper) and br.H_lower <= br.H_upper
 
 
 def test_overflowing_count_returns_product_before_convolving(monkeypatch):
@@ -124,7 +130,8 @@ def test_overflowing_count_returns_product_before_convolving(monkeypatch):
 
     monkeypatch.setattr(rkhs, "_term_counts", no_convolution)
     cells, rule = rkhs.upper_cover(CoefficientEllipsoid(2.0, 3), 1e-5)
-    assert (cells, rule) == (548025106444131806142487337543663616,
+    # the exact integer product of the cells per axis
+    assert (cells, rule) == (548025106444131749517978842536184601,
                              rkhs.COORDINATE_PRODUCT)
 
 

@@ -201,6 +201,10 @@ def test_covariance_at_zero_is_total_mass():
         assert spectra.covariance(m, 0.0).value == pytest.approx(
             spectra.total_mass(m), rel=1e-9
         )
+    # at nu = 0.001 the mass and the tail point are past the float range
+    for t in (0.0, 1.0):
+        with pytest.raises(CapacityError):
+            spectra.covariance(spectra.continuous_nu(0.001), t)
 
 
 def test_bochner_positivity():
@@ -272,6 +276,15 @@ def test_exp_moment_past_float_range():
         pytest.approx(float(ref), rel=1e-12))
     with pytest.raises(CapacityError):  # the peak is near u = 5^100
         spectra.exp_moment(spectra.continuous_nu(1.01), 5.0)
+    with pytest.raises(CapacityError):  # the tail point is past 5^10000
+        spectra.exp_moment(spectra.continuous_nu(1.0001), 5.0)
+    # integrated to the tilted-tail point 1.5 and not to the cutoff, where
+    # u^160 overflowed
+    with mpmath.workdps(30):
+        ref = mpmath.sqrt(2 * mpmath.quad(lambda u: mpmath.exp(u - u ** 160),
+                                          [0, 0.97, 1, 1.05, 1.5, 100]))
+    assert spectra.exp_moment(spectra.truncated_continuous_nu(160.0, 100.0), 1.0) == (
+        pytest.approx(float(ref), rel=1e-10))
 
 
 def test_exp_moment_at_rate_zero_is_root_mass():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from smalldev import tsirelson
+from smalldev import pathgen, spectra, tsirelson
 from smalldev.errors import CertificateError, PreconditionError
 from smalldev.tsirelson import (
     CONTINUOUS,
@@ -136,16 +136,19 @@ def test_continuous_rate_constant_stabilizes():
         )
 
 
-def _scalar_bound_opt(nu, spectrum, r, convention, variant):
-    """Reference scan: bound_at at every window candidate, first maximum wins."""
+def _window(nu, spectrum, r):
+    """The candidate levels of `bound_opt`'s window."""
     seed = (abs(math.log(r)) / (nu + 1.0)) ** (1.0 / nu)
     l_max = 4.0 * math.ceil(seed)
     if spectrum == DISCRETE:
-        candidates = range(1, max(int(l_max), 1) + 1)
-    else:
-        candidates = np.arange(1.0, max(l_max, 1.0) + 0.25, 0.25)
+        return range(1, max(int(l_max), 1) + 1)
+    return np.arange(1.0, max(l_max, 1.0) + 0.25, 0.25)
+
+
+def _scalar_bound_opt(nu, spectrum, r, convention, variant):
+    """Reference scan: bound_at at every window candidate, first maximum wins."""
     best = None
-    for l in candidates:
+    for l in _window(nu, spectrum, r):
         res = tsirelson.bound_at(TsirelsonConfig(nu, spectrum, float(l), convention),
                                  r, variant)
         if best is None or res.phi_lower > best.phi_lower:
@@ -187,6 +190,76 @@ def test_rigorous_bound_survives_sigma_underflow():
         res = tsirelson.bound_opt(2.0, spectrum, 1e-50,
                                   variant=RIGOROUS_GRID_COUNT)
         assert res.valid and res.phi_lower > 0.0
+
+
+def test_minorant_past_float_range_is_zero():
+    # l^nu = 1e400 overflows: the level, sigma^2 and the covariance are 0,
+    # with no warning
+    cfg = TsirelsonConfig(2.0, CONTINUOUS, 1e200)
+    with np.errstate(all="raise"):
+        assert cfg.sigma2 == 0.0
+        got = tsirelson.minorant_covariance(cfg, [0.0, 1.0, 2.5])
+    assert np.array_equal(got, np.zeros(3))
+
+
+def test_grid_is_evaluated_once_per_call(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return grid(*args)
+
+    grid = tsirelson._grid
+    monkeypatch.setattr(tsirelson, "_grid", counting)
+    monkeypatch.setattr(tsirelson, "_CHUNK", 7)
+    for spectrum, l in ((DISCRETE, 3), (CONTINUOUS, 2.5)):
+        cfg = TsirelsonConfig(1.0, spectrum, l)
+        for variant in (PAPER_EXPONENT, RIGOROUS_GRID_COUNT):
+            calls.clear()
+            tsirelson.bound_at(cfg, 1e-3, variant)
+            assert len(calls) == 1, (cfg, variant)
+        calls.clear()
+        tsirelson.uncorrelated_certificate(cfg)
+        assert len(calls) == 1, cfg
+        # bound_opt: one per rigorous chunk plus one for the winner
+        chunks = math.ceil(len(_window(1.0, spectrum, 1e-20)) / 7)
+        for variant, expected in ((PAPER_EXPONENT, 1), (RIGOROUS_GRID_COUNT, chunks + 1)):
+            calls.clear()
+            tsirelson.bound_opt(1.0, spectrum, 1e-20, variant=variant)
+            assert len(calls) == expected, (spectrum, variant)
+
+
+def test_minorant_discrete_variance_and_dirichlet_zeros():
+    # Var = exp(-l^nu) (2l+1): l=3, nu=1 -> 7 e^-3
+    cfg = TsirelsonConfig(1.0, DISCRETE, 3, PERIOD_1)
+    amps = tsirelson.minorant_amplitudes(cfg)
+    vals = pathgen.series_values(amps, np.array([0.0, 0.3]), seed=11, n_paths=30000)
+    target = 7.0 * math.exp(-3.0)
+    assert target == pytest.approx(0.348509, abs=1e-6)
+    for col in range(2):
+        v = np.var(vals[:, col])
+        assert v == pytest.approx(target, abs=3 * target * math.sqrt(2 / 30000))
+    # sample correlation between Y(0) and Y(k/(2l+1)) vanishes
+    lags = np.arange(0, 7) / 7
+    vals = pathgen.series_values(amps, lags, seed=13, n_paths=30000)
+    C = np.corrcoef(vals.T)
+    off = C[0, 1:]
+    assert np.max(np.abs(off)) < 3.0 / math.sqrt(30000) * 1.5
+    with pytest.raises(PreconditionError):
+        tsirelson.minorant_amplitudes(TsirelsonConfig(1.0, CONTINUOUS, 3))
+
+
+def test_minorant_continuous_variance():
+    # Var = 2 l exp(-l^nu): l=2, nu=1 -> 4 e^-2; the minorant is the
+    # bandlimited process scaled to density exp(-l^nu)
+    cfg = TsirelsonConfig(1.0, CONTINUOUS, 2.0)
+    target = 4.0 * math.exp(-2.0)
+    assert target == pytest.approx(0.541341, abs=1e-6)
+    assert cfg.sigma2 == pytest.approx(target, rel=1e-15)
+    batch = math.sqrt(cfg.sigma2 / (2 * cfg.l)) * pathgen.continuous_values(
+        spectra.bandlimited(cfg.l), np.array([0.0, 0.5, 1.0]), seed=1, n_paths=3000)
+    v = float(np.var(batch[:, 0]))
+    assert v == pytest.approx(target, abs=3 * target * math.sqrt(2 / 3000))
 
 
 def test_minorant_covariance_forms():
