@@ -6,6 +6,11 @@ Atomic spectra are exact finite Fourier series; continuous spectra use
 stratified spectral quadrature with one cos/sin pair per equal-mass stratum.
 No minorant is defined here: `tsirelson` gives the inputs of its paths.
 
+`gen_continuous` reads its path from the whole QUAD_BLOCK-path counter
+block, which a small bounded cache keeps read-only per (model, grid, seed,
+block): consecutive path indices on one grid draw the block's normals,
+build its basis and multiply them once per block, not once per path.
+
 All randomness comes from one keying scheme: a counter-based generator keyed
 by (seed, path_index // block), where the block is BLOCK paths for Fourier
 series and QUAD_BLOCK paths for spectral quadrature.  Any path index
@@ -192,7 +197,8 @@ def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float
         u = erfinv(p)
     elif kind in (spectra.CONTINUOUS_NU, spectra.TRUNCATED_CONTINUOUS_NU):
         # int_0^u exp(-x^nu) dx is proportional to gammainc(1/nu, u^nu)
-        P = 1.0 if model.cutoff is None else gammainc(1.0 / nu, model.cutoff ** nu)
+        c = model.cutoff
+        P = 1.0 if c is None else gammainc(1.0 / nu, spectra._power(c, nu))
         g = gammaincinv(1.0 / nu, p * P)
         if math.log(g[-1]) / nu >= spectra._LOG_MAX:  # below nu of about 0.0074
             raise CapacityError(f"{kind} strata at nu {nu} are past the float range")
@@ -227,12 +233,27 @@ def continuous_values(model: spectra.SpectralModel, times: np.ndarray,
     return vals
 
 
+@functools.lru_cache(maxsize=8)
+def _continuous_block(model: spectra.SpectralModel, grid: GridSpec, seed: int,
+                      block: int) -> np.ndarray:
+    """The QUAD_BLOCK paths of counter block `block` on `grid`, as
+    `continuous_values` forms them; cached per (model, grid, seed, block)
+    and read-only, as every later call of the block shares it."""
+    vals = continuous_values(model, grid.times(), seed, QUAD_BLOCK,
+                             offset=block * QUAD_BLOCK)
+    vals.flags.writeable = False
+    return vals
+
+
 def gen_continuous(model: spectra.SpectralModel, grid: GridSpec,
                    seed: int, path_index: int = 0) -> PathSample:
     if not model.is_continuous:
         raise PreconditionError("gen_continuous needs a continuous spectral model")
-    vals = continuous_values(model, grid.times(), seed, 1, offset=path_index)
-    return PathSample(grid, vals[0], seed,
+    if not path_index >= 0:
+        raise PreconditionError(f"path index must be >= 0, got {path_index}")
+    block, pos = divmod(path_index, QUAD_BLOCK)
+    vals = _continuous_block(model, grid, seed, block)[pos].copy()
+    return PathSample(grid, vals, seed,
                       meta={"method": "spectral-quadrature",
                             "n_strata": N_STRATA})
 

@@ -147,6 +147,15 @@ def atom_mass(model: SpectralModel, k: int) -> float:
     return float(np.exp(discrete_log_masses(model.nu, abs(int(k)))[-1]))
 
 
+def _power(c: float, nu: float) -> float:
+    """c^nu for a cutoff c >= 0, the argument of P(1/nu, .) and Q(1/nu, .):
+    inf once nu log c is within 1 of the float range, so the power cannot
+    round past it, where P is already 1 and Q already 0 in floats."""
+    if c > 1.0 and nu * math.log(c) > _LOG_MAX - 1.0:
+        return math.inf
+    return c ** nu
+
+
 def _tail_point(model: SpectralModel, rate: float) -> float:
     """The cutoff, or sooner the first c of 1, 1.5, 1.5^2, ... past which the
     decaying tilted density's tail is negligible: exp(rate c - c^nu) c <= 1e-16.
@@ -207,7 +216,7 @@ def total_mass(model: SpectralModel) -> float:
         nu, c = model.nu, model.cutoff
         if gammaln(1.0 + 1.0 / nu) > _LOG_MAX - math.log(2.0):
             raise CapacityError(f"{model.kind} mass at nu {nu} is past the float range")
-        P = 1.0 if c is None else gammainc(1.0 / nu, c ** nu)
+        P = 1.0 if c is None else gammainc(1.0 / nu, _power(c, nu))
         return 2.0 * gamma_fn(1.0 + 1.0 / nu) * P
     if model.kind == BANDLIMITED:
         return 2.0 * model.cutoff
@@ -298,4 +307,4 @@ def exp_moment(model: SpectralModel, rate: float) -> float:
 
 def continuous_tail(nu: float, c: float) -> float:
     """int_c^inf exp(-u^nu) du = Gamma(1 + 1/nu) Q(1/nu, c^nu), one side's mass past c."""
-    return float(gamma_fn(1.0 + 1.0 / nu) * gammaincc(1.0 / nu, c ** nu))
+    return float(gamma_fn(1.0 + 1.0 / nu) * gammaincc(1.0 / nu, _power(c, nu)))

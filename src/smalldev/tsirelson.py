@@ -57,8 +57,8 @@ class TsirelsonConfig:
             raise PreconditionError(f"unknown spectrum {self.spectrum!r}")
         if self.convention not in (PAPER_2PI, PERIOD_1):
             raise PreconditionError(f"unknown convention {self.convention!r}")
-        if not self.l >= 1:
-            raise PreconditionError("l must be >= 1")
+        if not 1 <= self.l < math.inf:
+            raise PreconditionError(f"l must be finite and >= 1, got {self.l}")
         if self.spectrum == DISCRETE and self.l != int(self.l):
             raise PreconditionError("discrete spectrum requires integer l")
 

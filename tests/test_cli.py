@@ -377,6 +377,8 @@ BAD_INPUT = {
                               "nu must be finite and positive"),
     "tsirelson-nu-nan": (["tsirelson", "--spectrum", "discrete", "--nu", "nan",
                           "--r", "0.1"], "nu must be finite and positive"),
+    "tsirelson-l-inf": (["tsirelson", "--spectrum", "continuous", "--nu", "1",
+                         "--r", "0.1", "--l", "inf"], "l must be finite and >= 1"),
     "simulate-path-index-negative": (["simulate", "--spectrum", "discrete",
                                       "--nu", "1", "--K", "4", "--n-points",
                                       "8", "--path-index", "-1"],

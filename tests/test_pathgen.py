@@ -251,6 +251,14 @@ def test_strata_frequencies_cached_read_only():
         u[0] = 0.0
 
 
+def test_truncated_strata_past_float_range():
+    # the cutoff's power used to overflow; P = 1 gives the untruncated strata
+    u, m = pathgen._strata_frequencies(spectra.truncated_continuous_nu(2.0, 1e200))
+    ref = pathgen._strata_frequencies(spectra.truncated_continuous_nu(2.0, math.inf))
+    assert np.array_equal(u, ref[0]) and m == ref[1]
+    assert m == spectra.total_mass(spectra.continuous_nu(2.0)) / (2 * pathgen.N_STRATA)
+
+
 def test_continuous_determinism_and_metadata():
     model = spectra.continuous_nu(1.0)
     grid = GridSpec(n_points=16)
@@ -285,6 +293,78 @@ def test_gen_continuous_is_a_batch_row():
     tail = pathgen.continuous_values(model, grid.times(), seed=21,
                                      n_paths=5, offset=6)
     assert np.array_equal(tail, batch[6:11])
+
+
+def test_continuous_block_memo_matches_cold_calls():
+    # block hits, cold calls and the batch give the same bytes, across a block
+    # boundary and out of order
+    model = spectra.continuous_nu(0.5)
+    grid = GridSpec(0.0, 10.0, 16)
+    order = (9, 3, 8, 7, 0, 15, 16, 23)
+    cold = {}
+    for i in order:
+        pathgen._continuous_block.cache_clear()
+        cold[i] = pathgen.gen_continuous(model, grid, seed=31, path_index=i).values
+    pathgen._continuous_block.cache_clear()
+    batch = pathgen.continuous_values(model, grid.times(), seed=31, n_paths=24)
+    for i in order:
+        hit = pathgen.gen_continuous(model, grid, seed=31, path_index=i).values
+        assert np.array_equal(hit, cold[i]) and np.array_equal(hit, batch[i]), i
+
+
+def _count_series_blocks(monkeypatch):
+    calls = []
+    block = pathgen._series_block
+    monkeypatch.setattr(pathgen, "_series_block",
+                        lambda *a: calls.append(a[1:]) or block(*a))
+    pathgen._continuous_block.cache_clear()
+    return calls
+
+
+def test_continuous_block_drawn_once_per_block(monkeypatch):
+    model = spectra.continuous_nu(1.0)
+    grid = GridSpec(0.0, 1.0, 8)
+    calls = _count_series_blocks(monkeypatch)
+    for i in range(2 * pathgen.QUAD_BLOCK):
+        pathgen.gen_continuous(model, grid, seed=4, path_index=i)
+    assert calls == [(4, 0, pathgen.QUAD_BLOCK), (4, 1, pathgen.QUAD_BLOCK)]
+    calls.clear()
+    for i in range(2 * pathgen.QUAD_BLOCK):
+        pathgen._continuous_block.cache_clear()
+        pathgen.gen_continuous(model, grid, seed=4, path_index=i)
+    assert len(calls) == 2 * pathgen.QUAD_BLOCK
+
+
+def test_continuous_block_not_shared_across_grids_or_seeds(monkeypatch):
+    model = spectra.continuous_nu(1.0)
+    keys = [(GridSpec(0.0, 10.0, 16), 5), (GridSpec(0.0, 10.0, 17), 5),
+            (GridSpec(0.0, 10.01, 16), 5), (GridSpec(0.0, 10.0, 16), 6)]
+    calls = _count_series_blocks(monkeypatch)
+    paths = [pathgen.gen_continuous(model, grid, seed, path_index=2).values
+             for grid, seed in keys]
+    assert len(calls) == len(keys)
+    for (grid, seed), path in zip(keys, paths):
+        row = pathgen.continuous_values(model, grid.times(), seed, 1, offset=2)[0]
+        assert np.array_equal(path, row), (grid, seed)
+    assert not np.array_equal(paths[0], paths[2])
+    assert not np.array_equal(paths[0], paths[3])
+
+
+def test_gen_continuous_values_are_the_callers():
+    model = spectra.continuous_nu(1.0)
+    grid = GridSpec(0.0, 1.0, 8)
+    first = pathgen.gen_continuous(model, grid, seed=9, path_index=1)
+    kept = first.values.copy()
+    first.values[:] = 0.0
+    again = pathgen.gen_continuous(model, grid, seed=9, path_index=1)
+    assert np.array_equal(again.values, kept)
+    assert again.values.flags.writeable
+
+
+def test_gen_continuous_rejects_negative_path_index():
+    with pytest.raises(PreconditionError, match="path index must be >= 0"):
+        pathgen.gen_continuous(spectra.continuous_nu(1.0), GridSpec(n_points=4),
+                               seed=0, path_index=-1)
 
 
 def test_continuous_stationarity():
@@ -357,3 +437,27 @@ def test_one_rng_keying_scheme():
                 inner = [f.name for f in functions if f.lineno <= line <= f.end_lineno]
                 found.add((path.name, inner[-1] if inner else "<module>"))
     assert found == {("pathgen.py", "_rng_for_block")}
+
+
+def test_caches_are_bounded_and_read_only():
+    # every lru_cache names a finite maxsize, and no cached array is writeable:
+    # a caller that could mutate one would corrupt every later path
+    unbounded = []
+    for path in Path(pathgen.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                name = ast.unparse(dec.func if isinstance(dec, ast.Call) else dec)
+                if name.split(".")[-1] not in ("lru_cache", "cache"):
+                    continue
+                size = ([k.value for k in dec.keywords if k.arg == "maxsize"]
+                        + dec.args if isinstance(dec, ast.Call) else [])
+                if not (size and isinstance(size[0], ast.Constant)
+                        and isinstance(size[0].value, int)):
+                    unbounded.append((path.name, node.name))
+    assert unbounded == []
+    model = spectra.continuous_nu(1.0)
+    u, _ = pathgen._strata_frequencies(model)
+    block = pathgen._continuous_block(model, GridSpec(n_points=4), 0, 0)
+    assert not u.flags.writeable and not block.flags.writeable

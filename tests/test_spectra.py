@@ -91,6 +91,16 @@ def test_truncated_total_mass_closed_form():
         assert spectra.total_mass(m) == pytest.approx(2.0 * ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e200, 1e300, math.inf])
+def test_cutoff_power_past_float_range(c):
+    # cutoff ** nu used to end in a bare OverflowError: past the float range
+    # P(1/nu, c^nu) is 1 and Q(1/nu, c^nu) is 0
+    m = spectra.truncated_continuous_nu(2.0, c)
+    assert spectra.total_mass(m) == spectra.total_mass(spectra.continuous_nu(2.0))
+    assert spectra.exp_moment(m, 0.0) == spectra.exp_moment(spectra.continuous_nu(2.0), 0.0)
+    assert spectra.continuous_tail(2.0, c) == 0.0
+
+
 def test_quad_upper_limit_is_computed_once_per_model(monkeypatch):
     model = spectra.log_power_alpha(2.5)
     U = spectra._quad_upper_limit(model)

@@ -42,8 +42,10 @@ def test_config_validation():
         # the window used to be sized first: ZeroDivisionError or ValueError
         with pytest.raises(PreconditionError):
             tsirelson.bound_opt(nu, DISCRETE, 0.1)
-    with pytest.raises(PreconditionError):
-        TsirelsonConfig(1.0, CONTINUOUS, math.nan)
+    for l in (math.nan, math.inf):
+        # l = inf used to give sigma2 nan with RuntimeWarnings from _grid
+        with pytest.raises(PreconditionError, match="l must be finite and >= 1"):
+            TsirelsonConfig(1.0, CONTINUOUS, l)
 
 
 def test_bound_at_invalid_radius():
