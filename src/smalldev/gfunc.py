@@ -107,7 +107,7 @@ def log_abs_g(spec: GFunctionSpec, t) -> np.ndarray:
     out = np.empty(len(t))
     for s in range(0, len(t), 64):  # chunked so the (t, k) matrix stays small
         tc = np.abs(t[s : s + 64])
-        D = spec.depth_needed(float(np.max(tc))) if np.max(tc) > 0 else 16
+        D = spec.depth_needed(float(np.max(tc)))
         a = spec.a(np.arange(1, D + 1))
         x = tc[:, None] * a[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -124,8 +124,6 @@ def log_abs_g(spec: GFunctionSpec, t) -> np.ndarray:
 def g_eval(spec: GFunctionSpec, t: float) -> float:
     """G(t) with sign; tail factors beyond the depth are all positive."""
     tt = float(t)
-    if tt == 0.0:
-        return 1.0
     la = float(log_abs_g(spec, tt)[0])
     k = np.arange(1, spec.depth_needed(abs(tt)) + 1)
     x = abs(tt) * spec.a(k)

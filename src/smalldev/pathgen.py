@@ -57,8 +57,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n_points < 2:
             raise PreconditionError("n_points must be >= 2")
-        if not self.t_min < self.t_max:
-            raise PreconditionError("grid requires t_min < t_max")
+        if not 0 < self.t_max - self.t_min < math.inf:  # NaN fails too
+            raise PreconditionError("grid requires finite t_min < t_max with a finite span")
 
     @property
     def spacing(self) -> float:
@@ -109,9 +109,7 @@ class PeriodicGenConfig:
 
     def amplitudes(self) -> np.ndarray:
         """amp[0] for the constant term, amp[k] for each cos/sin pair."""
-        amp = np.sqrt(2.0 * np.exp(spectra.discrete_log_masses(self.nu, self.K)))
-        amp[0] = 1.0
-        return amp
+        return np.exp(spectra.discrete_log_amplitudes(self.nu, self.K))
 
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
@@ -156,9 +154,19 @@ def _cos_sin_rows(phase: np.ndarray, first_sin: int) -> np.ndarray:
     return basis
 
 
+def _check_phase_range(top: float, times: np.ndarray, scale: float = 1.0) -> None:
+    """Refuse phases scale * u * t past the float range, whose cos and sin
+    are NaN, from one product: the largest frequency `top` times max |t|."""
+    t_abs = float(np.max(np.abs(times), initial=0.0))
+    if not scale * (float(top) * t_abs) < math.inf:  # NaN fails too
+        raise CapacityError(f"phases of frequency {scale * top:.3g} at |t| = "
+                            f"{t_abs:.3g} are past the float range")
+
+
 def _fourier_basis(amps: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Rows amp_k cos 2 pi k t for k = 0..K, then amp_k sin 2 pi k t for
     k = 1..K: the order of the normals xi_0..xi_K, eta_1..eta_K."""
+    _check_phase_range(len(amps) - 1, times, 2.0 * np.pi)
     phase = 2.0 * np.pi * np.outer(np.arange(len(amps)), times)
     return _cos_sin_rows(phase, 1) * np.concatenate([amps, amps[1:]])[:, None]
 
@@ -227,6 +235,7 @@ def continuous_values(model: spectra.SpectralModel, times: np.ndarray,
     negligible at N_STRATA strata.
     """
     u, m = _strata_frequencies(model)
+    _check_phase_range(u[-1], times)
     vals = _rows(_cos_sin_rows(np.outer(u, times), 0), seed, n_paths, offset,
                  QUAD_BLOCK)
     vals *= math.sqrt(2.0 * m)

@@ -56,6 +56,8 @@ def fit(points, beta_mode="free") -> RateFitResult:
         tag, beta_fixed = beta_mode
         if tag != "fixed":
             raise PreconditionError(f"unknown beta_mode {beta_mode!r}")
+        if not math.isfinite(beta_fixed):
+            raise PreconditionError(f"fixed beta must be finite, got {beta_fixed}")
         mode = f"fixed({beta_fixed})"
     for r, phi in points:
         if not 0 < r < math.exp(-math.e):
@@ -106,8 +108,8 @@ def open_problem_curves(alpha: float, r_list) -> tuple[BoundCurve, BoundCurve]:
     lower:  |log r|^{(a-1)/a} exp{(2 |log r|)^{1/a}}
     upper:  |log r| exp{(2 |log r|)^{1/a} + (5/a) |log r|^{2/a - 1}}
     """
-    if not alpha > 1:
-        raise PreconditionError("alpha must exceed 1")
+    if not 1 < alpha < math.inf:
+        raise PreconditionError("alpha must exceed 1 and be finite")
     r = np.asarray(list(r_list), float)
     if not np.all((r > 0.0) & (r < 1.0)):
         raise PreconditionError("radii must lie in (0, 1)")

@@ -4,7 +4,7 @@ translators.
 The unit ball of the periodic-process RKHS is a coefficient ellipsoid:
 functions h(t) = sum_k c_k exp(-2 pi i k t) with
 sum_k |c_k|^2 exp(|k|^nu) <= 1.  In the real cos/sin coordinates
-(x0, u_k, v_k) the semi-axes are 1 and sqrt(2) exp(-k^nu / 2).
+(x0, u_k, v_k) the semi-axes are the series amplitudes 1, sqrt(2) exp(-k^nu / 2).
 
 Entropy in sup norm is bracketed: the upper side covers a truncated
 ellipsoid by a coordinate lattice (a box of per-coordinate side eps/d maps
@@ -47,12 +47,13 @@ class CoefficientEllipsoid:
     def __post_init__(self):
         spectra.discrete_log_masses(self.nu, self.K)  # refuses a bad nu or K
 
+    def log_semi_axes(self) -> np.ndarray:
+        """Logs of the semi-axes of x0, then (u_k, v_k), k=1..K: nonincreasing."""
+        return np.repeat(spectra.discrete_log_amplitudes(self.nu, self.K), 2)[1:]
+
     def semi_axes(self) -> np.ndarray:
-        """Real-coordinate semi-axes: x0 then (u_k, v_k) pairs, k=1..K, as
-        sqrt(2) exp(-k^nu / 2), normal where exp(-k^nu) underflows."""
-        a = math.sqrt(2.0) * np.exp(0.5 * spectra.discrete_log_masses(self.nu, self.K))
-        a[0] = 1.0
-        return np.repeat(a, 2)[1:]
+        """`exp` of `log_semi_axes`: 0 once k^nu passes about 1,490."""
+        return np.exp(self.log_semi_axes())
 
     def membership(self, c: np.ndarray) -> float:
         """sum |c_k|^2 exp(|k|^nu) for complex coefficients c_{-K}..c_K."""
@@ -178,15 +179,11 @@ def upper_cover(ell: CoefficientEllipsoid, epsilon: float) -> tuple[int, str]:
         raise PreconditionError("epsilon must be positive")
     if epsilon >= 2.0 * ell.sup_radius:
         return 1, SINGLE_BALL
-    axes_all = np.sort(ell.semi_axes())[::-1]
-    # drop trailing coordinates whose total sup-norm reach is <= eps/2;
-    # the kept coordinates share the remaining radius budget
+    axes_all = ell.semi_axes()
+    # keep the fewest leading coordinates whose dropped tail's sup-norm
+    # reach tails[d] is <= eps/2; they share the remaining radius budget
     tails = np.concatenate([np.cumsum(axes_all[::-1])[::-1], [0.0]])
-    d = len(axes_all)
-    for cand in range(1, len(axes_all) + 1):
-        if tails[cand] <= epsilon / 2.0:
-            d = cand
-            break
+    d = 1 + int(np.argmax(tails[1:] <= epsilon / 2.0))
     if d > MAX_DIM:
         # smallest supported epsilon is twice the tail that must be droppable
         raise CapacityError(
@@ -218,16 +215,13 @@ def entropy_lower(ell: CoefficientEllipsoid, epsilon: float) -> float:
     """
     if not epsilon > 0:
         raise PreconditionError("epsilon must be positive")
-    axes = np.sort(ell.semi_axes())[::-1]
-    best = 0.0
-    for d in range(1, len(axes) + 1):
-        # log vol of d-dim ellipsoid: unit-ball volume + sum log axes
-        log_vol_e = (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0 + 1.0) \
-            + float(np.sum(np.log(axes[:d])))
-        # box side: 2 eps for the first coordinate, 4 eps for the others
-        log_vol_b = math.log(2.0 * epsilon) + (d - 1) * math.log(4.0 * epsilon)
-        best = max(best, log_vol_e - log_vol_b)
-    return best
+    # at every leading dimension d: log vol of the d-dim ellipsoid (unit ball
+    # + sum of log axes) less the box's (side 2 eps for x0, 4 eps after)
+    d = np.arange(1.0, 2 * ell.K + 2)
+    log_vol_e = (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0 + 1.0) \
+        + np.cumsum(ell.log_semi_axes())
+    log_vol_b = math.log(2.0 * epsilon) + (d - 1) * math.log(4.0 * epsilon)
+    return max(0.0, float(np.max(log_vol_e - log_vol_b)))
 
 
 def entropy_bracket(ell: CoefficientEllipsoid, epsilon: float) -> EntropyBracket:
@@ -244,8 +238,8 @@ def entropy_bracket(ell: CoefficientEllipsoid, epsilon: float) -> EntropyBracket
 
 def kl_phi_to_H(phi_curve: BoundCurve, lam: float = 2.0) -> BoundCurve:
     """Entropy upper bound H(2r/lam) <= phi(r) + lam^2 / 2."""
-    if lam <= 0:
-        raise PreconditionError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise PreconditionError("lambda must be finite and positive")
     phi = phi_curve.upper if phi_curve.upper is not None else phi_curve.lower
     x = 2.0 * np.asarray(phi_curve.x) / lam
     upper = np.asarray(phi) + lam * lam / 2.0
@@ -266,8 +260,8 @@ def alpha_r(phi: float) -> float:
 def kl_entropy_lower(phi_r: float, phi_2r: float, lam: float) -> dict:
     """Lower bounds on H(r/lam): exact phi(2r) + log Phi(lam + alpha_r)
     and the simplified quadratic form phi(2r) - (lam - sqrt(2 phi(r)))^2/2."""
-    if lam <= 0:
-        raise PreconditionError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise PreconditionError("lambda must be finite and positive")
     a = alpha_r(phi_r)
     exact = phi_2r + (0.0 if math.isinf(a)
                       else float(log_ndtr(lam + a)))

@@ -148,14 +148,25 @@ def _parabola(w: np.ndarray, h: np.ndarray, x: float) -> _Parabola:
 
 def _complement_parabola(w: np.ndarray, h: np.ndarray, x: float) -> _Parabola:
     """Contour for Q = 1 - p through the saddle s0 in (-1/(2 lambda_1), 0),
-    solved for d = s0 + 1/(2 lambda_1) so that 1 + 2 lambda_j s0 keeps its
-    relative accuracy as d -> 0.  g' < 0 at the bracket's lower end by its
-    j = 1 term, > 0 at its upper end, where each 1 + 2 lambda_j s0 >= 1/2."""
+    solved for t = log d, d = s0 + 1/(2 lambda_1), so that 1 + 2 lambda_j s0
+    keeps its relative accuracy as d -> 0.  d g'(s0) = x d + d / (half - d)
+    - sum_j h_j c_j / 2 with c_j = expit(log(2 lambda_j / gap_j) + t), 1
+    where gap_j = 0, so no 1/d is formed however large x is.  It is < 0 at
+    the bracket's lower end by its j = 1 term, > 0 at its upper end, where
+    each 1 + 2 lambda_j s0 >= 1/2."""
     lam = float(w[0])
     half, gap = 0.5 / lam, (lam - w) / lam  # 1 + 2 lambda_j s0 = 2 lambda_j d + gap_j
-    d = brentq(lambda d: x + 1.0 / (half - d) - float(h @ (w / (2.0 * w * d + gap))),
-               min(0.5 * half, 0.25 * h[0] / (x + 4.0 * lam)),
-               half - 0.25 / float(h @ w), xtol=1e-300, rtol=8.9e-16)
+    lx = math.log(x)
+    with np.errstate(divide="ignore"):
+        la = np.log(2.0 * w) - np.log(gap)
+
+    def root(t):
+        d = math.exp(t)
+        return math.exp(lx + t) + d / (half - d) - 0.5 * float(h @ expit(la + t))
+
+    t = brentq(root, math.log(min(0.5 * half, 0.25 * h[0] / (x + 4.0 * lam))),
+               math.log(half - 0.25 / float(h @ w)), xtol=1e-300, rtol=8.9e-16)
+    d = math.exp(t)
     s0, mu, one = d - half, min(d, half - d), 2.0 * w * d + gap
     b = 2.0 * mu * w / one
     log_scale = (x * s0 - math.log(-s0) - 0.5 * float(h @ np.log(one))

@@ -120,6 +120,14 @@ def discrete_log_masses(nu: float, K: int) -> np.ndarray:
     return -np.arange(K + 1, dtype=float) ** nu
 
 
+def discrete_log_amplitudes(nu: float, K: int) -> np.ndarray:
+    """Log amplitudes of the discrete-nu series, k = 0..K, the one place
+    they are formed: 0 for the constant term, (log 2 - k^nu) / 2 per pair."""
+    log_amp = 0.5 * (math.log(2.0) + discrete_log_masses(nu, K))
+    log_amp[0] = 0.0
+    return log_amp
+
+
 def _tail_log_masses(nu: float, K: int) -> np.ndarray:
     """Log masses of the atoms past K down to _ATOM_TOL times the first."""
     discrete_log_masses(nu, K)  # refuses a bad nu or K

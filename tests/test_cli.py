@@ -408,14 +408,40 @@ BAD_INPUT = {
     "tsirelson-window-past-2-to-32": (["tsirelson", "--spectrum", "discrete",
                                        "--nu", "0.2", "--r", "1e-100"],
                                       "l window of about 10^12.0 candidates"),
+    "problem5-alpha-inf": (["problem5", "--alpha", "inf", "--r", "0.1"],
+                           "alpha must exceed 1 and be finite"),
+    "kl-translate-lam-nan": (["kl-translate", "--input", "phi.csv", "--lam",
+                              "nan"], "lambda must be finite and positive"),
+    "kl-translate-lam-inf": (["kl-translate", "--input", "phi.csv", "--lam",
+                              "inf"], "lambda must be finite and positive"),
+    "fit-beta-fixed-nan": (["fit", "--input", "phi.csv", "--beta", "fixed:nan"],
+                           "fixed beta must be finite"),
+    "fit-beta-fixed-inf": (["fit", "--input", "phi.csv", "--beta", "fixed:inf"],
+                           "fixed beta must be finite"),
+    "simulate-t-max-inf": (["simulate", "--spectrum", "continuous", "--nu", "1",
+                            "--n-points", "8", "--t-max", "inf"],
+                           "finite t_min < t_max with a finite span"),
+    "simulate-discrete-phases-past-float": (["simulate", "--spectrum",
+                                             "discrete", "--nu", "1", "--K",
+                                             "4", "--n-points", "8",
+                                             "--t-max", "1e308"],
+                                            "past the float range"),
+    "simulate-continuous-phases-past-float": (["simulate", "--spectrum",
+                                               "continuous", "--nu", "1",
+                                               "--n-points", "8",
+                                               "--t-max", "1e308"],
+                                              "past the float range"),
 }
 
 
 @pytest.mark.parametrize("argv, message", BAD_INPUT.values(),
                          ids=BAD_INPUT.keys())
-def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, argv, message):
+def test_bad_input_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                               argv, message):
     # each of these used to exit 0 with a number or NaN, exit 1 with a
     # misleading message, end in a traceback, or (the window) run for hours
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "phi.csv").write_text("r,phi\n1e-15,357.8\n1e-9,128.8\n1e-6,57.2\n")
     assert run(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from smalldev import pathgen, spectra
-from smalldev.errors import PreconditionError
+from smalldev.errors import CapacityError, PreconditionError
 from smalldev.pathgen import GridSpec, PathSample, PeriodicGenConfig
 
 
@@ -16,8 +16,30 @@ def test_grid_validation():
         GridSpec(t_min=0.5, t_max=0.5, n_points=2)
     with pytest.raises(PreconditionError):
         GridSpec(n_points=1)
+    # non-finite bounds, or finite bounds whose span overflows
+    for t_min, t_max in [(0.0, math.inf), (0.0, math.nan), (-math.inf, 0.0),
+                         (math.nan, 1.0), (-1e308, 1e308)]:
+        with pytest.raises(PreconditionError, match="finite span"):
+            GridSpec(t_min, t_max, 8)
     g = GridSpec(0.0, 1.0, 11)
     assert g.spacing == pytest.approx(0.1)
+
+
+def test_phases_past_float_range_are_refused():
+    # the largest frequency times the largest |t| overflows: cos and sin of
+    # the phases would be NaN
+    grid = GridSpec(0.0, 1e308, 8)
+    cfg = PeriodicGenConfig(nu=1.0, K=4, tail_tol=math.inf)
+    with pytest.raises(CapacityError, match="past the float range"):
+        pathgen.gen_periodic(cfg, grid, seed=1)
+    with pytest.raises(CapacityError, match="past the float range"):
+        pathgen.gen_continuous(spectra.continuous_nu(1.0), grid, seed=1)
+    with pytest.raises(CapacityError, match="past the float range"):
+        pathgen.series_values(cfg.amplitudes(), np.array([0.0, -1e308]), 1, 1)
+    # K = 0 has only the constant term, whose phase is 0 at every t
+    vals = pathgen.gen_periodic(PeriodicGenConfig(1.0, 0, tail_tol=math.inf),
+                                grid, seed=1).values
+    assert np.all(vals == vals[0])
 
 
 def test_periodic_config_tail():

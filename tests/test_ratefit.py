@@ -56,6 +56,10 @@ def test_fit_refusals():
         ratefit.fit([(0.5, 1.0), (1e-5, 3.0), (1e-12, 9.0)])
     with pytest.raises(PreconditionError):
         ratefit.fit([])
+    pts = [(1e-5, 3.0), (1e-10, 9.0), (1e-20, 25.0)]
+    for beta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match="beta must be finite"):
+            ratefit.fit(pts, beta_mode=("fixed", beta))
 
 
 def test_tsirelson_slope():
@@ -93,5 +97,7 @@ def test_open_problem_validation():
         ratefit.open_problem_curves(2.0, [1.5])
     with pytest.raises(PreconditionError):
         ratefit.open_problem_curves(math.nan, [0.5])
+    with pytest.raises(PreconditionError):
+        ratefit.open_problem_curves(math.inf, [0.5])
     with pytest.raises(PreconditionError):
         ratefit.open_problem_curves(2.0, [math.nan])

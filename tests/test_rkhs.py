@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from smalldev import rkhs, smallball, spectra
+from smalldev import pathgen, rkhs, smallball, spectra
 from smalldev.curves import BoundCurve
 from smalldev.errors import CapacityError, CertificateError, PreconditionError
 from smalldev.rkhs import CoefficientEllipsoid, TruncationBoundInput
@@ -150,16 +151,58 @@ def test_membership_with_overflowing_weights():
 
 
 def test_semi_axes_past_mass_underflow():
-    # exp(-k^2) underflows to 0 from k = 28 on; the semi-axes stay normal
+    # exp(-k^2) underflows to 0 from k = 28 on; the semi-axes stay normal there
     ell = CoefficientEllipsoid(2.0, 28)
     axes = ell.semi_axes()
     assert axes[0] == 1.0 and len(axes) == 57
     assert axes[-1] == pytest.approx(math.sqrt(2.0) * math.exp(-392.0), rel=1e-13)
     assert math.isfinite(rkhs.entropy_lower(ell, 0.1))
+    # past k^nu of about 1,490 the semi-axes themselves underflow (k >= 12
+    # at nu = 3); the bound reads their logs, so no log(0) is taken
+    ell = CoefficientEllipsoid(3.0, 40)
+    assert ell.semi_axes()[-1] == 0.0 and math.isfinite(ell.log_semi_axes()[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rkhs.entropy_lower(ell, 0.1) > 0.0
     with pytest.raises(PreconditionError):
         CoefficientEllipsoid(math.nan, 4)
     with pytest.raises(PreconditionError):
         rkhs.entropy_lower(CoefficientEllipsoid(1.0, 4), math.nan)
+
+
+def _entropy_lower_by_dimension(ell, eps):
+    # the volumetric bound one leading dimension d at a time, each sum of
+    # log semi-axes formed afresh
+    log_axes = ell.log_semi_axes()
+    best = 0.0
+    for d in range(1, len(log_axes) + 1):
+        log_vol_e = (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0) \
+            + math.fsum(log_axes[:d])
+        log_vol_b = math.log(2.0 * eps) + (d - 1) * math.log(4.0 * eps)
+        best = max(best, log_vol_e - log_vol_b)
+    return best
+
+
+def test_entropy_lower_matches_per_dimension_loop():
+    for nu in (0.5, 1.0, 1.5, 2.0, 3.0):
+        for K in range(41):
+            ell = CoefficientEllipsoid(nu, K)
+            for eps in np.geomspace(1e-5, 1.5, 12):
+                ref = _entropy_lower_by_dimension(ell, eps)
+                assert rkhs.entropy_lower(ell, eps) == pytest.approx(
+                    ref, rel=1e-12, abs=0.0), (nu, K, eps)
+
+
+def test_semi_axes_are_the_nonincreasing_series_amplitudes():
+    # one amplitude map serves the path generator and the unit ball
+    for nu in (0.5, 1.0, 2.0, 3.0):
+        for K in (0, 1, 2, 8, 40):
+            ell = CoefficientEllipsoid(nu, K)
+            log_axes = ell.log_semi_axes()
+            assert len(log_axes) == 2 * K + 1 and log_axes[0] == 0.0
+            assert np.all(np.diff(log_axes) <= 0.0), (nu, K)
+            amps = pathgen.PeriodicGenConfig(nu, K, tail_tol=math.inf).amplitudes()
+            assert np.repeat(amps, 2)[1:].tobytes() == ell.semi_axes().tobytes()
 
 
 def test_entropy_capacity_error():
@@ -182,6 +225,11 @@ def test_kl_phi_to_H():
     a = rkhs.kl_phi_to_H(curve, lam=2.0).upper[0]
     b = rkhs.kl_phi_to_H(curve, lam=4.0).upper[0]
     assert b - a == pytest.approx((16.0 - 4.0) / 2.0)
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            rkhs.kl_phi_to_H(curve, lam=lam)
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            rkhs.kl_entropy_lower(8.0, 32.0, lam)
 
 
 def test_alpha_r():

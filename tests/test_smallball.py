@@ -253,6 +253,33 @@ def test_log_p_near_one_against_mpmath(K, r):
                                       rel=1e-13, abs=0.0)
 
 
+def _log_q_one_pair(x):
+    # 50-digit log P(Z_0^2 + e^-1 (Z_1^2 + Z_2^2) > x): the pair's part is
+    # exponential with mean 2/e, so Q = erfc(sqrt(x/2))
+    # + exp(-e x / 2) erfi(sqrt(c x)) / sqrt(2 c), c = (e - 1) / 2
+    with mpmath.workdps(50):
+        x, c = mpmath.mpf(x), (mpmath.e - 1) / 2
+        q = mpmath.erfc(mpmath.sqrt(x / 2)) + mpmath.exp(-mpmath.e * x / 2) \
+            * mpmath.erfi(mpmath.sqrt(c * x)) / mpmath.sqrt(2 * c)
+        return float(mpmath.log(q))
+
+
+@pytest.mark.parametrize("r", [1e15, 1e100, 1.3e154])
+def test_complement_saddle_at_large_radii(r):
+    # the saddle of Q = 1 - p approaches the branch point -1/2 like 1/r^2;
+    # its root search ran out of iterations from r of about 1e14, and its
+    # root function overflowed near r = 1.3e154, where r^2 is still finite
+    spec = WeightedChiSquareSpec.periodic(1.0, 1)
+    w, h = np.asarray(spec.weights), np.asarray(spec.mults, float)
+    par = smallball._complement_parabola(w, h, r * r)
+    assert -0.5 <= par.s0 < 0.0  # d = s0 + 1/2 is below half an ulp of 1/2
+    assert smallball._invert(par)[0] == pytest.approx(_log_q_one_pair(r * r),
+                                                      rel=1e-13, abs=0.0)
+    for nu, K in [(0.5, 1), (1.0, 2), (1.0, 40), (2.0, 2), (2.0, 27)]:
+        inv = smallball._log_exact_l2(WeightedChiSquareSpec.periodic(nu, K), r)
+        assert inv.method == "parabola-complement" and inv.log_p == 0.0
+
+
 def test_single_chi_square_near_one():
     # the erf line switches to log1p(-erfc) past p = 1/2
     spec = WeightedChiSquareSpec.periodic(1.0, 0)

@@ -73,6 +73,17 @@ def test_discrete_atoms_and_tail():
             spectra.discrete_log_masses(nu, K)
         with pytest.raises(PreconditionError):
             spectra.discrete_tail(nu, K)
+    # the series amplitudes 1 and sqrt(2) exp(-k^nu / 2), in logs
+    for nu, K in [(0.5, 0), (1.0, 6), (2.0, 40), (3.0, 40)]:
+        log_amp = spectra.discrete_log_amplitudes(nu, K)
+        assert len(log_amp) == K + 1 and log_amp[0] == 0.0
+        with mpmath.workdps(30):
+            ref = [float(mpmath.log(2) / 2 - mpmath.mpf(k) ** nu / 2)
+                   for k in range(1, K + 1)]
+        assert log_amp[1:] == pytest.approx(ref, rel=1e-15, abs=0.0)
+    for nu, K in [(math.nan, 2), (0.0, 2), (math.inf, 2), (1.0, -1)]:
+        with pytest.raises(PreconditionError):
+            spectra.discrete_log_amplitudes(nu, K)
     # 2.1e16 atoms would be summed: refused before any is formed
     with pytest.raises(CapacityError):
         spectra.total_mass(spectra.discrete_nu(0.1))
