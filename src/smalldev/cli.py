@@ -35,17 +35,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+def _csv(header: list[str], rows: list[list]) -> str:
+    return "".join(",".join(_fmt(v) for v in line) + "\n" for line in [header, *rows])
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def float_list(text: str) -> list[float]:
@@ -81,9 +76,10 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
 
 
 # ---------------------------------------------------------------- commands
+# each returns the name and the text of its result file, which `main` writes
 
 
-def cmd_simulate(p: dict, outdir: str) -> None:
+def cmd_simulate(p: dict) -> tuple[str, str]:
     grid = pathgen.GridSpec(0.0, p["t_max"], p["n_points"])
     if p["spectrum"] == "discrete":
         cfg = pathgen.PeriodicGenConfig(p["nu"], p["K"], tail_tol=math.inf)
@@ -92,10 +88,10 @@ def cmd_simulate(p: dict, outdir: str) -> None:
         model = spectra.continuous_nu(p["nu"])
         path = pathgen.gen_continuous(model, grid, p["seed"], p["path_index"])
     rows = [[t, x] for t, x in zip(grid.times(), path.values)]
-    _write_csv(os.path.join(outdir, "path.csv"), ["t", "x"], rows)
+    return "path.csv", _csv(["t", "x"], rows)
 
 
-def cmd_smallball(p: dict, outdir: str) -> None:
+def cmd_smallball(p: dict) -> tuple[str, str]:
     grid = pathgen.GridSpec(0.0, 1.0, p["grid"])
     cfg = pathgen.PeriodicGenConfig(p["nu"], p["K"], tail_tol=math.inf)
     ests = smallball.estimate(cfg, grid, p["norm"], p["r"], p["n"], p["seed"])
@@ -104,17 +100,17 @@ def cmd_smallball(p: dict, outdir: str) -> None:
     rows = [[e.r, e.norm, e.n_samples, e.hits, e.p_hat, e.ci_low, e.ci_high,
              e.phi_hat, e.phi_lo, e.phi_hi, e.grid_points, e.seed]
             for e in ests]
-    _write_csv(os.path.join(outdir, "smallball.csv"), header, rows)
+    return "smallball.csv", _csv(header, rows)
 
 
-def cmd_l2_exact(p: dict, outdir: str) -> None:
+def cmd_l2_exact(p: dict) -> tuple[str, str]:
     spec = smallball.WeightedChiSquareSpec.periodic(p["nu"], p["K"])
     logs = [smallball.log_exact_l2(spec, r) for r in p["r"]]
     rows = [[r, math.exp(lp), -lp] for r, lp in zip(p["r"], logs)]
-    _write_csv(os.path.join(outdir, "l2_exact.csv"), ["r", "p", "phi"], rows)
+    return "l2_exact.csv", _csv(["r", "p", "phi"], rows)
 
 
-def cmd_tsirelson(p: dict, outdir: str) -> None:
+def cmd_tsirelson(p: dict) -> tuple[str, str]:
     header = ["nu", "spectrum", "convention", "variant", "r", "l_used",
               "sigma2", "phi_lower", "valid"]
     rows = []
@@ -129,17 +125,16 @@ def cmd_tsirelson(p: dict, outdir: str) -> None:
         rows.append([p["nu"], res.spectrum, res.convention, res.variant,
                      res.r, res.l_used, res.sigma2, res.phi_lower,
                      res.valid])
-    _write_csv(os.path.join(outdir, "tsirelson.csv"), header, rows)
+    return "tsirelson.csv", _csv(header, rows)
 
 
-def cmd_entropy(p: dict, outdir: str) -> None:
+def cmd_entropy(p: dict) -> tuple[str, str]:
     ell = rkhs.CoefficientEllipsoid(p["nu"], p["K"])
     brackets = [rkhs.entropy_bracket(ell, eps) for eps in p["eps"]]
     rows = [[b.epsilon, b.H_lower, b.H_upper, b.lower_method, b.upper_method]
             for b in brackets]
-    _write_csv(os.path.join(outdir, "entropy.csv"),
-               ["epsilon", "lower", "upper", "lower_method", "upper_method"],
-               rows)
+    return "entropy.csv", _csv(
+        ["epsilon", "lower", "upper", "lower_method", "upper_method"], rows)
 
 
 def _input_curve(path: str) -> BoundCurve:
@@ -149,19 +144,18 @@ def _input_curve(path: str) -> BoundCurve:
                       upper=np.array([y for _, y in pts]), label="input")
 
 
-def _write_H_upper(path: str, curve: BoundCurve) -> None:
-    _write_csv(path, ["epsilon", "H_upper"],
-               [[x, u] for x, u in zip(curve.x, curve.upper)])
+def _H_upper_csv(curve: BoundCurve) -> str:
+    return _csv(["epsilon", "H_upper"], [[x, u] for x, u in zip(curve.x, curve.upper)])
 
 
-def cmd_kl_translate(p: dict, outdir: str) -> None:
-    _write_H_upper(os.path.join(outdir, "kl_translate.csv"),
-                   rkhs.kl_phi_to_H(_input_curve(p["input"]), p["lam"]))
+def cmd_kl_translate(p: dict) -> tuple[str, str]:
+    curve = rkhs.kl_phi_to_H(_input_curve(p["input"]), p["lam"])
+    return "kl_translate.csv", _H_upper_csv(curve)
 
 
-def cmd_g_certify(p: dict, outdir: str) -> None:
+def cmd_g_certify(p: dict) -> tuple[str, str]:
     cert = gfunc.g_certify(gfunc.GFunctionSpec(p["gamma"]), t_max=p["t_max"])
-    _write_json(os.path.join(outdir, "g_certify.json"), {
+    return "g_certify.json", _json({
         "gamma": p["gamma"], "c": cert.spec.c, "theta_G": cert.theta_G,
         "bounded_by_one": cert.bounded_by_one, "C_G": cert.C_G,
         "decay_exponent": cert.decay_exponent,
@@ -169,27 +163,26 @@ def cmd_g_certify(p: dict, outdir: str) -> None:
     })
 
 
-def cmd_scaling(p: dict, outdir: str) -> None:
-    _write_H_upper(os.path.join(outdir, "scaling.csv"),
-                   rkhs.scaling_patch(_input_curve(p["input"]), p["c"]))
+def cmd_scaling(p: dict) -> tuple[str, str]:
+    curve = rkhs.scaling_patch(_input_curve(p["input"]), p["c"])
+    return "scaling.csv", _H_upper_csv(curve)
 
 
-def cmd_fit(p: dict, outdir: str) -> None:
+def cmd_fit(p: dict) -> tuple[str, str]:
     pts = _read_xy_csv(p["input"])
     mode = "free" if p["beta"] == "free" else ("fixed", float(p["beta"].split(":")[1]))
     res = ratefit.fit(pts, beta_mode=mode)
-    _write_json(os.path.join(outdir, "fit.json"), {
+    return "fit.json", _json({
         "A": res.A, "gamma": res.gamma, "beta": res.beta, "rss": res.rss,
         "n_points": res.n_points, "r_min": res.r_min, "r_max": res.r_max,
         "mode": res.mode, "refused": res.refused, "reason": res.reason,
     })
 
 
-def cmd_problem5(p: dict, outdir: str) -> None:
+def cmd_problem5(p: dict) -> tuple[str, str]:
     low, up = ratefit.open_problem_curves(p["alpha"], p["r"])
     rows = [[r, lo, hi] for r, lo, hi in zip(low.x, low.lower, up.upper)]
-    _write_csv(os.path.join(outdir, "problem5.csv"),
-               ["r", "phi_lower", "phi_upper"], rows)
+    return "problem5.csv", _csv(["r", "phi_lower", "phi_upper"], rows)
 
 
 #: the --config flag alone: read before the full parse, which needs the
@@ -305,7 +298,7 @@ def _with_config(argv: list[str]) -> list[str]:
     return argv[:1] + _flags(config) + argv[1:]
 
 
-def _load(argv: list[str]) -> tuple[str, Callable[[dict, str], None], dict]:
+def _load(argv: list[str]) -> tuple[str, Callable[[dict], tuple[str, str]], dict]:
     """The parsed run, from flags or from a manifest, both parsed by the
     command's subparser: its `command`, its `run` function and its params.
 
@@ -350,15 +343,17 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    outdir = params["out"]
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(params["out"], exist_ok=True)
     try:
-        run(params, outdir)
+        result = run(params)
     except SmallDevError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_json(os.path.join(outdir, "manifest.json"),
-                {"command": command, "params": params, "version": __version__})
+    manifest = "manifest.json", _json({"command": command, "params": params,
+                                       "version": __version__})
+    for name, text in (result, manifest):
+        with open(os.path.join(params["out"], name), "w") as f:
+            f.write(text)
     return 0
 
 

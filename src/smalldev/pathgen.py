@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfinv, gammainc, gammaincinv
 
 from . import spectra
 from .errors import CapacityError, PreconditionError
@@ -154,7 +153,7 @@ def _cos_sin_rows(phase: np.ndarray, first_sin: int) -> np.ndarray:
     return basis
 
 
-def _check_phase_range(top: float, times: np.ndarray, scale: float = 1.0) -> None:
+def check_phase_range(top: float, times: np.ndarray, scale: float = 1.0) -> None:
     """Refuse phases scale * u * t past the float range, whose cos and sin
     are NaN, from one product: the largest frequency `top` times max |t|."""
     t_abs = float(np.max(np.abs(times), initial=0.0))
@@ -166,7 +165,7 @@ def _check_phase_range(top: float, times: np.ndarray, scale: float = 1.0) -> Non
 def _fourier_basis(amps: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Rows amp_k cos 2 pi k t for k = 0..K, then amp_k sin 2 pi k t for
     k = 1..K: the order of the normals xi_0..xi_K, eta_1..eta_K."""
-    _check_phase_range(len(amps) - 1, times, 2.0 * np.pi)
+    check_phase_range(len(amps) - 1, times, 2.0 * np.pi)
     phase = 2.0 * np.pi * np.outer(np.arange(len(amps)), times)
     return _cos_sin_rows(phase, 1) * np.concatenate([amps, amps[1:]])[:, None]
 
@@ -188,39 +187,14 @@ def gen_periodic(cfg: PeriodicGenConfig, grid: GridSpec, seed: int,
 
 @functools.lru_cache(maxsize=32)
 def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float]:
-    """Midpoint-quantile frequencies of N_STRATA equal-measure strata of the
-    positive half of the spectral measure, plus the mass of one stratum,
-    which is `spectra.total_mass` shared out.
+    """Midpoint-quantile frequencies (`spectra.quantile`) of N_STRATA
+    equal-measure strata of the positive half of the spectral measure, plus
+    the mass of one stratum, which is `spectra.total_mass` shared out.
 
     Cached per model; the frequencies are read-only, as every caller shares
     them."""
     mass = spectra.total_mass(model)  # refuses a mass past the float range first
-    p = (np.arange(N_STRATA) + 0.5) / N_STRATA
-    kind, nu = model.kind, model.nu
-    if kind == spectra.BANDLIMITED:
-        u = p * model.cutoff
-    elif kind == spectra.CONTINUOUS_NU and nu == 1.0:
-        u = -np.log1p(-p)
-    elif kind == spectra.CONTINUOUS_NU and nu == 2.0:
-        u = erfinv(p)
-    elif kind in (spectra.CONTINUOUS_NU, spectra.TRUNCATED_CONTINUOUS_NU):
-        # int_0^u exp(-x^nu) dx is proportional to gammainc(1/nu, u^nu)
-        c = model.cutoff
-        P = 1.0 if c is None else gammainc(1.0 / nu, spectra._power(c, nu))
-        g = gammaincinv(1.0 / nu, p * P)
-        if math.log(g[-1]) / nu >= spectra._LOG_MAX:  # below nu of about 0.0074
-            raise CapacityError(f"{kind} strata at nu {nu} are past the float range")
-        u = g ** (1.0 / nu)
-    else:
-        # log-power family: inverse CDF tabulated uniformly on [0, 1] and
-        # geometrically from 1 to U, as the density varies on the log scale
-        U = spectra._quad_upper_limit(model)
-        ug = np.concatenate([np.linspace(0.0, 1.0, 1000, endpoint=False),
-                             np.geomspace(1.0, U, 200000)])
-        dens = spectra.density(model, ug)
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0
-                                               * np.diff(ug))])
-        u = np.interp(p * cdf[-1], cdf, ug)
+    u = spectra.quantile(model, (np.arange(N_STRATA) + 0.5) / N_STRATA)
     u.flags.writeable = False
     return u, mass / (2 * N_STRATA)
 
@@ -235,7 +209,7 @@ def continuous_values(model: spectra.SpectralModel, times: np.ndarray,
     negligible at N_STRATA strata.
     """
     u, m = _strata_frequencies(model)
-    _check_phase_range(u[-1], times)
+    check_phase_range(u[-1], times)
     vals = _rows(_cos_sin_rows(np.outer(u, times), 0), seed, n_paths, offset,
                  QUAD_BLOCK)
     vals *= math.sqrt(2.0 * m)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtri_exp
 
-from . import spectra
+from . import pathgen, spectra
 from .curves import BoundCurve
 from .errors import CapacityError, CertificateError, PreconditionError
 
@@ -81,6 +81,7 @@ def ellipsoid_member_to_function(ell: CoefficientEllipsoid, c: np.ndarray,
     """h(t) = sum_k c_k exp(-2 pi i k t); real part for symmetric c."""
     if not ell.membership(c) <= 1.0 + 1e-12:  # NaN is outside too
         raise PreconditionError("coefficients lie outside the unit ball")
+    pathgen.check_phase_range(ell.K, t_grid, 2.0 * np.pi)
     k = np.arange(-ell.K, ell.K + 1)
     phases = np.exp(-2j * np.pi * np.outer(k, np.asarray(t_grid)))
     vals = np.asarray(c) @ phases
@@ -237,12 +238,14 @@ def entropy_bracket(ell: CoefficientEllipsoid, epsilon: float) -> EntropyBracket
 
 
 def kl_phi_to_H(phi_curve: BoundCurve, lam: float = 2.0) -> BoundCurve:
-    """Entropy upper bound H(2r/lam) <= phi(r) + lam^2 / 2."""
+    """Entropy upper bound H(2r/lam) <= phi(r) + lam^2 / 2, from the upper
+    side of a phi curve; a curve without one is refused."""
     if not 0 < lam < math.inf:
         raise PreconditionError("lambda must be finite and positive")
-    phi = phi_curve.upper if phi_curve.upper is not None else phi_curve.lower
+    if phi_curve.upper is None:
+        raise PreconditionError("an entropy upper bound needs an upper bound on phi")
     x = 2.0 * np.asarray(phi_curve.x) / lam
-    upper = np.asarray(phi) + lam * lam / 2.0
+    upper = np.asarray(phi_curve.upper) + lam * lam / 2.0
     return BoundCurve(x=x, lower=None, upper=upper,
                       label="entropy-from-smallball",
                       extra={"lambda": lam, "source": phi_curve.label})
@@ -335,12 +338,14 @@ def truncation_entropy_upper(inp: TruncationBoundInput) -> TruncationBoundResult
 
 def scaling_patch(H_curve: BoundCurve, c: float) -> BoundCurve:
     """Time-rescaling patch: H of the horizon-1/c ball at 2 eps is at most
-    ceil(1/c) times H(eps)."""
+    ceil(1/c) times H(eps), from the upper side of an H curve; a curve
+    without one is refused."""
     if not 0 < c <= 1:
         raise PreconditionError("c must be in (0, 1]")
+    if H_curve.upper is None:
+        raise PreconditionError("the scaling patch needs an upper bound on H")
     n = math.ceil(1.0 / c)
-    upper = H_curve.upper if H_curve.upper is not None else H_curve.lower
     return BoundCurve(x=2.0 * np.asarray(H_curve.x), lower=None,
-                      upper=n * np.asarray(upper), label="scaling-patch",
+                      upper=n * np.asarray(H_curve.upper), label="scaling-patch",
                       extra={"c": c, "n": n, "source": H_curve.label})
 

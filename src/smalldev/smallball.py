@@ -109,7 +109,9 @@ class WeightedChiSquareSpec:
 
     weights[j] with multiplicity mults[j]; the periodic-process L2 norm
     squared has lambda_0 = 1 (multiplicity 1) and the atom masses
-    lambda_k = exp(-k^nu) with multiplicity 2 for k = 1..K.
+    lambda_k = exp(-k^nu) with multiplicity 2 for k = 1..K, less the atoms
+    whose mass underflows to 0 (below 5e-324, so no float formed from them
+    changes).
     """
 
     weights: tuple
@@ -127,7 +129,8 @@ class WeightedChiSquareSpec:
     @classmethod
     def periodic(cls, nu: float, K: int) -> "WeightedChiSquareSpec":
         w = np.exp(spectra.discrete_log_masses(nu, K))
-        return cls(tuple(w.tolist()), (1,) + (2,) * K)
+        w = w[w > 0]  # the masses decrease, so this keeps k = 0..len(w) - 1
+        return cls(tuple(w.tolist()), (1,) + (2,) * (len(w) - 1))
 
 
 def _parabola(w: np.ndarray, h: np.ndarray, x: float) -> _Parabola:

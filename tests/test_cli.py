@@ -137,6 +137,15 @@ def test_l2_exact_subnormal_r_squared_exits_1(tmp_path, capsys, K):
     assert err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("nu, K", [("2", "28"), ("2", "40"), ("1", "746")])
+def test_l2_exact_past_underflowing_atoms(tmp_path, nu, K):
+    # an atom mass of 0 used to end in "weights must be positive"
+    out = tmp_path / "l2"
+    assert run(["l2-exact", "--nu", nu, "--K", K, "--r", "0.5,3",
+                "--out", str(out)]) == 0
+    assert len(read(out / "l2_exact.csv").splitlines()) == 3
+
+
 def test_manifest_with_format_reruns_identically(tmp_path):
     # manifests written while --format existed still carry it
     out1 = tmp_path / "a"

@@ -1,0 +1,73 @@
+"""Checks on how the package is put together, read from its source text."""
+
+import ast
+import importlib
+import pathlib
+import re
+
+import smalldev
+
+SRC = pathlib.Path(smalldev.__file__).parent
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+LAYERS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def sibling_private_names(source: str) -> list[str]:
+    """`module.name` for every single-underscore name of a sibling module
+    that `source` reads as an attribute or imports."""
+    tree = ast.parse(source)
+    siblings = {}  # local name -> sibling module
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.startswith("smalldev"):
+            module = module.removeprefix("smalldev").lstrip(".")
+        elif node.level != 1:
+            continue
+        for alias in node.names:
+            if not module:  # from . import spectra
+                siblings[alias.asname or alias.name] = alias.name
+                if _private(alias.name):
+                    found.append(alias.name)
+            elif _private(alias.name):  # from .spectra import _power
+                found.append(f"{module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and _private(node.attr)):
+            found.append(f"{siblings[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_a_sibling_private_name():
+    found = {m: sibling_private_names((SRC / f"{m}.py").read_text())
+             for m in MODULES}
+    assert {m: names for m, names in found.items() if names} == {}
+
+
+def test_sibling_private_name_check_sees_each_form():
+    source = ("from . import spectra as sp, gfunc\n"
+              "from .errors import _hidden, PreconditionError\n"
+              "from smalldev.pathgen import _rows\n"
+              "from . import __version__\n"
+              "x = sp._power(1.0, 2.0) + gfunc.log_abs_g + sp.__name__\n"
+              "def f(spectra):\n    return spectra._local\n")
+    assert sorted(sibling_private_names(source)) == [
+        "errors._hidden", "pathgen._rows", "spectra._power"]
+
+
+def test_bench_trace_targets_exist():
+    # every function that the benchmark's tracer wraps or counts exists on
+    # its module, so a rename cannot silently break a traced run
+    targets = re.findall(r't\.(?:span|count)\(\s*sd\.(\w+),\s*"(\w+)"',
+                         LAYERS.read_text())
+    assert len(targets) >= 10
+    missing = [f"{module}.{name}" for module, name in targets
+               if not callable(getattr(importlib.import_module(f"smalldev.{module}"),
+                                       name, None))]
+    assert missing == []

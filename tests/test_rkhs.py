@@ -333,3 +333,28 @@ def test_kl_cross_consistency_with_exact_l2():
         phi = -smallball.log_exact_l2(spec, r)
         H_low = rkhs.entropy_lower(ell, r)
         assert H_low <= phi + 2.0 + 1e-9
+
+
+def test_translators_refuse_a_curve_without_an_upper_side():
+    # both inequalities need an upper bound; a lower curve used to be taken
+    # in its place and still labelled an upper bound
+    from smalldev import ratefit
+    low = ratefit.open_problem_curves(2.0, [0.1, 0.01])[0]
+    with pytest.raises(PreconditionError, match="upper bound on phi"):
+        rkhs.kl_phi_to_H(low)
+    H = BoundCurve(x=np.array([0.1]), lower=np.array([3.0]), upper=None, label="H")
+    with pytest.raises(PreconditionError, match="upper bound on H"):
+        rkhs.scaling_patch(H, 0.5)
+
+
+def test_member_to_function_phases_past_float_range():
+    # t = 1e308 gave NaN with RuntimeWarnings; the pathgen phase check refuses it
+    ell = CoefficientEllipsoid(1.0, 2)
+    c = np.zeros(5, complex)
+    c[2] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CapacityError, match="past the float range"):
+            rkhs.ellipsoid_member_to_function(ell, c, [0.0, 1e308])
+        assert np.array_equal(rkhs.ellipsoid_member_to_function(ell, c, [0.0, 0.5]),
+                              [1.0, 1.0])

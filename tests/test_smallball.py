@@ -390,3 +390,14 @@ def test_spec_validation():
     for nu, K in [(math.nan, 3), (0.0, 3), (1.0, -3)]:
         with pytest.raises(PreconditionError):
             WeightedChiSquareSpec.periodic(nu, K)
+
+
+@pytest.mark.parametrize("nu, K, ref_K", [(2.0, 28, 27), (2.0, 40, 27), (1.0, 746, 745)])
+def test_periodic_spec_drops_atoms_that_underflow(nu, K, ref_K):
+    # exp(-k^nu) is 0 past ref_K: such a weight used to be refused, so
+    # l2-exact exited 1 at K values that simulate and smallball accept
+    spec = WeightedChiSquareSpec.periodic(nu, K)
+    ref = WeightedChiSquareSpec.periodic(nu, ref_K)
+    assert spec == ref and spec.weights[-1] > 0.0
+    for r in (3.0, 0.5, 0.1, 1e-3):
+        assert smallball.log_exact_l2(spec, r) == smallball.log_exact_l2(ref, r)
