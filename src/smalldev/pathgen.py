@@ -2,9 +2,13 @@
 
 Every process is one trigonometric series, sampled by one kernel: the
 normals of a counter block times a cos/sin basis built once per call.
-Atomic spectra are exact finite Fourier series; continuous spectra use
-stratified spectral quadrature with one cos/sin pair per equal-mass stratum.
-No minorant is defined here: `tsirelson` gives the inputs of its paths.
+Atomic spectra are exact finite Fourier series.  Continuous spectra use the
+`spectral_rule` of the span of their times: composite Gauss-Legendre
+quadrature of the density, whose covariance is within a stated `cov_error`
+(about 4 COV_TOL) of the model's at every lag of the span, wherever it needs
+fewer cos/sin pairs than the N_STRATA equal-mass strata, which serve
+elsewhere.  No minorant is defined here: `tsirelson` gives the inputs of its
+paths.
 
 `gen_continuous` reads its path from the whole QUAD_BLOCK-path counter
 block, which a small bounded cache keeps read-only per (model, grid, seed,
@@ -37,11 +41,34 @@ from .errors import CapacityError, PreconditionError
 #: paths per counter block; fixed so batches are partition-independent
 BLOCK = 512
 
-#: paths per counter block of spectral quadrature (2 * N_STRATA normals each)
+#: paths per counter block of spectral quadrature (2 normals per pair each)
 QUAD_BLOCK = 8
 
-#: strata for spectral quadrature
+#: strata of the equal-mass rule; the Gauss-Legendre rule serves where it
+#: needs fewer pairs
 N_STRATA = 4096
+
+#: one-sided spectral mass that the Gauss-Legendre rule may leave out
+COV_TOL = 1e-10
+
+#: Gauss-Legendre points per panel, and their nodes and weights on [-1, 1]
+GL_POINTS = 20
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_POINTS)
+
+#: largest phase u t that one panel spans over the times' range
+PANEL_PHASE = 3.0 * math.pi
+
+#: geometric panels that replace the first one where the density has a
+#: branch point at 0, and the ratio of each one's ends
+GRADED_PANELS = 14
+GRADING = 0.2
+
+#: Bernstein ellipse radii tried per panel, and points sampled on each
+RHOS = np.array([1.5, 2.0, 2.5, 3.0, 5.0, 8.0])
+ELLIPSE_POINTS = 32
+
+GAUSS_LEGENDRE = "gauss-legendre"
+EQUAL_MASS_STRATA = "equal-mass-strata"
 
 #: grid points per screened point of the capped sup norm in `batch_norms`
 SCREEN_STRIDE = 32
@@ -199,21 +226,127 @@ def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float
     return u, mass / (2 * N_STRATA)
 
 
+@dataclass(frozen=True)
+class SpectralRule:
+    """Frequencies u_j and amplitudes amp_j = sqrt(2 w_j) of the series
+    X(t) = sum_j amp_j (xi_j cos u_j t + eta_j sin u_j t), whose covariance
+    is R_N(t) = sum_j amp_j^2 cos(u_j t) with R_N(0) the total mass.
+
+    `tail_mass` is the one-sided mass past the last panel, which the last
+    node carries; `cov_error` bounds |R_N(t) - R(t)| for |t| up to the span
+    the rule was made for, or is None where no bound is stated."""
+    name: str
+    u: np.ndarray
+    amp: np.ndarray
+    tail_mass: float
+    cov_error: float | None
+
+
+@functools.lru_cache(maxsize=32)
+def spectral_rule(model: spectra.SpectralModel, span: float) -> SpectralRule:
+    """The node rule of continuous paths whose times span `span`: composite
+    Gauss-Legendre where its pair count, known before any node is built, is
+    below N_STRATA, and otherwise the equal-mass strata, which serve small
+    nu on long spans and the log-power family.
+
+    Cached per (model, span) with read-only arrays, as every caller shares
+    them."""
+    mass = spectra.total_mass(model)  # refuses a mass past the float range first
+    top = spectra.tail_point(model, COV_TOL)
+    # exp(-u^nu) has a branch point at u = 0 for non-integer nu
+    graded = GRADED_PANELS - 1 if model.nu and not float(model.nu).is_integer() else 0
+    panels = math.inf if top is None else top * span / PANEL_PHASE
+    n = max(math.ceil(panels), 1) if panels < N_STRATA else N_STRATA  # NaN too
+    if GL_POINTS * (n + graded) < N_STRATA:
+        rule = _gauss_legendre(model, span, mass, top, n, graded)
+    else:
+        u, m = _strata_frequencies(model)
+        rule = SpectralRule(EQUAL_MASS_STRATA, u, np.full(N_STRATA, math.sqrt(2.0 * m)),
+                            0.0, None)
+    rule.amp.flags.writeable = False
+    return rule
+
+
+def _gauss_legendre(model: spectra.SpectralModel, span: float, mass: float,
+                    top: float, n: int, graded: int) -> SpectralRule:
+    """GL_POINTS Gauss-Legendre nodes on each of n equal panels of [0, top],
+    the first split into graded + 1 geometric panels towards a branch point
+    at 0, with weights the Gauss weights times `spectra.density`.  The last
+    node also takes the one-sided mass that the panels leave out.
+
+    With that mass m and a bound E on the panels' error for every lag up to
+    the span, |R_N(t) - R(t)| <= 4 |m| + 4 E, plus float rounding of at most
+    2 eps R(0) (pairs + top span) in the weights, the phases and the sum."""
+    edges = np.linspace(0.0, top, n + 1)
+    if graded:
+        edges = np.concatenate([[0.0], edges[1] * GRADING ** np.arange(graded, 0, -1),
+                                edges[1:]])
+    centre, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
+    u = (centre[:, None] + half[:, None] * _GL_X).ravel()
+    w = (half[:, None] * _GL_W).ravel() * spectra.density(model, u)
+    tail = float(mass / 2.0 - math.fsum(w))
+    w[-1] += tail
+    u.flags.writeable = False
+    bound = float(4.0 * abs(tail) + 4.0 * _panel_error(model, span, centre, half, graded)
+                  + 2.0 * np.finfo(float).eps * mass * (len(u) + top * span))
+    return SpectralRule(GAUSS_LEGENDRE, u, np.sqrt(2.0 * w), tail, bound)
+
+
+def _panel_error(model: spectra.SpectralModel, span: float, centre: np.ndarray,
+                 half: np.ndarray, graded: int) -> float:
+    """Summed bound on the panels' Gauss-Legendre error for f(u) cos(u t) at
+    every 0 <= t <= span.
+
+    A panel of half-width r within the Bernstein ellipse of radius rho,
+    where |f(z) cos(z t)| <= M, errs by at most (64/15) r M rho^(-2 GL_POINTS)
+    / (rho^2 - 1) (Trefethen, "Is Gauss quadrature better than
+    Clenshaw-Curtis?", 2008, Theorem 4.5).  M is the largest |f| over
+    ELLIPSE_POINTS points of the ellipse, so it is sampled rather than
+    proved, times cosh(span Im z) at the ellipse's top; each panel takes the
+    best of the radii RHOS and at most 4 r, as |f cos| <= 1 on the panel.
+    Past a branch point at 0 an ellipse must stay in Re z > 0, and the panel
+    [0, e] that touches it splits f into 1, bounded so, and f - 1, whose
+    |f - 1| <= u^nu adds 2 e^(1 + nu)."""
+    rho = RHOS[:, None]
+    ring = np.exp(2j * np.pi * np.arange(ELLIPSE_POINTS) / ELLIPSE_POINTS)
+    z = centre[:, None] + half[:, None] * (rho[..., None] * ring
+                                           + ring.conj() / rho[..., None]) / 2.0
+    log_f = np.max(spectra.log_abs_density(model, z), axis=2)  # (radius, panel)
+    if graded:
+        log_f[centre - half * (rho + 1.0 / rho) / 2.0 <= 0.0] = math.inf
+        log_f[:, 0] = 0.0
+    phase = span * half * (rho - 1.0 / rho) / 2.0  # span times the largest Im z
+    log_m = log_f + np.logaddexp(phase, -phase) - math.log(2.0)
+    log_e = log_m - 2.0 * GL_POINTS * np.log(rho) - np.log(rho * rho - 1.0)
+    err = half * np.minimum(4.0, 64.0 / 15.0 * np.exp(np.minimum(log_e.min(axis=0), 2.0)))
+    if graded:
+        err[0] += 2.0 * (2.0 * half[0]) ** (1.0 + model.nu)
+    return float(np.sum(err))
+
+
 def continuous_values(model: spectra.SpectralModel, times: np.ndarray,
                       seed: int, n_paths: int, offset: int = 0) -> np.ndarray:
-    """Stratified spectral sampling of a continuous-spectrum process.
+    """Spectral sampling of a continuous-spectrum process by the
+    `spectral_rule` of the span of `times`.
 
-    X(t) = sum_j sqrt(2 m) (xi_j cos u_j t + eta_j sin u_j t), with one
-    cos/sin pair per stratum.  The pointwise variance is the total mass
-    exactly; covariances at nonzero lag carry a stratification bias that is
-    negligible at N_STRATA strata.
+    X(t) = sum_j amp_j (xi_j cos u_j t + eta_j sin u_j t), with xi_1..xi_N,
+    eta_1..eta_N the 2N normals of a path's row.  The pointwise variance is
+    the total mass exactly.  Under the Gauss-Legendre rule the covariance at
+    any lag within the span is within the rule's `cov_error` of R, about
+    4 COV_TOL; the strata state no bound.
     """
-    u, m = _strata_frequencies(model)
-    check_phase_range(u[-1], times)
-    vals = _rows(_cos_sin_rows(np.outer(u, times), 0), seed, n_paths, offset,
-                 QUAD_BLOCK)
-    vals *= math.sqrt(2.0 * m)
-    return vals
+    times = np.asarray(times, dtype=float)
+    rule = spectral_rule(model, float(np.ptp(times)) if times.size else 0.0)
+    check_phase_range(rule.u[-1], times)
+    basis = _cos_sin_rows(np.outer(rule.u, times), 0)
+    if rule.name == EQUAL_MASS_STRATA:
+        # one common amplitude, applied after the product: folded into the
+        # basis it would change the last bits of the strata paths
+        vals = _rows(basis, seed, n_paths, offset, QUAD_BLOCK)
+        vals *= rule.amp[0]
+        return vals
+    basis *= np.concatenate([rule.amp, rule.amp])[:, None]
+    return _rows(basis, seed, n_paths, offset, QUAD_BLOCK)
 
 
 @functools.lru_cache(maxsize=8)
@@ -236,9 +369,11 @@ def gen_continuous(model: spectra.SpectralModel, grid: GridSpec,
         raise PreconditionError(f"path index must be >= 0, got {path_index}")
     block, pos = divmod(path_index, QUAD_BLOCK)
     vals = _continuous_block(model, grid, seed, block)[pos].copy()
+    rule = spectral_rule(model, grid.t_max - grid.t_min)
     return PathSample(grid, vals, seed,
-                      meta={"method": "spectral-quadrature",
-                            "n_strata": N_STRATA})
+                      meta={"method": "spectral-quadrature", "rule": rule.name,
+                            "n_pairs": len(rule.u), "tail_mass": rule.tail_mass,
+                            "cov_error_bound": rule.cov_error})
 
 
 def sup_norm(path: PathSample) -> float:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import (erfinv, gamma as gamma_fn, gammainc, gammaincc, gammaincinv,
-                           gammaln)
+from scipy.special import (erfinv, gamma as gamma_fn, gammainc, gammaincc, gammainccinv,
+                           gammaincinv, gammaln)
 
 from .errors import (CapacityError, DomainError, NumericFailure, PreconditionError,
                      UnsupportedOperation)
@@ -356,3 +356,34 @@ def exp_moment(model: SpectralModel, rate: float) -> float:
 def continuous_tail(nu: float, c: float) -> float:
     """int_c^inf exp(-u^nu) du = Gamma(1 + 1/nu) Q(1/nu, c^nu), one side's mass past c."""
     return float(gamma_fn(1.0 + 1.0 / nu) * gammaincc(1.0 / nu, _power(c, nu)))
+
+
+def tail_point(model: SpectralModel, tol: float) -> float | None:
+    """A frequency past which one side of the measure holds at most tol:
+    the bandlimited cutoff; else the cutoff or, if sooner, the least u with
+    `continuous_tail(nu, u) <= tol`, inverted in logs and inf when it is past
+    the float range.  None for the log-power family, whose tail has no
+    closed inverse."""
+    if not model.is_continuous:
+        raise UnsupportedOperation("tail_point needs a continuous spectral measure")
+    if not tol > 0:
+        raise PreconditionError(f"tail_point needs tol > 0, got {tol}")
+    if model.kind == BANDLIMITED:
+        return model.cutoff
+    if model.kind == LOG_POWER_ALPHA:
+        return None
+    nu = model.nu
+    g = gammainccinv(1.0 / nu, math.exp(math.log(tol) - gammaln(1.0 + 1.0 / nu)))
+    log_u = math.log(g) / nu if g > 0 else -math.inf  # g = 0: tol is the half mass
+    u = math.exp(log_u) if log_u < _LOG_MAX else math.inf
+    return min(u, model.cutoff or math.inf)
+
+
+def log_abs_density(model: SpectralModel, z) -> np.ndarray:
+    """log |f(z)| for the density of u > 0 continued to complex z off the
+    negative axis: -Re z^nu with the principal power, 0 for bandlimited, and
+    no cutoff applied; for error bounds of rules that end at the cutoff."""
+    if not model.is_continuous or model.kind == LOG_POWER_ALPHA:
+        raise UnsupportedOperation(f"log_abs_density has no continuation for {model.kind}")
+    z = np.asarray(z, dtype=complex)
+    return np.zeros(z.shape) if model.nu is None else -np.real(z ** model.nu)

@@ -426,23 +426,104 @@ def test_series_normals_keying_and_layout():
 
 
 def test_quadrature_normals_keying_and_layout():
-    # path i is sum_j sqrt(2 m) (xi_j cos u_j t + eta_j sin u_j t) with
-    # xi_1..xi_S, eta_1..eta_S in row i % QUAD_BLOCK of the normals keyed by
-    # (seed, i // QUAD_BLOCK), at the strata frequencies u_j
-    model = spectra.continuous_nu(1.0)
-    seed, offset, S = 23, pathgen.QUAD_BLOCK - 1, pathgen.N_STRATA
-    t = np.array([0.0, 0.3, 2.5, 7.0])
-    vals = pathgen.continuous_values(model, t, seed, n_paths=3, offset=offset)
+    # path i is sum_j amp_j (xi_j cos u_j t + eta_j sin u_j t) with
+    # xi_1..xi_N, eta_1..eta_N in row i % QUAD_BLOCK of the normals keyed by
+    # (seed, i // QUAD_BLOCK), at the nodes of the span's active rule
+    seed, offset = 23, pathgen.QUAD_BLOCK - 1
+    for model, t, rule in [
+            (spectra.continuous_nu(1.0), [0.0, 0.3, 2.5, 7.0], pathgen.GAUSS_LEGENDRE),
+            (spectra.continuous_nu(0.5), [0.0, 0.3, 2.5, 10.0],
+             pathgen.EQUAL_MASS_STRATA)]:
+        t = np.array(t)
+        vals = pathgen.continuous_values(model, t, seed, n_paths=3, offset=offset)
+        active = pathgen.spectral_rule(model, float(t[-1]))
+        assert active.name == rule
+        u, amp, S = active.u, active.amp, len(active.u)
+        for row, i in enumerate(range(offset, offset + 3)):
+            block, pos = divmod(i, pathgen.QUAD_BLOCK)
+            z = pathgen._rng_for_block(seed, block).standard_normal(
+                (pathgen.QUAD_BLOCK, 2 * S))[pos]
+            xi, eta = z[:S], z[S:]
+            ref = np.array([math.fsum(amp * xi * np.cos(u * x))
+                            + math.fsum(amp * eta * np.sin(u * x)) for x in t])
+            assert np.max(np.abs(vals[row] - ref)) <= 1e-12 * np.max(np.abs(ref)), (rule, i)
+
+
+def test_strata_batch_keeps_its_bytes():
+    # the strata rule forms its paths as it did before the Gauss-Legendre
+    # rule existed: the unscaled basis times the normals, then one common
+    # amplitude sqrt(2 m); folding it into the basis changes the last bits
+    model, t = spectra.continuous_nu(0.5), GridSpec(0.0, 10.0, 16).times()
+    assert pathgen.spectral_rule(model, 10.0).name == pathgen.EQUAL_MASS_STRATA
     u, m = pathgen._strata_frequencies(model)
-    for row, i in enumerate(range(offset, offset + 3)):
-        block, pos = divmod(i, pathgen.QUAD_BLOCK)
-        z = pathgen._rng_for_block(seed, block).standard_normal(
-            (pathgen.QUAD_BLOCK, 2 * S))[pos]
-        xi, eta = z[:S], z[S:]
-        ref = math.sqrt(2.0 * m) * np.array(
-            [math.fsum(xi * np.cos(u * x)) + math.fsum(eta * np.sin(u * x))
-             for x in t])
-        assert np.max(np.abs(vals[row] - ref)) <= 1e-12 * np.max(np.abs(ref)), i
+    ref = pathgen._rows(pathgen._cos_sin_rows(np.outer(u, t), 0), 5, 20, 3,
+                        pathgen.QUAD_BLOCK)
+    ref *= math.sqrt(2.0 * m)
+    assert np.array_equal(pathgen.continuous_values(model, t, 5, 20, offset=3), ref)
+
+
+def _rule_covariance(rule, t):
+    """R_N(t) = sum_j amp_j^2 cos(u_j t), summed exactly."""
+    return math.fsum(rule.amp ** 2 * np.cos(rule.u * t))
+
+
+@pytest.mark.parametrize("model", [spectra.continuous_nu(0.75), spectra.continuous_nu(1.0),
+                                   spectra.continuous_nu(1.5), spectra.continuous_nu(2.0),
+                                   spectra.continuous_nu(3.0), spectra.bandlimited(1.0),
+                                   spectra.bandlimited(10.0),
+                                   spectra.truncated_continuous_nu(2.0, 3.0)])
+@pytest.mark.parametrize("span", [1.0, 10.0])
+def test_gauss_legendre_covariance_within_stated_bound(model, span):
+    # the largest |R_N - R| over 100 lags of (0, span] is within the rule's
+    # stated bound; R from the closed forms where they exist
+    rule = pathgen.spectral_rule(model, span)
+    assert rule.name == pathgen.GAUSS_LEGENDRE and len(rule.u) < pathgen.N_STRATA
+    err = 0.0
+    for t in np.linspace(span / 100, span, 100):
+        exact = spectra.closed_form_covariance(model, t)
+        exact = spectra.covariance(model, t).value if exact is None else exact
+        err = max(err, abs(_rule_covariance(rule, t) - exact))
+    assert err <= rule.cov_error, (err, rule.cov_error)
+    assert rule.cov_error <= 5.0 * pathgen.COV_TOL
+
+
+@pytest.mark.parametrize("model, span", [
+    (spectra.continuous_nu(0.5), 1.0), (spectra.continuous_nu(0.5), 10.0),
+    (spectra.continuous_nu(2.0), 10.0), (spectra.bandlimited(3.0), 2.0),
+    (spectra.truncated_continuous_nu(1.5, 2.0), 1.0), (spectra.log_power_alpha(1.5), 1.0)])
+def test_rule_variance_is_the_total_mass(model, span):
+    rule = pathgen.spectral_rule(model, span)
+    assert _rule_covariance(rule, 0.0) == pytest.approx(spectra.total_mass(model),
+                                                        rel=1e-12, abs=0)
+
+
+def test_rule_choice_counts_pairs():
+    # Gauss-Legendre takes only keys where it needs fewer pairs than the
+    # strata; small nu on a long span and the log-power family keep them
+    pairs = {(nu, span): len(pathgen.spectral_rule(spectra.continuous_nu(nu), span).u)
+             for nu in (0.5, 1.0, 2.0) for span in (1.0, 10.0)}
+    assert pairs == {(0.5, 1.0): 1820, (0.5, 10.0): pathgen.N_STRATA,
+                     (1.0, 1.0): 60, (1.0, 10.0): 500, (2.0, 1.0): 20, (2.0, 10.0): 100}
+    assert pathgen.spectral_rule(spectra.log_power_alpha(3.0), 1.0).name == \
+        pathgen.EQUAL_MASS_STRATA
+    # a bandlimited Tsirelson minorant's path takes tens of pairs
+    assert len(pathgen.spectral_rule(spectra.bandlimited(5.0), 1.0).u) == 20
+
+
+def test_gen_continuous_meta_names_the_rule():
+    grid = GridSpec(0.0, 1.0, 8)
+    meta = pathgen.gen_continuous(spectra.continuous_nu(1.0), grid, seed=1).meta
+    rule = pathgen.spectral_rule(spectra.continuous_nu(1.0), 1.0)
+    assert meta == {"method": "spectral-quadrature", "rule": pathgen.GAUSS_LEGENDRE,
+                    "n_pairs": 60, "tail_mass": rule.tail_mass,
+                    "cov_error_bound": rule.cov_error}
+    # tail_point inverts the tail law to about COV_TOL
+    assert meta["tail_mass"] == pytest.approx(pathgen.COV_TOL, rel=1e-3)
+    assert meta["cov_error_bound"] >= 4.0 * meta["tail_mass"]
+    meta = pathgen.gen_continuous(spectra.continuous_nu(0.5), GridSpec(0.0, 10.0, 8),
+                                  seed=1).meta
+    assert meta["rule"] == pathgen.EQUAL_MASS_STRATA and meta["n_pairs"] == pathgen.N_STRATA
+    assert meta["tail_mass"] == 0.0 and meta["cov_error_bound"] is None
 
 
 def test_one_rng_keying_scheme():
@@ -483,3 +564,6 @@ def test_caches_are_bounded_and_read_only():
     u, _ = pathgen._strata_frequencies(model)
     block = pathgen._continuous_block(model, GridSpec(n_points=4), 0, 0)
     assert not u.flags.writeable and not block.flags.writeable
+    for span in (1.0, 100.0):  # Gauss-Legendre, then the strata
+        rule = pathgen.spectral_rule(model, span)
+        assert not rule.u.flags.writeable and not rule.amp.flags.writeable
