@@ -4,11 +4,11 @@ Every process is one trigonometric series, sampled by one kernel: the
 normals of a counter block times a cos/sin basis built once per call.
 Atomic spectra are exact finite Fourier series.  Continuous spectra use the
 `spectral_rule` of the span of their times: composite Gauss-Legendre
-quadrature of the density, whose covariance is within a stated `cov_error`
-(about 4 COV_TOL) of the model's at every lag of the span, wherever it needs
-fewer cos/sin pairs than the N_STRATA equal-mass strata, which serve
-elsewhere.  No minorant is defined here: `tsirelson` gives the inputs of its
-paths.
+quadrature of the density, whose covariance is within an estimated
+`cov_error` (at most MAX_COV_ERROR, about 4 COV_TOL for continuous-nu) of
+the model's at every lag of the span, wherever such a rule needs fewer
+cos/sin pairs than the N_STRATA equal-mass strata, which serve elsewhere.
+No minorant is defined here: `tsirelson` gives the inputs of its paths.
 
 `gen_continuous` reads its path from the whole QUAD_BLOCK-path counter
 block, which a small bounded cache keeps read-only per (model, grid, seed,
@@ -18,7 +18,9 @@ build its basis and multiply them once per block, not once per path.
 All randomness comes from one keying scheme: a counter-based generator keyed
 by (seed, path_index // block), where the block is BLOCK paths for Fourier
 series and QUAD_BLOCK paths for spectral quadrature.  Any path index
-therefore gets the same values no matter how the batch is partitioned.
+therefore gets the same values no matter how the batch is partitioned.  A
+continuous path's nodes also depend on the span of the call's times, so it
+is one realisation only across calls whose times have the same span.
 
 `batch_norms` reduces each block to its paths' norms as soon as it is drawn.
 The sup norm screens every path on a column subsample of the grid first and
@@ -51,6 +53,12 @@ N_STRATA = 4096
 #: one-sided spectral mass that the Gauss-Legendre rule may leave out
 COV_TOL = 1e-10
 
+#: largest covariance-error estimate that a Gauss-Legendre rule may state
+MAX_COV_ERROR = 8.0 * COV_TOL
+
+#: lags, evenly spaced over [0, span], at which the panels' error is estimated
+ESTIMATE_LAGS = 5
+
 #: Gauss-Legendre points per panel, and their nodes and weights on [-1, 1]
 GL_POINTS = 20
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_POINTS)
@@ -62,10 +70,6 @@ PANEL_PHASE = 3.0 * math.pi
 #: branch point at 0, and the ratio of each one's ends
 GRADED_PANELS = 14
 GRADING = 0.2
-
-#: Bernstein ellipse radii tried per panel, and points sampled on each
-RHOS = np.array([1.5, 2.0, 2.5, 3.0, 5.0, 8.0])
-ELLIPSE_POINTS = 32
 
 GAUSS_LEGENDRE = "gauss-legendre"
 EQUAL_MASS_STRATA = "equal-mass-strata"
@@ -233,8 +237,8 @@ class SpectralRule:
     is R_N(t) = sum_j amp_j^2 cos(u_j t) with R_N(0) the total mass.
 
     `tail_mass` is the one-sided mass past the last panel, which the last
-    node carries; `cov_error` bounds |R_N(t) - R(t)| for |t| up to the span
-    the rule was made for, or is None where no bound is stated."""
+    node carries; `cov_error` estimates the largest |R_N(t) - R(t)| for |t|
+    up to the span the rule was made for, or is None where none is stated."""
     name: str
     u: np.ndarray
     amp: np.ndarray
@@ -244,22 +248,29 @@ class SpectralRule:
 
 @functools.lru_cache(maxsize=32)
 def spectral_rule(model: spectra.SpectralModel, span: float) -> SpectralRule:
-    """The node rule of continuous paths whose times span `span`: composite
-    Gauss-Legendre where its pair count, known before any node is built, is
-    below N_STRATA, and otherwise the equal-mass strata, which serve small
-    nu on long spans and the log-power family.
+    """The node rule of continuous paths whose times span `span`.
+
+    Composite Gauss-Legendre on n panels, n first from the phase the span
+    asks for, where its pair count, known before its nodes are built, is
+    below N_STRATA and the rule is sound (`_gauss_legendre`).  An unsound
+    rule doubles n: a near-step density at large nu needs narrower panels
+    than the phase does.  Otherwise the equal-mass strata serve, as for
+    small nu on long spans and the log-power family.
 
     Cached per (model, span) with read-only arrays, as every caller shares
     them."""
     mass = spectra.total_mass(model)  # refuses a mass past the float range first
-    top = spectra.tail_point(model, COV_TOL)
+    top = spectra.tail_mass_point(model, COV_TOL)
     # exp(-u^nu) has a branch point at u = 0 for non-integer nu
     graded = GRADED_PANELS - 1 if model.nu and not float(model.nu).is_integer() else 0
     panels = math.inf if top is None else top * span / PANEL_PHASE
     n = max(math.ceil(panels), 1) if panels < N_STRATA else N_STRATA  # NaN too
-    if GL_POINTS * (n + graded) < N_STRATA:
+    while GL_POINTS * (n + graded) < N_STRATA:
         rule = _gauss_legendre(model, span, mass, top, n, graded)
-    else:
+        if rule is not None:
+            break
+        n *= 2
+    else:  # no sound Gauss-Legendre rule below N_STRATA pairs
         u, m = _strata_frequencies(model)
         rule = SpectralRule(EQUAL_MASS_STRATA, u, np.full(N_STRATA, math.sqrt(2.0 * m)),
                             0.0, None)
@@ -267,61 +278,45 @@ def spectral_rule(model: spectra.SpectralModel, span: float) -> SpectralRule:
     return rule
 
 
-def _gauss_legendre(model: spectra.SpectralModel, span: float, mass: float,
-                    top: float, n: int, graded: int) -> SpectralRule:
-    """GL_POINTS Gauss-Legendre nodes on each of n equal panels of [0, top],
-    the first split into graded + 1 geometric panels towards a branch point
-    at 0, with weights the Gauss weights times `spectra.density`.  The last
-    node also takes the one-sided mass that the panels leave out.
+def _gauss_nodes(model: spectra.SpectralModel,
+                 edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GL_POINTS Gauss-Legendre nodes on each panel between `edges`, and
+    their weights times `spectra.density`."""
+    centre, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
+    u = (centre[:, None] + half[:, None] * _GL_X).ravel()
+    return u, (half[:, None] * _GL_W).ravel() * spectra.density(model, u)
 
-    With that mass m and a bound E on the panels' error for every lag up to
-    the span, |R_N(t) - R(t)| <= 4 |m| + 4 E, plus float rounding of at most
-    2 eps R(0) (pairs + top span) in the weights, the phases and the sum."""
+
+def _gauss_legendre(model: spectra.SpectralModel, span: float, mass: float,
+                    top: float, n: int, graded: int) -> SpectralRule | None:
+    """Gauss-Legendre nodes on n equal panels of [0, top], the first split
+    into graded + 1 geometric panels towards a branch point at 0.  The last
+    node also takes the one-sided mass m that the panels leave out.
+
+    E, the panels' error, is estimated as the largest change of
+    sum_j w_j cos(u_j t) over ESTIMATE_LAGS lags of [0, span] when every
+    panel is halved.  Then |R_N(t) - R(t)| <= 4 |m| + 4 E, plus float
+    rounding of at most 2 eps R(0) (pairs + top span) in the weights, the
+    phases and the sum; an estimate, as E is.  None, so unsound, where the
+    last weight is negative (m below it) or the estimate exceeds
+    MAX_COV_ERROR."""
     edges = np.linspace(0.0, top, n + 1)
     if graded:
         edges = np.concatenate([[0.0], edges[1] * GRADING ** np.arange(graded, 0, -1),
                                 edges[1:]])
-    centre, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
-    u = (centre[:, None] + half[:, None] * _GL_X).ravel()
-    w = (half[:, None] * _GL_W).ravel() * spectra.density(model, u)
+    u, w = _gauss_nodes(model, edges)
+    halved_u, halved_w = _gauss_nodes(
+        model, np.sort(np.concatenate([edges, (edges[1:] + edges[:-1]) / 2.0])))
+    lags = np.linspace(0.0, span, ESTIMATE_LAGS)[:, None]
+    panel_error = np.max(np.abs(np.cos(lags * u) @ w - np.cos(lags * halved_u) @ halved_w))
     tail = float(mass / 2.0 - math.fsum(w))
     w[-1] += tail
-    u.flags.writeable = False
-    bound = float(4.0 * abs(tail) + 4.0 * _panel_error(model, span, centre, half, graded)
+    error = float(4.0 * abs(tail) + 4.0 * panel_error
                   + 2.0 * np.finfo(float).eps * mass * (len(u) + top * span))
-    return SpectralRule(GAUSS_LEGENDRE, u, np.sqrt(2.0 * w), tail, bound)
-
-
-def _panel_error(model: spectra.SpectralModel, span: float, centre: np.ndarray,
-                 half: np.ndarray, graded: int) -> float:
-    """Summed bound on the panels' Gauss-Legendre error for f(u) cos(u t) at
-    every 0 <= t <= span.
-
-    A panel of half-width r within the Bernstein ellipse of radius rho,
-    where |f(z) cos(z t)| <= M, errs by at most (64/15) r M rho^(-2 GL_POINTS)
-    / (rho^2 - 1) (Trefethen, "Is Gauss quadrature better than
-    Clenshaw-Curtis?", 2008, Theorem 4.5).  M is the largest |f| over
-    ELLIPSE_POINTS points of the ellipse, so it is sampled rather than
-    proved, times cosh(span Im z) at the ellipse's top; each panel takes the
-    best of the radii RHOS and at most 4 r, as |f cos| <= 1 on the panel.
-    Past a branch point at 0 an ellipse must stay in Re z > 0, and the panel
-    [0, e] that touches it splits f into 1, bounded so, and f - 1, whose
-    |f - 1| <= u^nu adds 2 e^(1 + nu)."""
-    rho = RHOS[:, None]
-    ring = np.exp(2j * np.pi * np.arange(ELLIPSE_POINTS) / ELLIPSE_POINTS)
-    z = centre[:, None] + half[:, None] * (rho[..., None] * ring
-                                           + ring.conj() / rho[..., None]) / 2.0
-    log_f = np.max(spectra.log_abs_density(model, z), axis=2)  # (radius, panel)
-    if graded:
-        log_f[centre - half * (rho + 1.0 / rho) / 2.0 <= 0.0] = math.inf
-        log_f[:, 0] = 0.0
-    phase = span * half * (rho - 1.0 / rho) / 2.0  # span times the largest Im z
-    log_m = log_f + np.logaddexp(phase, -phase) - math.log(2.0)
-    log_e = log_m - 2.0 * GL_POINTS * np.log(rho) - np.log(rho * rho - 1.0)
-    err = half * np.minimum(4.0, 64.0 / 15.0 * np.exp(np.minimum(log_e.min(axis=0), 2.0)))
-    if graded:
-        err[0] += 2.0 * (2.0 * half[0]) ** (1.0 + model.nu)
-    return float(np.sum(err))
+    if not (w[-1] >= 0.0 and error <= MAX_COV_ERROR):  # NaN too
+        return None
+    u.flags.writeable = False
+    return SpectralRule(GAUSS_LEGENDRE, u, np.sqrt(2.0 * w), tail, error)
 
 
 def continuous_values(model: spectra.SpectralModel, times: np.ndarray,
@@ -332,8 +327,12 @@ def continuous_values(model: spectra.SpectralModel, times: np.ndarray,
     X(t) = sum_j amp_j (xi_j cos u_j t + eta_j sin u_j t), with xi_1..xi_N,
     eta_1..eta_N the 2N normals of a path's row.  The pointwise variance is
     the total mass exactly.  Under the Gauss-Legendre rule the covariance at
-    any lag within the span is within the rule's `cov_error` of R, about
-    4 COV_TOL; the strata state no bound.
+    any lag within the span is within the rule's estimated `cov_error` of R,
+    at most MAX_COV_ERROR; the strata state no error.
+
+    The rule, and so the path of a (seed, path index), depends on the span
+    of `times`: a path's values at one time differ between calls whose
+    times span differently, as [0, 1] and [0, 10] do.
     """
     times = np.asarray(times, dtype=float)
     rule = spectral_rule(model, float(np.ptp(times)) if times.size else 0.0)
@@ -363,6 +362,10 @@ def _continuous_block(model: spectra.SpectralModel, grid: GridSpec, seed: int,
 
 def gen_continuous(model: spectra.SpectralModel, grid: GridSpec,
                    seed: int, path_index: int = 0) -> PathSample:
+    """Path `path_index` of `continuous_values` on `grid`, whose span sets
+    the rule: grids of different spans give different realisations.  The
+    meta names the rule, its pair count, dropped tail mass and error
+    estimate."""
     if not model.is_continuous:
         raise PreconditionError("gen_continuous needs a continuous spectral model")
     if not path_index >= 0:
@@ -373,7 +376,7 @@ def gen_continuous(model: spectra.SpectralModel, grid: GridSpec,
     return PathSample(grid, vals, seed,
                       meta={"method": "spectral-quadrature", "rule": rule.name,
                             "n_pairs": len(rule.u), "tail_mass": rule.tail_mass,
-                            "cov_error_bound": rule.cov_error})
+                            "cov_error_estimate": rule.cov_error})
 
 
 def sup_norm(path: PathSample) -> float:

@@ -358,16 +358,16 @@ def continuous_tail(nu: float, c: float) -> float:
     return float(gamma_fn(1.0 + 1.0 / nu) * gammaincc(1.0 / nu, _power(c, nu)))
 
 
-def tail_point(model: SpectralModel, tol: float) -> float | None:
+def tail_mass_point(model: SpectralModel, tol: float) -> float | None:
     """A frequency past which one side of the measure holds at most tol:
     the bandlimited cutoff; else the cutoff or, if sooner, the least u with
     `continuous_tail(nu, u) <= tol`, inverted in logs and inf when it is past
     the float range.  None for the log-power family, whose tail has no
     closed inverse."""
     if not model.is_continuous:
-        raise UnsupportedOperation("tail_point needs a continuous spectral measure")
+        raise UnsupportedOperation("tail_mass_point needs a continuous spectral measure")
     if not tol > 0:
-        raise PreconditionError(f"tail_point needs tol > 0, got {tol}")
+        raise PreconditionError(f"tail_mass_point needs tol > 0, got {tol}")
     if model.kind == BANDLIMITED:
         return model.cutoff
     if model.kind == LOG_POWER_ALPHA:
@@ -378,12 +378,3 @@ def tail_point(model: SpectralModel, tol: float) -> float | None:
     u = math.exp(log_u) if log_u < _LOG_MAX else math.inf
     return min(u, model.cutoff or math.inf)
 
-
-def log_abs_density(model: SpectralModel, z) -> np.ndarray:
-    """log |f(z)| for the density of u > 0 continued to complex z off the
-    negative axis: -Re z^nu with the principal power, 0 for bandlimited, and
-    no cutoff applied; for error bounds of rules that end at the cutoff."""
-    if not model.is_continuous or model.kind == LOG_POWER_ALPHA:
-        raise UnsupportedOperation(f"log_abs_density has no continuation for {model.kind}")
-    z = np.asarray(z, dtype=complex)
-    return np.zeros(z.shape) if model.nu is None else -np.real(z ** model.nu)

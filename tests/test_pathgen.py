@@ -487,6 +487,37 @@ def test_gauss_legendre_covariance_within_stated_bound(model, span):
     assert rule.cov_error <= 5.0 * pathgen.COV_TOL
 
 
+@pytest.mark.parametrize("nu", [5.0, 8.0, 20.0, 50.0])
+@pytest.mark.parametrize("span", [1.0, 10.0])
+def test_gauss_legendre_is_sound_at_large_nu(nu, span):
+    # exp(-u^nu) is near a step at large nu, so one panel of the span's phase
+    # is not enough; the rule doubles its panels until its weights are
+    # non-negative and its error estimate is within MAX_COV_ERROR
+    model = spectra.continuous_nu(nu)
+    rule = pathgen.spectral_rule(model, span)
+    assert rule.name == pathgen.GAUSS_LEGENDRE
+    assert np.all(np.isfinite(rule.amp)) and rule.cov_error <= pathgen.MAX_COV_ERROR
+    assert _rule_covariance(rule, 0.0) == pytest.approx(spectra.total_mass(model),
+                                                        rel=1e-12, abs=0)
+    err = max(abs(_rule_covariance(rule, t) - spectra.covariance(model, t).value)
+              for t in np.linspace(span / 10, span, 10))
+    assert err <= rule.cov_error, (err, rule.cov_error)
+    values = pathgen.continuous_values(model, np.linspace(0.0, span, 5), 3, 4)
+    assert np.all(np.isfinite(values))
+
+
+def test_unsound_gauss_legendre_doubles_its_panels():
+    # at nu 20 on [0, 1] the phase asks for one panel, whose 20 points miss
+    # the mass by about 1e-6, past the last weight: that rule is refused
+    model = spectra.continuous_nu(20.0)
+    mass, top = spectra.total_mass(model), spectra.tail_mass_point(model, pathgen.COV_TOL)
+    assert top * 1.0 < pathgen.PANEL_PHASE
+    assert pathgen._gauss_legendre(model, 1.0, mass, top, 1, 0) is None
+    assert pathgen._gauss_legendre(model, 1.0, mass, top, 2, 0) is None
+    sound = pathgen._gauss_legendre(model, 1.0, mass, top, 4, 0)
+    assert len(pathgen.spectral_rule(model, 1.0).u) == len(sound.u) == 80
+
+
 @pytest.mark.parametrize("model, span", [
     (spectra.continuous_nu(0.5), 1.0), (spectra.continuous_nu(0.5), 10.0),
     (spectra.continuous_nu(2.0), 10.0), (spectra.bandlimited(3.0), 2.0),
@@ -516,14 +547,14 @@ def test_gen_continuous_meta_names_the_rule():
     rule = pathgen.spectral_rule(spectra.continuous_nu(1.0), 1.0)
     assert meta == {"method": "spectral-quadrature", "rule": pathgen.GAUSS_LEGENDRE,
                     "n_pairs": 60, "tail_mass": rule.tail_mass,
-                    "cov_error_bound": rule.cov_error}
-    # tail_point inverts the tail law to about COV_TOL
+                    "cov_error_estimate": rule.cov_error}
+    # tail_mass_point inverts the tail law to about COV_TOL
     assert meta["tail_mass"] == pytest.approx(pathgen.COV_TOL, rel=1e-3)
-    assert meta["cov_error_bound"] >= 4.0 * meta["tail_mass"]
+    assert meta["cov_error_estimate"] >= 4.0 * meta["tail_mass"]
     meta = pathgen.gen_continuous(spectra.continuous_nu(0.5), GridSpec(0.0, 10.0, 8),
                                   seed=1).meta
     assert meta["rule"] == pathgen.EQUAL_MASS_STRATA and meta["n_pairs"] == pathgen.N_STRATA
-    assert meta["tail_mass"] == 0.0 and meta["cov_error_bound"] is None
+    assert meta["tail_mass"] == 0.0 and meta["cov_error_estimate"] is None
 
 
 def test_one_rng_keying_scheme():
