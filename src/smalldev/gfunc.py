@@ -9,7 +9,8 @@ explicitly, and the rest through the series
 whose terms all have one sign.  Beyond D every factor has x = a_k t <= 1,
 so the first N = `_SERIES_TERMS` terms of the tail are summed exactly as
 Hurwitz-zeta sums, and the rest is bounded by the (N+1)-th term times
-1 / (1 - (a_{D+1} t / pi)^2); D doubles until that bound is below 1e-12.
+1 / (1 - (a_{D+1} t / pi)^2); D doubles until that bound is below 1e-12,
+up to MAX_DEPTH.
 The zeta sums are taken in the scaled form (a_{D+1} t)^{2n} (D+1)^s
 zeta(s, D+1), so no power of t can overflow.  Small t costs almost
 nothing, and t = 1e4 needs D <= 1024 for gamma >= 0.25.
@@ -28,6 +29,9 @@ from .errors import CapacityError, CertificateError, PreconditionError
 #: absolute log-scale error allowed from the truncated product tail
 _TAIL_TOL = 1e-12
 
+#: largest explicit depth D; a |t| that needs more is a CapacityError
+MAX_DEPTH = 2_000_000
+
 #: N, the log-sinc series terms summed exactly over the tail
 _SERIES_TERMS = 10
 
@@ -39,13 +43,10 @@ _SERIES_COEF = np.array([float(zeta(2.0 * n, 1.0)) / (n * math.pi ** (2 * n))
 @dataclass(frozen=True)
 class GFunctionSpec:
     gamma: float
-    depth: int = 2_000_000
 
     def __post_init__(self):
         if not (0 < self.gamma < 1 and 1.0 + self.gamma > 1.0):  # zeta(1 + gamma) finite
             raise PreconditionError("gamma must be in (0, 1), with 1 + gamma > 1 in floats")
-        if self.depth < 10:
-            raise PreconditionError("depth must be >= 10")
 
     @property
     def c(self) -> float:
@@ -53,12 +54,6 @@ class GFunctionSpec:
 
     def a(self, k) -> np.ndarray:
         return self.c * np.asarray(k, float) ** (-1.0 - self.gamma)
-
-    def coefficient_sum(self) -> float:
-        """sum_{k=1}^infty a_k, split as 10^5 explicit terms + zeta tail."""
-        head = float(np.sum(self.a(np.arange(1, 100_001))))
-        tail = self.c * float(zeta(1.0 + self.gamma, 100_001.0))
-        return head + tail
 
     def _tail_coef(self, D: int) -> np.ndarray:
         """b_n, n = 1..N+1, with sum_{k>D} of the n-th log-sinc series term
@@ -89,9 +84,9 @@ class GFunctionSpec:
         D = 16
         while not self._tail_ok(D, tmax):
             D *= 2
-            if D > self.depth:
+            if D > MAX_DEPTH:
                 raise CapacityError(
-                    f"depth cap {self.depth} cannot certify |t| = {tmax:.4g}"
+                    f"depth cap {MAX_DEPTH} cannot certify |t| = {tmax:.4g}"
                 )
         return D
 
@@ -119,16 +114,6 @@ def log_abs_g(spec: GFunctionSpec, t) -> np.ndarray:
             tail = (tail + b) * y2
         out[s : s + 64] = np.sum(logs, axis=1) - tail
     return out
-
-
-def g_eval(spec: GFunctionSpec, t: float) -> float:
-    """G(t) with sign; tail factors beyond the depth are all positive."""
-    tt = float(t)
-    la = float(log_abs_g(spec, tt)[0])
-    k = np.arange(1, spec.depth_needed(abs(tt)) + 1)
-    x = abs(tt) * spec.a(k)
-    sign = 1.0 if int(np.count_nonzero(np.sin(x) < 0.0)) % 2 == 0 else -1.0
-    return sign * math.exp(la)
 
 
 @dataclass(frozen=True)

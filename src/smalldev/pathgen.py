@@ -184,7 +184,7 @@ def _cos_sin_rows(phase: np.ndarray, first_sin: int) -> np.ndarray:
     return basis
 
 
-def check_phase_range(top: float, times: np.ndarray, scale: float = 1.0) -> None:
+def _check_phase_range(top: float, times: np.ndarray, scale: float = 1.0) -> None:
     """Refuse phases scale * u * t past the float range, whose cos and sin
     are NaN, from one product: the largest frequency `top` times max |t|."""
     t_abs = float(np.max(np.abs(times), initial=0.0))
@@ -196,7 +196,7 @@ def check_phase_range(top: float, times: np.ndarray, scale: float = 1.0) -> None
 def _fourier_basis(amps: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Rows amp_k cos 2 pi k t for k = 0..K, then amp_k sin 2 pi k t for
     k = 1..K: the order of the normals xi_0..xi_K, eta_1..eta_K."""
-    check_phase_range(len(amps) - 1, times, 2.0 * np.pi)
+    _check_phase_range(len(amps) - 1, times, 2.0 * np.pi)
     phase = 2.0 * np.pi * np.outer(np.arange(len(amps)), times)
     return _cos_sin_rows(phase, 1) * np.concatenate([amps, amps[1:]])[:, None]
 
@@ -336,7 +336,7 @@ def continuous_values(model: spectra.SpectralModel, times: np.ndarray,
     """
     times = np.asarray(times, dtype=float)
     rule = spectral_rule(model, float(np.ptp(times)) if times.size else 0.0)
-    check_phase_range(rule.u[-1], times)
+    _check_phase_range(rule.u[-1], times)
     basis = _cos_sin_rows(np.outer(rule.u, times), 0)
     if rule.name == EQUAL_MASS_STRATA:
         # one common amplitude, applied after the product: folded into the
@@ -377,15 +377,6 @@ def gen_continuous(model: spectra.SpectralModel, grid: GridSpec,
                       meta={"method": "spectral-quadrature", "rule": rule.name,
                             "n_pairs": len(rule.u), "tail_mass": rule.tail_mass,
                             "cov_error_estimate": rule.cov_error})
-
-
-def sup_norm(path: PathSample) -> float:
-    return float(np.max(np.abs(path.values)))
-
-
-def l2_norm(path: PathSample) -> float:
-    t = path.grid.times()
-    return float(math.sqrt(np.trapezoid(path.values ** 2, t)))
 
 
 def _max_abs(v: np.ndarray) -> np.ndarray:

@@ -14,10 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import BoundCurve
-from .errors import PreconditionError
+from .errors import CapacityError, PreconditionError
 
 #: minimal ratio of max to min |log r| for a trustworthy fit
 _MIN_LOGLOG_SPAN = 2.0
+
+#: log of the largest float
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -94,19 +97,13 @@ def fit(points, beta_mode="free") -> RateFitResult:
                          mode=mode)
 
 
-def eval_template(result: RateFitResult, r) -> np.ndarray:
-    """phi(r) = A |log r|^gamma (log |log r|)^beta at the fitted parameters."""
-    if result.refused:
-        raise PreconditionError("cannot evaluate a refused fit")
-    L = np.abs(np.log(np.asarray(r, float)))
-    return result.A * L ** result.gamma * np.log(L) ** result.beta
-
-
 def open_problem_curves(alpha: float, r_list) -> tuple[BoundCurve, BoundCurve]:
     """Two-sided reference bounds for the slowly decaying spectral family.
 
     lower:  |log r|^{(a-1)/a} exp{(2 |log r|)^{1/a}}
     upper:  |log r| exp{(2 |log r|)^{1/a} + (5/a) |log r|^{2/a - 1}}
+
+    A curve past the float range at some radius is a CapacityError.
     """
     if not 1 < alpha < math.inf:
         raise PreconditionError("alpha must exceed 1 and be finite")
@@ -115,8 +112,15 @@ def open_problem_curves(alpha: float, r_list) -> tuple[BoundCurve, BoundCurve]:
         raise PreconditionError("radii must lie in (0, 1)")
     L = np.abs(np.log(r))
     core = (2.0 * L) ** (1.0 / alpha)
+    extra = (5.0 / alpha) * L ** (2.0 / alpha - 1.0)
+    # each shape's log first: exp of a log past the float range is inf
+    log_low = ((alpha - 1.0) / alpha) * np.log(L) + core
+    log_up = np.log(L) + core + extra
+    if np.any(log_low > _LOG_MAX) or np.any(log_up > _LOG_MAX):
+        raise CapacityError(f"reference curves at alpha {alpha} and r = "
+                            f"{np.min(r):.3g} are past the float range")
     low = L ** ((alpha - 1.0) / alpha) * np.exp(core)
-    up = L * np.exp(core + (5.0 / alpha) * L ** (2.0 / alpha - 1.0))
+    up = L * np.exp(core + extra)
     lower = BoundCurve(x=r, lower=low, upper=None,
                        label="slow-family-lower", extra={"alpha": alpha})
     upper = BoundCurve(x=r, lower=None, upper=up,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtri_exp
 
-from . import pathgen, spectra
+from . import spectra
 from .curves import BoundCurve
 from .errors import CapacityError, CertificateError, PreconditionError
 
@@ -55,37 +55,11 @@ class CoefficientEllipsoid:
         """`exp` of `log_semi_axes`: 0 once k^nu passes about 1,490."""
         return np.exp(self.log_semi_axes())
 
-    def membership(self, c: np.ndarray) -> float:
-        """sum |c_k|^2 exp(|k|^nu) for complex coefficients c_{-K}..c_K."""
-        c = np.asarray(c)
-        if len(c) != 2 * self.K + 1:
-            raise PreconditionError("coefficient vector must have 2K+1 entries")
-        log_mass = spectra.discrete_log_masses(self.nu, self.K)
-        k = np.abs(np.arange(-self.K, self.K + 1))
-        # in logs, over the nonzero c_k only: a zero adds 0 whatever its
-        # weight, and a term past the float range adds inf, never NaN
-        nonzero = c != 0
-        with np.errstate(over="ignore"):
-            terms = np.exp(2.0 * np.log(np.abs(c[nonzero])) - log_mass[k[nonzero]])
-        return float(np.sum(terms))
-
     @property
     def sup_radius(self) -> float:
         """max sup-norm over the ball: sqrt(R(0)) of the process."""
         log_mass = spectra.discrete_log_masses(self.nu, self.K)
         return math.sqrt(1.0 + 2.0 * float(np.sum(np.exp(log_mass[1:]))))
-
-
-def ellipsoid_member_to_function(ell: CoefficientEllipsoid, c: np.ndarray,
-                                 t_grid: np.ndarray) -> np.ndarray:
-    """h(t) = sum_k c_k exp(-2 pi i k t); real part for symmetric c."""
-    if not ell.membership(c) <= 1.0 + 1e-12:  # NaN is outside too
-        raise PreconditionError("coefficients lie outside the unit ball")
-    pathgen.check_phase_range(ell.K, t_grid, 2.0 * np.pi)
-    k = np.arange(-ell.K, ell.K + 1)
-    phases = np.exp(-2j * np.pi * np.outer(k, np.asarray(t_grid)))
-    vals = np.asarray(c) @ phases
-    return np.real(vals)
 
 
 @dataclass(frozen=True)
@@ -176,8 +150,8 @@ def _count_lattice_cells(axes: np.ndarray, steps: np.ndarray) -> int:
 def upper_cover(ell: CoefficientEllipsoid, epsilon: float) -> tuple[int, str]:
     """Balls in a sup-norm epsilon-cover of the unit ball, and the rule
     (SINGLE_BALL, LATTICE_COVERING or COORDINATE_PRODUCT) that counted them."""
-    if not epsilon > 0:
-        raise PreconditionError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise PreconditionError("epsilon must be positive and finite")
     if epsilon >= 2.0 * ell.sup_radius:
         return 1, SINGLE_BALL
     axes_all = ell.semi_axes()
@@ -214,8 +188,8 @@ def entropy_lower(ell: CoefficientEllipsoid, epsilon: float) -> float:
     eps of the center's, so its d-coordinate section sits in a box of side
     2 eps (x0) and 4 eps (each u_k, v_k); covering-number >= volume ratio.
     """
-    if not epsilon > 0:
-        raise PreconditionError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise PreconditionError("epsilon must be positive and finite")
     # at every leading dimension d: log vol of the d-dim ellipsoid (unit ball
     # + sum of log axes) less the box's (side 2 eps for x0, 4 eps after)
     d = np.arange(1.0, 2 * ell.K + 2)

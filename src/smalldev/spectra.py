@@ -149,13 +149,6 @@ def discrete_tail(nu: float, K: int) -> float:
     return float(np.sum(np.exp(_tail_log_masses(nu, K))))
 
 
-def atom_mass(model: SpectralModel, k: int) -> float:
-    """Mass of the atom at frequency 2*pi*k."""
-    if model.kind != DISCRETE_NU:
-        raise UnsupportedOperation("atom_mass needs a discrete spectral measure")
-    return float(np.exp(discrete_log_masses(model.nu, abs(int(k)))[-1]))
-
-
 def _power(c: float, nu: float) -> float:
     """c^nu for a cutoff c >= 0, the argument of P(1/nu, .) and Q(1/nu, .):
     inf once nu log c is within 1 of the float range, so the power cannot
@@ -289,25 +282,6 @@ def covariance(model: SpectralModel, t: float) -> CovarianceValue:
     if t == 0.0:
         return CovarianceValue(0.0, total_mass(model))
     return CovarianceValue(t, _spectral_integral(model, lambda u: density_eval(model, u), t))
-
-
-def closed_form_covariance(model: SpectralModel, t: float) -> float | None:
-    """Closed covariance for nu in {1, 2} and the bandlimited family.
-
-    Used as an independent cross-check of the quadrature path; returns None
-    when no closed form is available.
-    """
-    t = float(t)
-    if model.kind == CONTINUOUS_NU and model.nu == 1.0:
-        return 2.0 / (1.0 + t * t)
-    if model.kind == CONTINUOUS_NU and model.nu == 2.0:
-        return math.sqrt(math.pi) * math.exp(-t * t / 4.0)
-    if model.kind == BANDLIMITED:
-        c = model.cutoff
-        if t == 0.0:
-            return 2.0 * c
-        return 2.0 * math.sin(c * t) / t
-    return None
 
 
 def exp_moment(model: SpectralModel, rate: float) -> float:

@@ -440,6 +440,11 @@ BAD_INPUT = {
                                                "--n-points", "8",
                                                "--t-max", "1e308"],
                                               "past the float range"),
+    "problem5-shapes-past-float": (["problem5", "--alpha", "1.01", "--r",
+                                    "1e-300,1e-100,0.1"],
+                                   "past the float range"),
+    "entropy-eps-inf": (["entropy", "--nu", "1", "--eps", "inf"],
+                        "epsilon must be positive and finite"),
 }
 
 

@@ -61,6 +61,37 @@ def test_sibling_private_name_check_sees_each_form():
         "errors._hidden", "pathgen._rows", "spectra._power"]
 
 
+def unused_imports(source: str) -> list[str]:
+    """Every name that `source` imports at any level but never reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # import a.b binds a
+            imported += [alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = {m: unused_imports((SRC / f"{m}.py").read_text()) for m in MODULES}
+    assert {m: names for m, names in found.items() if names} == {}
+
+
+def test_unused_import_check_sees_each_form():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import numpy as np\n"
+              "from . import pathgen, spectra\n"
+              "from .errors import CapacityError as Capacity, PreconditionError\n"
+              "def f(x: np.ndarray) -> float:\n"
+              "    raise Capacity(spectra.total_mass(x))\n")
+    assert unused_imports(source) == ["os", "pathgen", "PreconditionError"]
+
+
 def test_bench_trace_targets_exist():
     # every function that the benchmark's tracer wraps or counts exists on
     # its module, so a rename cannot silently break a traced run

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from reference import closed_form_covariance
 from smalldev import pathgen, spectra
 from smalldev.errors import CapacityError, PreconditionError
-from smalldev.pathgen import GridSpec, PathSample, PeriodicGenConfig
+from smalldev.pathgen import GridSpec, PeriodicGenConfig
 
 
 def test_grid_validation():
@@ -140,21 +141,6 @@ def test_gen_periodic_is_a_batch_row():
             assert np.array_equal(path.values, batch[i])
 
 
-def test_norms():
-    grid = GridSpec(n_points=5)
-    p = PathSample(grid, np.full(5, 0.7), seed=0)
-    assert pathgen.sup_norm(p) == pytest.approx(0.7)
-    assert pathgen.l2_norm(p) == pytest.approx(0.7, rel=1e-12)
-    p2 = PathSample(GridSpec(n_points=2), np.array([-3.0, 1.0]), seed=0)
-    assert pathgen.sup_norm(p2) == 3.0
-    # single-frequency path: L2 norm of cos(2 pi t) on [0,1] is 1/sqrt(2)
-    g = GridSpec(n_points=1001)
-    vals = np.cos(2 * np.pi * g.times())
-    assert pathgen.l2_norm(PathSample(g, vals, seed=0)) == pytest.approx(
-        1 / math.sqrt(2), abs=1e-3
-    )
-
-
 def test_batch_norms_match_per_path():
     # 1030 paths cross two block boundaries and end in a partial block
     n = 2 * pathgen.BLOCK + 6
@@ -166,10 +152,12 @@ def test_batch_norms_match_per_path():
                                   norm="sup")
         l2 = pathgen.batch_norms(cfg.amplitudes(), grid, seed=21, n_paths=n,
                                  norm="l2")
+        t = grid.times()
         for i in range(n):
-            p = pathgen.gen_periodic(cfg, grid, seed=21, path_index=i)
-            assert sup[i] == pathgen.sup_norm(p), (K, grid, i)
-            assert l2[i] == pytest.approx(pathgen.l2_norm(p), rel=1e-12), (K, grid, i)
+            values = pathgen.gen_periodic(cfg, grid, seed=21, path_index=i).values
+            assert sup[i] == float(np.max(np.abs(values))), (K, grid, i)
+            l2_ref = math.sqrt(np.trapezoid(values ** 2, t))
+            assert l2[i] == pytest.approx(l2_ref, rel=1e-12), (K, grid, i)
 
 
 @pytest.mark.parametrize("norm, cap", [("sup", math.inf), ("sup", 0.0),
@@ -480,7 +468,7 @@ def test_gauss_legendre_covariance_within_stated_bound(model, span):
     assert rule.name == pathgen.GAUSS_LEGENDRE and len(rule.u) < pathgen.N_STRATA
     err = 0.0
     for t in np.linspace(span / 100, span, 100):
-        exact = spectra.closed_form_covariance(model, t)
+        exact = closed_form_covariance(model, t)
         exact = spectra.covariance(model, t).value if exact is None else exact
         err = max(err, abs(_rule_covariance(rule, t) - exact))
     assert err <= rule.cov_error, (err, rule.cov_error)

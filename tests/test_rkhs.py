@@ -8,33 +8,8 @@ from scipy.stats import norm
 
 from smalldev import pathgen, rkhs, smallball, spectra
 from smalldev.curves import BoundCurve
-from smalldev.errors import CapacityError, CertificateError, PreconditionError
+from smalldev.errors import CapacityError, PreconditionError
 from smalldev.rkhs import CoefficientEllipsoid, TruncationBoundInput
-
-
-def test_member_to_function():
-    ell = CoefficientEllipsoid(1.0, 2)
-    t = np.linspace(0.0, 1.0, 101)
-    # all zeros
-    z = rkhs.ellipsoid_member_to_function(ell, np.zeros(5, complex), t)
-    assert np.all(z == 0.0)
-    # constant member
-    c = np.zeros(5, complex)
-    c[2] = 1.0  # index k = 0
-    f = rkhs.ellipsoid_member_to_function(ell, c, t)
-    assert np.allclose(f, 1.0)
-    # boundary cosine member: c_{+-1} = e^{-1/2}/sqrt(2)
-    c = np.zeros(5, complex)
-    amp = math.exp(-0.5) / math.sqrt(2.0)
-    c[1] = c[3] = amp
-    assert ell.membership(c) == pytest.approx(1.0, rel=1e-12)
-    f = rkhs.ellipsoid_member_to_function(ell, c, t)
-    assert np.max(np.abs(f)) == pytest.approx(2.0 * amp, rel=1e-6)
-    assert 2.0 * amp == pytest.approx(0.857763, abs=1e-6)
-    # outside the ball
-    c[1] *= 1.1
-    with pytest.raises(PreconditionError):
-        rkhs.ellipsoid_member_to_function(ell, c, t)
 
 
 @pytest.mark.parametrize("top", [0, 1, 5, rkhs._GRID - 1, rkhs._GRID,
@@ -134,20 +109,6 @@ def test_overflowing_count_returns_product_before_convolving(monkeypatch):
     # the exact integer product of the cells per axis
     assert (cells, rule) == (548025106444131749517978842536184601,
                              rkhs.COORDINATE_PRODUCT)
-
-
-def test_membership_with_overflowing_weights():
-    # exp(27^2) overflows: a zero c_27 gave 0 * inf = nan, and any c passed
-    ell = CoefficientEllipsoid(2.0, 27)
-    c = np.zeros(55)
-    c[27] = 100.0  # k = 0
-    assert ell.membership(c) == pytest.approx(1e4, rel=1e-14)
-    with pytest.raises(PreconditionError, match="outside the unit ball"):
-        rkhs.ellipsoid_member_to_function(ell, c, np.linspace(0.0, 1.0, 5))
-    c[0] = 1e-200  # k = -27: |c|^2 underflows, its weight overflows
-    assert ell.membership(c) == pytest.approx(1e4, rel=1e-14)
-    c[0] = 1e-3  # the term itself exceeds the float range
-    assert ell.membership(c) == math.inf
 
 
 def test_semi_axes_past_mass_underflow():
@@ -345,16 +306,3 @@ def test_translators_refuse_a_curve_without_an_upper_side():
     H = BoundCurve(x=np.array([0.1]), lower=np.array([3.0]), upper=None, label="H")
     with pytest.raises(PreconditionError, match="upper bound on H"):
         rkhs.scaling_patch(H, 0.5)
-
-
-def test_member_to_function_phases_past_float_range():
-    # t = 1e308 gave NaN with RuntimeWarnings; the pathgen phase check refuses it
-    ell = CoefficientEllipsoid(1.0, 2)
-    c = np.zeros(5, complex)
-    c[2] = 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(CapacityError, match="past the float range"):
-            rkhs.ellipsoid_member_to_function(ell, c, [0.0, 1e308])
-        assert np.array_equal(rkhs.ellipsoid_member_to_function(ell, c, [0.0, 0.5]),
-                              [1.0, 1.0])

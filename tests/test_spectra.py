@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from reference import closed_form_covariance
 from smalldev import spectra
 from smalldev.errors import (
     CapacityError,
@@ -47,16 +48,6 @@ def test_density_rejects_discrete():
         spectra.density_eval(spectra.discrete_nu(1.0), 0.3)
     with pytest.raises(UnsupportedOperation):
         spectra.density(spectra.discrete_nu(1.0), np.array([0.0, 0.3]))
-
-
-def test_atom_mass():
-    m = spectra.discrete_nu(1.0)
-    assert spectra.atom_mass(m, 0) == 1.0
-    assert spectra.atom_mass(m, 3) == pytest.approx(math.exp(-3.0), rel=1e-12)
-    m2 = spectra.discrete_nu(2.0)
-    assert spectra.atom_mass(m2, -2) == pytest.approx(math.exp(-4.0), rel=1e-12)
-    with pytest.raises(UnsupportedOperation):
-        spectra.atom_mass(spectra.continuous_nu(1.0), 1)
 
 
 def test_discrete_atoms_and_tail():
@@ -210,7 +201,7 @@ def test_covariance_closed_forms():
     assert abs(spectra.covariance(mb, math.pi).value) < 1e-9
     for m in [mb] + [spectra.continuous_nu(nu) for nu in (0.3, 0.5, 1.0, 1.5, 2.0, 4.0)]:
         for t in [0.0, 0.01, 0.1, 0.3, 0.5, 1.7, 2.0, 4.0, 10.0]:
-            ref = spectra.closed_form_covariance(m, t)
+            ref = closed_form_covariance(m, t)
             if ref is None:
                 ref = _continuous_nu_covariance_mp(m.nu, t)
             assert spectra.covariance(m, t).value == pytest.approx(ref, abs=1e-12), (m, t)
