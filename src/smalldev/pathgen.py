@@ -26,13 +26,21 @@ is one realisation only across calls whose times have the same span.
 The sup norm screens every path on a column subsample of the grid first and
 evaluates the whole grid only for paths that are not already above the cap,
 which `smallball.estimate` sets to its largest radius; an infinite cap
-screens none out.
+screens none out.  Its blocks are shared out over worker threads in
+contiguous ranges while numpy's bundled OpenBLAS is held to one thread, so
+every product is the single-threaded one and the norms do not depend on the
+worker count or on the process's BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import glob
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -383,8 +391,39 @@ def _max_abs(v: np.ndarray) -> np.ndarray:
     return np.maximum(v.max(axis=1), -v.min(axis=1))
 
 
+@functools.lru_cache(maxsize=1)
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy wheels
+    bundle in numpy.libs, or None where numpy carries no such library, as a
+    build against a system BLAS does.  Looked up once per process."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    libs = glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas*"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+#: held while a `batch_norms` call has the BLAS thread count pinned, so that
+#: calls from several threads neither unpin one another nor restore a pin
+_BLAS_PIN = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
-                norm: str, cap: float = math.inf) -> np.ndarray:
+                norm: str, cap: float = math.inf, *,
+                threads: int = 1) -> np.ndarray:
     """Norms of a batch of Fourier-series paths, reduced per counter block.
 
     A squared L2 norm is the trapezoidal quadratic form z G z' of the
@@ -404,9 +443,48 @@ def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
 
     Each block is reduced whole, so a path's norm depends on (seed, block,
     cap) and not on how many of its block's paths are read.
+
+    The blocks are reduced on min(threads, usable CPUs, blocks) workers,
+    the calling thread and pool threads, each taking one contiguous range
+    of blocks and reusing one normals buffer; at one worker the same loop
+    runs in the calling thread alone.  The RNG and the products release the
+    GIL, so both run in parallel.  For the whole call numpy's bundled
+    OpenBLAS is held to one thread and then set back, also on error.  That
+    is a setting of the whole process: BLAS calls of other threads during
+    the call run on one thread too, calls of `batch_norms` from several
+    threads run one at a time, and at `threads = 1` the products lose the
+    BLAS threads that an unpinned product would use.  Every product is
+    therefore the single-threaded one, and the norms are the same bits at
+    any `threads` and any BLAS thread count before the call.  Where numpy
+    has no bundled OpenBLAS to control, one worker runs and the BLAS is
+    left as it is.
     """
     if norm not in ("sup", "l2"):
         raise PreconditionError(f"unknown norm {norm!r}")
+    if not (n_paths >= 0 and threads >= 1):
+        raise PreconditionError(f"need n_paths >= 0 and threads >= 1, got "
+                                f"{n_paths} and {threads}")
+    try:
+        out = np.empty(n_paths)
+    except (MemoryError, ValueError):  # ValueError: past numpy's array size
+        raise CapacityError(f"{n_paths} norms do not fit in memory") from None
+    blas = _blas_threads()
+    if blas is None:
+        return _reduce_blocks(out, amps, grid, seed, norm, cap, 1)
+    get, put = blas
+    with _BLAS_PIN:
+        before = get()
+        put(1)
+        try:
+            return _reduce_blocks(out, amps, grid, seed, norm, cap, threads)
+        finally:
+            put(before)
+
+
+def _reduce_blocks(out: np.ndarray, amps: np.ndarray, grid: GridSpec,
+                   seed: int, norm: str, cap: float, threads: int) -> np.ndarray:
+    """`batch_norms` into `out` on at most `threads` workers."""
+    n_paths = len(out)
     times = grid.times()
     basis = _fourier_basis(amps, times)
     if norm == "l2":
@@ -414,14 +492,31 @@ def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
         gram = (basis * (np.append(half, 0.0) + np.insert(half, 0, 0.0))) @ basis.T
     else:
         coarse = np.ascontiguousarray(basis[:, ::SCREEN_STRIDE])
-    out = np.empty(n_paths)
-    for start in range(0, n_paths, BLOCK):
-        z = _rng_for_block(seed, start // BLOCK).standard_normal((BLOCK, len(basis)))
-        if norm == "sup":
-            norms = _max_abs(z @ coarse)
-            near = np.flatnonzero(norms <= cap)
-            norms[near] = _max_abs(z[near] @ basis)
-        else:
-            norms = np.sqrt(np.einsum("ij,ij->i", z @ gram, z))
-        out[start : start + BLOCK] = norms[: n_paths - start]
+
+    def reduce(first: int, last: int) -> None:
+        z = np.empty((BLOCK, len(basis)))
+        for block in range(first, last):
+            _rng_for_block(seed, block).standard_normal(out=z)
+            if norm == "sup":
+                norms = _max_abs(z @ coarse)
+                near = np.flatnonzero(norms <= cap)
+                norms[near] = _max_abs(z[near] @ basis)
+            else:
+                norms = np.sqrt(np.einsum("ij,ij->i", z @ gram, z))
+            start = block * BLOCK
+            out[start : start + BLOCK] = norms[: n_paths - start]
+
+    blocks = -(-n_paths // BLOCK)
+    workers = min(threads, _usable_cpus(), blocks)
+    if workers <= 1:
+        reduce(0, blocks)
+        return out
+    ends = [blocks * w // workers for w in range(workers + 1)]
+    # the calling thread takes the first range: one pool thread, and the
+    # malloc arena each thread keeps, fewer
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(reduce, a, b) for a, b in zip(ends[1:-1], ends[2:])]
+        reduce(ends[0], ends[1])
+        for f in futures:
+            f.result()
     return out

@@ -74,12 +74,15 @@ def wilson_interval(hits: int, n: int) -> tuple[float, float]:
 
 
 def estimate(cfg: pathgen.PeriodicGenConfig, grid: pathgen.GridSpec, norm: str,
-             r_list, n_samples: int, seed: int) -> list[SmallBallEstimate]:
+             r_list, n_samples: int, seed: int, *,
+             threads: int = 1) -> list[SmallBallEstimate]:
     """Monte Carlo small-ball estimates on common random numbers.
 
     One batch of paths serves every radius, so p_hat is nondecreasing in r
     exactly, not just statistically.  Norms are capped at the largest
     radius: a path above it misses every radius whatever its exact norm.
+    `threads` is the worker count of `pathgen.batch_norms`; the estimates
+    do not depend on it.
     """
     if n_samples < 100:
         raise PreconditionError("n_samples must be >= 100")
@@ -87,7 +90,7 @@ def estimate(cfg: pathgen.PeriodicGenConfig, grid: pathgen.GridSpec, norm: str,
     if not np.all(r_arr > 0):
         raise PreconditionError("radii must be positive")
     norms = pathgen.batch_norms(cfg.amplitudes(), grid, seed, n_samples, norm,
-                                cap=float(r_arr.max(initial=0.0)))
+                                cap=float(r_arr.max(initial=0.0)), threads=threads)
     out = []
     for r in r_arr:
         hits = int(np.count_nonzero(norms <= r))

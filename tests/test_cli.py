@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from smalldev import cli
+from smalldev import cli, pathgen
 
 
 def run(argv):
@@ -73,6 +73,30 @@ def test_manifest_rerun_roundtrip(tmp_path, monkeypatch, argv):
     for name in results:
         if name != "manifest.json":
             assert read(f"a/{name}") == read(f"b/{name}"), name
+
+
+@pytest.mark.skipif(pathgen._blas_threads() is None,
+                    reason="numpy bundles no OpenBLAS to pin")
+def test_smallball_bytes_at_any_thread_count(tmp_path):
+    # the same bytes at every --threads, whatever the BLAS thread count
+    # before the run, which the run leaves as it found it
+    get, put = pathgen._blas_threads()
+    before = get()
+    args = ["smallball", "--nu", "1", "--K", "45", "--norm", "sup",
+            "--r", "0.8,1.2,2", "--n", "3000", "--grid", "1023", "--seed", "7"]
+    outs = set()
+    try:
+        for blas in (1, 2):
+            put(blas)
+            expected = get()
+            for threads in ("1", "2", "4"):
+                out = tmp_path / f"{blas}-{threads}"
+                assert run(args + ["--threads", threads, "--out", str(out)]) == 0
+                assert get() == expected
+                outs.add(read(out / "smallball.csv"))
+    finally:
+        put(before)
+    assert len(outs) == 1
 
 
 def test_tsirelson_asymptotic_via_cli(tmp_path):
@@ -147,14 +171,16 @@ def test_l2_exact_past_underflowing_atoms(tmp_path, nu, K):
 
 
 def test_manifest_with_format_reruns_identically(tmp_path):
-    # manifests written while --format existed still carry it
+    # manifests written while --format existed still carry it, and those
+    # written while every command took --threads carry threads
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     assert run(["simulate", "--spectrum", "discrete", "--nu", "1", "--K", "20",
                 "--n-points", "64", "--seed", "5", "--out", str(out1)]) == 0
     manifest = json.loads(read(out1 / "manifest.json"))
     assert "format" not in manifest["params"]
-    manifest["params"].update(format="csv", out=str(out2))
+    assert "threads" not in manifest["params"]
+    manifest["params"].update(format="csv", threads=1, out=str(out2))
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(manifest))
     assert run(["rerun", str(mpath)]) == 0
@@ -201,6 +227,12 @@ def exit_code(argv):
     ["scaling", "--input", "wide.csv", "--c", "0.5", "--out", "o"],
     ["kl-translate", "--input", "wide.csv", "--out", "o"],
     ["fit", "--input", "wide.csv", "--out", "o"],
+    # --threads 0 used to be accepted and recorded; only smallball takes it
+    ["smallball", "--nu", "1", "--norm", "sup", "--r", "1", "--threads", "0",
+     "--out", "o"],
+    ["smallball", "--nu", "1", "--norm", "sup", "--r", "1", "--threads", "-1",
+     "--out", "o"],
+    ["l2-exact", "--nu", "1", "--r", "1", "--threads", "1", "--out", "o"],
 ])
 def test_usage_errors_exit_2_without_output(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -214,7 +246,9 @@ def test_usage_errors_exit_2_without_output(tmp_path, monkeypatch, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
-COMMON = {"out": "o", "seed": 0, "threads": 1}
+COMMON = {"out": "o", "seed": 0}
+SMALLBALL = {**COMMON, "spectrum": "discrete", "nu": 1.0, "K": 4, "norm": "sup",
+             "r": [1.0], "n": 100, "grid": 16, "threads": 1}
 
 
 @pytest.mark.parametrize("manifest", [
@@ -226,14 +260,14 @@ COMMON = {"out": "o", "seed": 0, "threads": 1}
                                   "beta": "fixed"}},
     {"command": "l2-exact", "params": {**COMMON, "nu": 1.0, "K": 4,
                                        "r": "abc"}},
-    {"command": "smallball", "params": {
-        **COMMON, "spectrum": "continuous", "nu": 1.0, "K": 4, "norm": "sup",
-        "r": [1.0], "n": 100, "grid": 16}},
+    {"command": "smallball", "params": {**SMALLBALL, "spectrum": "continuous"}},
     {"command": "tsirelson", "params": {
         **COMMON, "spectrum": "discrete", "nu": 1.0, "r": [1e-5], "l": None,
         "convention": "bogus", "variant": "paper-exponent"}},
     {"command": "l2-exact", "params": {**COMMON, "nu": 1.0, "K": 4.5,
                                        "r": [1.0]}},
+    {"command": "smallball", "params": {**SMALLBALL, "threads": 0}},
+    {"command": "smallball", "params": {**SMALLBALL, "threads": -1}},
 ])
 def test_bad_manifest_exits_2_without_output(tmp_path, monkeypatch, manifest):
     (tmp_path / "ok.csv").write_text("r,phi\n1e-5,3.0\n1e-10,9.0\n")
@@ -445,6 +479,10 @@ BAD_INPUT = {
                                    "past the float range"),
     "entropy-eps-inf": (["entropy", "--nu", "1", "--eps", "inf"],
                         "epsilon must be positive and finite"),
+    "smallball-n-past-memory": (["smallball", "--nu", "1", "--K", "4", "--norm",
+                                 "sup", "--r", "1", "--n", "1000000000000000",
+                                 "--grid", "16", "--threads", "2"],
+                                "1000000000000000 norms do not fit in memory"),
 }
 
 

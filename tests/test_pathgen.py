@@ -1,5 +1,8 @@
 import ast
 import math
+import sys
+import threading
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +207,176 @@ def test_capped_sup_norms(grid):
     assert np.array_equal(
         pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="l2", cap=median),
         pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="l2"))
+
+
+needs_blas_control = pytest.mark.skipif(
+    pathgen._blas_threads() is None, reason="numpy bundles no OpenBLAS to pin")
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of numpy's OpenBLAS thread count, set back afterwards."""
+    get, put = pathgen._blas_threads()
+    before = get()
+    yield get, put
+    put(before)
+
+
+@needs_blas_control
+@pytest.mark.parametrize("n_points", [1024, 1023, 1025, 256, 100, 33, 2])
+def test_batch_norms_same_bits_at_any_thread_count(n_points, blas_threads):
+    # at 1023 and 1025 points the norms used to depend on the process's
+    # BLAS thread count (sup at 1023 and l2 at 1025 here)
+    get, put = blas_threads
+    amps = PeriodicGenConfig(nu=1.0, K=45, tail_tol=math.inf).amplitudes()
+    grid = GridSpec(n_points=n_points)
+    n = 3000
+    put(1)
+    exact = pathgen.batch_norms(amps, grid, seed=7, n_paths=n, norm="sup")
+    cases = [("sup", 0.0), ("sup", float(np.median(exact))), ("sup", math.inf),
+             ("l2", math.inf)]
+    want = {case: pathgen.batch_norms(amps, grid, 7, n, *case) for case in cases}
+    for blas in (1, 2):
+        put(blas)
+        for threads in (1, 2, 4):
+            for case in cases:
+                got = pathgen.batch_norms(amps, grid, 7, n, *case, threads=threads)
+                assert np.array_equal(got, want[case]), (blas, threads, case)
+
+
+@needs_blas_control
+def test_batch_norms_restores_blas_threads(blas_threads, monkeypatch):
+    get, put = blas_threads
+    amps = PeriodicGenConfig(nu=1.0, K=8, tail_tol=math.inf).amplitudes()
+    put(2)
+    before = get()
+    pathgen.batch_norms(amps, GridSpec(n_points=64), 1, 1100, "sup", threads=2)
+    assert get() == before
+    with pytest.raises(CapacityError):  # raised before any worker starts
+        pathgen.batch_norms(amps, GridSpec(0.0, 1e308, 8), 1, 1100, "sup")
+    assert get() == before
+    seen = []
+    rng_for_block = pathgen._rng_for_block
+    # at two workers the calling thread reduces block 0, a pool thread 1-2
+    for threads, bad in ((1, 1), (2, 0), (2, 1)):
+        def failing_rng(seed, block, bad=bad):
+            seen.append(get())
+            if block == bad:
+                raise RuntimeError(f"block {bad}")
+            return rng_for_block(seed, block)
+
+        monkeypatch.setattr(pathgen, "_rng_for_block", failing_rng)
+        with pytest.raises(RuntimeError, match=f"block {bad}"):
+            pathgen.batch_norms(amps, GridSpec(n_points=64), 1, 1100, "l2",
+                                threads=threads)
+        assert get() == before
+    assert set(seen) == {1}
+
+
+@needs_blas_control
+def test_concurrent_batch_norms_calls_restore_blas_threads(blas_threads):
+    # overlapping calls from several threads would restore one another's
+    # pin and leave the BLAS on one thread
+    get, put = blas_threads
+    put(2)
+    before = get()
+    amps = PeriodicGenConfig(nu=1.0, K=45, tail_tol=math.inf).amplitudes()
+    grid = GridSpec(n_points=1023)
+    want = pathgen.batch_norms(amps, grid, 4, 1100, "sup")
+    got = [None] * 3
+
+    def call(i):
+        got[i] = pathgen.batch_norms(amps, grid, 4, 1100, "sup", threads=2)
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert all(g is not None and np.array_equal(g, want) for g in got)
+    assert get() == before
+
+
+@pytest.fixture
+def executor(monkeypatch):
+    """Stands in for ThreadPoolExecutor in pathgen, starting no thread: each
+    submitted call runs at once; yields the worker counts the executors were
+    made with and the arguments of the calls."""
+    made, calls = [], []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            calls.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(pathgen, "ThreadPoolExecutor", InlineExecutor)
+    return made, calls
+
+
+@pytest.mark.parametrize("cpus, n_blocks, ranges", [
+    (2, 10, [(0, 5), (5, 10)]),
+    (3, 10, [(0, 3), (3, 6), (6, 10)]),
+    (64, 3, [(0, 1), (1, 2), (2, 3)]),
+    (64, 1, None),
+    (1, 10, None),
+])
+def test_batch_norms_workers_take_contiguous_block_ranges(monkeypatch, executor,
+                                                          cpus, n_blocks, ranges):
+    # one contiguous range of blocks per worker, never one call per block,
+    # and at most min(threads, CPUs, blocks) workers, the calling thread
+    # taking the first range; None: the calling thread alone
+    amps = PeriodicGenConfig(nu=1.0, K=4, tail_tol=math.inf).amplitudes()
+    grid = GridSpec(n_points=32)
+    n = n_blocks * pathgen.BLOCK - 3
+    want = pathgen.batch_norms(amps, grid, 2, n, "sup")
+    made, calls = executor
+    monkeypatch.setattr(pathgen, "_usable_cpus", lambda: cpus)
+    if pathgen._blas_threads() is None:
+        ranges = None
+    got = pathgen.batch_norms(amps, grid, 2, n, "sup", threads=10**6)
+    assert np.array_equal(got, want)
+    assert made == ([] if ranges is None else [len(ranges) - 1])
+    assert calls == ([] if ranges is None else ranges[1:])
+
+
+def test_batch_norms_without_blas_control_runs_one_worker(monkeypatch, executor):
+    amps = PeriodicGenConfig(nu=1.0, K=4, tail_tol=math.inf).amplitudes()
+    grid = GridSpec(n_points=33)
+    want = pathgen.batch_norms(amps, grid, 2, 5 * pathgen.BLOCK, "l2")
+    made, _ = executor
+    monkeypatch.setattr(pathgen, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(pathgen, "_blas_threads", lambda: None)
+    got = pathgen.batch_norms(amps, grid, 2, 5 * pathgen.BLOCK, "l2", threads=4)
+    assert np.array_equal(got, want)
+    assert made == []
+
+
+def test_batch_norms_refuses_bad_counts():
+    amps = PeriodicGenConfig(nu=1.0, K=4, tail_tol=math.inf).amplitudes()
+    grid = GridSpec(n_points=16)
+    for n_paths, threads in ((-1, 1), (10, 0)):
+        with pytest.raises(PreconditionError):
+            pathgen.batch_norms(amps, grid, 1, n_paths, "sup", threads=threads)
+    for n_paths in (10**15, 10**22):  # past memory, past numpy's array size
+        with pytest.raises(CapacityError, match="do not fit in memory"):
+            pathgen.batch_norms(amps, grid, 1, n_paths, "sup")
 
 
 def test_continuous_pairwise_correlation():

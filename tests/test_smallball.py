@@ -339,8 +339,9 @@ def test_estimate_hits_match_uncapped_norms(grid, monkeypatch):
     norms = pathgen.batch_norms(cfg.amplitudes(), grid, 9, 3000, "sup")
     caps = []
     batch_norms = pathgen.batch_norms
-    monkeypatch.setattr(pathgen, "batch_norms", lambda *a, cap: caps.append(cap)
-                        or batch_norms(*a, cap=cap))
+    monkeypatch.setattr(pathgen, "batch_norms",
+                        lambda *a, cap, threads: caps.append(cap)
+                        or batch_norms(*a, cap=cap, threads=threads))
     ests = smallball.estimate(cfg, grid, "sup", radii, n_samples=3000, seed=9)
     assert caps == [2.0]
     assert [e.hits for e in ests] == [int(np.count_nonzero(norms <= r))
