@@ -6,13 +6,16 @@ byte-for-byte.  `--config FILE` and `--config=FILE` both insert the file's
 `key=value` lines, keys spelled as flag names, before the explicit flags,
 which override them.  `smallball --threads N` reduces the Monte Carlo path
 blocks on up to N worker threads (`pathgen.batch_norms`) and gives the same
-bytes at every N.  Exit codes: 0 success, 1 numeric failure or invalid
-input, 2 usage error.
+bytes at every N.  The argparse tree is built once per process; the default
+seed is read from SMALLDEV_SEED at each run.  The `--out` directory is made
+only for a run that succeeds.  Exit codes: 0 success, 1 numeric failure or
+invalid input, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -202,13 +205,15 @@ _CONFIG = argparse.ArgumentParser(prog="smalldev", add_help=False,
 _CONFIG.add_argument("--config", help="flat key=value file; flags override it")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: it holds no run's state,
+    so `--seed` defaults to None and `_load` fills in SMALLDEV_SEED."""
     ap = argparse.ArgumentParser(prog="smalldev", allow_abbrev=False)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False, parents=[_CONFIG])
-    common.add_argument("--seed", type=int,
-                        default=int(os.environ.get("SMALLDEV_SEED", "0")))
+    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default="out")
 
     def command(name, run):
@@ -315,8 +320,10 @@ def _load(argv: list[str]) -> tuple[str, Callable[[dict], tuple[str, str]], dict
 
     Malformed flags or manifest values exit 2 through argparse; an unreadable
     config, manifest or input file, or an incomplete or malformed manifest,
-    raises OSError, ValueError or KeyError.
+    raises OSError, ValueError or KeyError, as does a SMALLDEV_SEED that is
+    no integer, even when --seed is given.
     """
+    env_seed = int(os.environ.get("SMALLDEV_SEED", "0"))
     ap = _build_parser()
     if argv[:1] == ["rerun"]:
         with open(ap.parse_args(argv).manifest) as f:
@@ -336,6 +343,8 @@ def _load(argv: list[str]) -> tuple[str, Callable[[dict], tuple[str, str]], dict
     params = vars(args)
     command, run = params.pop("command"), params.pop("run")
     del params["config"]
+    if params["seed"] is None:
+        params["seed"] = env_seed
     if given is not None:
         # a missing key would silently take its flag's default (seed, out)
         missing = sorted(set(params) - set(given))
@@ -354,12 +363,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(params["out"], exist_ok=True)
     try:
         result = run(params)
     except SmallDevError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    os.makedirs(params["out"], exist_ok=True)
     manifest = "manifest.json", _json({"command": command, "params": params,
                                        "version": __version__})
     for name, text in (result, manifest):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import zeta
@@ -48,20 +49,31 @@ class GFunctionSpec:
         if not (0 < self.gamma < 1 and 1.0 + self.gamma > 1.0):  # zeta(1 + gamma) finite
             raise PreconditionError("gamma must be in (0, 1), with 1 + gamma > 1 in floats")
 
-    @property
+    @cached_property
     def c(self) -> float:
         return 1.0 / float(zeta(1.0 + self.gamma, 1.0))
 
     def a(self, k) -> np.ndarray:
         return self.c * np.asarray(k, float) ** (-1.0 - self.gamma)
 
+    @lru_cache(maxsize=32)
+    def _explicit_a(self, D: int) -> np.ndarray:
+        """a_1..a_D, read-only: the factors that log_abs_g multiplies out
+        at depth D."""
+        a = self.a(np.arange(1, D + 1))
+        a.flags.writeable = False
+        return a
+
+    @lru_cache(maxsize=64)
     def _tail_coef(self, D: int) -> np.ndarray:
         """b_n, n = 1..N+1, with sum_{k>D} of the n-th log-sinc series term
         at x = a_k t equal to b_n (a_{D+1} t)^{2n}: the series coefficient
-        times (D+1)^s zeta(s, D+1), s = 2n(1+gamma)."""
+        times (D+1)^s zeta(s, D+1), s = 2n(1+gamma).  Read-only."""
         s = 2.0 * (1.0 + self.gamma) * np.arange(1, _SERIES_TERMS + 2)
         q = D + 1.0
-        return _SERIES_COEF * q ** s * zeta(s, q)
+        b = _SERIES_COEF * q ** s * zeta(s, q)
+        b.flags.writeable = False
+        return b
 
     def _tail_bound(self, D: int, t) -> np.ndarray:
         """Bound on the error of the N-term tail series beyond depth D at
@@ -95,7 +107,11 @@ def log_abs_g(spec: GFunctionSpec, t) -> np.ndarray:
     """log |G(t)| elementwise; -inf at zeros of the product.
 
     Each chunk of 64 points multiplies D = depth_needed(max |t|) factors
-    and sums the N-term zeta series of the rest."""
+    and sums the N-term zeta series of the rest.  The normaliser c, the
+    factors a_1..a_D and the series coefficients of each depth are
+    memoised per (spec, D), so a chunk computes no zeta value; the memos
+    are bounded (the 32 factor ranges hold up to 16 MB each at MAX_DEPTH)
+    and read-only."""
     t = np.atleast_1d(np.asarray(t, float))
     if not np.all(np.isfinite(t)):
         raise PreconditionError("t must be finite")
@@ -103,10 +119,14 @@ def log_abs_g(spec: GFunctionSpec, t) -> np.ndarray:
     for s in range(0, len(t), 64):  # chunked so the (t, k) matrix stays small
         tc = np.abs(t[s : s + 64])
         D = spec.depth_needed(float(np.max(tc)))
-        a = spec.a(np.arange(1, D + 1))
-        x = tc[:, None] * a[None, :]
+        x = tc[:, None] * spec._explicit_a(D)[None, :]
+        # log |sin x / x| in one buffer; x = 0 (t = 0) gives nan, set to 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(x > 0.0, np.log(np.abs(np.sin(x) / x)), 0.0)
+            logs = np.sin(x)
+            np.divide(logs, x, out=logs)
+            np.abs(logs, out=logs)
+            np.log(logs, out=logs)
+        logs[x == 0.0] = 0.0
         # tail sum_n b_n y^{2n}, y = a_{D+1} t, by Horner in y^2
         y2 = (float(spec.a(D + 1)) * tc) ** 2
         tail = np.zeros_like(y2)

@@ -81,15 +81,18 @@ def _product_bound(axes: np.ndarray, steps: np.ndarray) -> int:
     return math.prod(2 * math.ceil(a / s) + 1 for a, s in zip(axes, steps))
 
 
-def _term_counts(a: float, s: float) -> np.ndarray:
-    """Number of j in 0..floor(a/s) with floor(_GRID (j s / a)^2) == b, for
-    every bin b = 0.._GRID, in O(min(floor(a/s), _GRID))."""
+def _term_counts(a: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bins b = floor(_GRID (j s / a)^2) that hold some j in
+    0..floor(a/s), increasing from b = 0 (j = 0), and how many j each holds;
+    the work grows with min(floor(a/s), _GRID), not with floor(a/s)."""
     top = math.floor(a / s)
     if top > _GRID:
-        return _term_counts_by_inverse(a, s, top)
+        counts = _term_counts_by_inverse(a, s, top)
+        bins = np.flatnonzero(counts)
+        return bins, counts[bins]
     j = np.arange(top + 1)
-    return np.bincount(np.floor(_GRID * (j * s / a) ** 2).astype(np.int64),
-                       minlength=_GRID + 1)
+    return np.unique(np.floor(_GRID * (j * s / a) ** 2).astype(np.int64),
+                     return_counts=True)
 
 
 def _term_counts_by_inverse(a: float, s: float, top: int) -> np.ndarray:
@@ -108,6 +111,20 @@ def _term_counts_by_inverse(a: float, s: float, top: int) -> np.ndarray:
     return np.diff(j, prepend=-1.0).astype(np.int64)
 
 
+def _shift_add(src: np.ndarray, shifts: np.ndarray, weights: np.ndarray,
+               out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = sum_i weights[i] * src shifted up by shifts[i] bins, cut at bin
+    _GRID, where shifts[0] == 0; scratch holds one scaled copy of src."""
+    np.multiply(src, weights[0], out=out)
+    for b, w in zip(shifts[1:].tolist(), weights[1:].tolist()):
+        m = _GRID + 1 - b
+        if w != 1:
+            src_m = np.multiply(src[:m], w, out=scratch[:m])
+        else:
+            src_m = src[:m]
+        np.add(out[b:], src_m, out=out[b:])
+
+
 def _count_lattice_cells(axes: np.ndarray, steps: np.ndarray) -> int:
     """Cover count of the coordinate lattice cells meeting the centered
     ellipsoid, never above the coordinate product bound.
@@ -119,6 +136,15 @@ def _count_lattice_cells(axes: np.ndarray, steps: np.ndarray) -> int:
     coordinate; rounding down only admits more cells, so 2^d times the mass
     in bins <= _GRID counts a cover.  The product bound is returned when it
     is smaller, or when the histogram could overflow int64.
+
+    Each term comes as (bin, count) pairs.  The convolution shifts the
+    denser side by the sparser side's bins, in int64 throughout, into two
+    buffers that swap roles per coordinate; a shift of weight 1 is a
+    single in-place add.  The last coordinate is not convolved,
+    as only its total is needed: the sum over its pairs of count times the
+    leading coordinates' mass in bins <= _GRID - bin.  So d = 1 takes no
+    convolution, and d axes past _GRID cells each take d - 2
+    dense-by-dense ones, each of about _GRID^2 int64 additions.
     """
     product = _product_bound(axes, steps)
     reach = [math.floor(a / s) + 1 for a, s in zip(axes, steps)]
@@ -132,17 +158,31 @@ def _count_lattice_cells(axes: np.ndarray, steps: np.ndarray) -> int:
             return product
     hist = np.zeros(_GRID + 1, dtype=np.int64)
     hist[0] = 1
+    conv = np.empty_like(hist)
+    scratch = np.empty_like(hist)
     total = 1
-    for a, s, n in zip(axes, steps, reach):
+    for i, (a, s, n) in enumerate(zip(axes, steps, reach)):
         if total * n > _INT64_MAX:
             return product
-        term = _term_counts(a, s)
-        # convolve, shifting the denser of the two by the sparser one's bins
-        sparse, dense = sorted((hist, term), key=np.count_nonzero)
-        conv = np.zeros_like(hist)
-        for b in np.flatnonzero(sparse):
-            conv[b:] += sparse[b] * dense[: _GRID + 1 - b]
-        hist = conv
+        bins, counts = _term_counts(a, s)
+        if i == len(axes) - 1:
+            # the leading coordinates' mass in bins <= _GRID - b for each of
+            # this term's bins b, from the sums between those cut points
+            cuts = _GRID + 1 - bins[:0:-1]
+            below = np.cumsum(np.add.reduceat(hist, np.concatenate(([0], cuts))))
+            total = int(np.sum(counts[::-1] * below))
+            break
+        if np.count_nonzero(hist) <= len(bins):
+            # the histogram is the sparser side: read its bins, then hold
+            # the dense term in its buffer and shift that
+            shifts = np.flatnonzero(hist)
+            weights = hist[shifts]
+            hist.fill(0)
+            hist[bins] = counts
+            _shift_add(hist, shifts, weights, conv, scratch)
+        else:
+            _shift_add(hist, bins, counts, conv, scratch)
+        hist, conv = conv, hist
         total = int(hist.sum())
     return min(2 ** len(axes) * total, product)
 

@@ -391,6 +391,50 @@ def test_env_seed(tmp_path, monkeypatch):
     assert m["params"]["seed"] == 123
 
 
+def test_env_seed_is_read_at_each_run(tmp_path, monkeypatch):
+    # the parser is built once, so the seed default cannot live in it
+    args = ["l2-exact", "--nu", "1", "--K", "4", "--r", "1.0"]
+    seeds = []
+    for env in ("123", "456"):
+        monkeypatch.setenv("SMALLDEV_SEED", env)
+        out = tmp_path / env
+        assert run(args + ["--out", str(out)]) == 0
+        seeds.append(json.loads(read(out / "manifest.json"))["params"]["seed"])
+    monkeypatch.delenv("SMALLDEV_SEED")
+    assert run(args + ["--out", str(tmp_path / "unset")]) == 0
+    seeds.append(json.loads(read(tmp_path / "unset" / "manifest.json"))
+                 ["params"]["seed"])
+    # an explicit --seed wins over the environment
+    monkeypatch.setenv("SMALLDEV_SEED", "456")
+    assert run(args + ["--seed", "7", "--out", str(tmp_path / "flag")]) == 0
+    seeds.append(json.loads(read(tmp_path / "flag" / "manifest.json"))
+                 ["params"]["seed"])
+    assert seeds == [123, 456, 0, 7]
+
+
+@pytest.mark.parametrize("seed_flag", [[], ["--seed", "3"]])
+def test_bad_env_seed_exits_2(tmp_path, monkeypatch, capsys, seed_flag):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SMALLDEV_SEED", "abc")
+    assert run(["l2-exact", "--nu", "1", "--r", "1", "--out", "o"]
+               + seed_flag) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_is_built_once(tmp_path):
+    cli._build_parser.cache_clear()
+    for name in ("a", "b"):
+        assert run(["l2-exact", "--nu", "1", "--K", "4", "--r", "1.0",
+                    "--out", str(tmp_path / name)]) == 0
+    manifest = json.loads(read(tmp_path / "a" / "manifest.json"))
+    manifest["params"]["out"] = str(tmp_path / "c")
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    assert run(["rerun", str(tmp_path / "m.json")]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("t_max", ["0", "-5", "nan", "5", "inf"])
 def test_g_certify_bad_t_max_exits_1(tmp_path, capsys, t_max):
     assert run(["g-certify", "--gamma", "0.5", "--t-max", t_max,
@@ -498,3 +542,5 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and message in err[0]
+    # no output directory either: it is made only for a run that succeeds
+    assert not (tmp_path / "o").exists()

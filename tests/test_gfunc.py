@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+import reference
 from smalldev import gfunc
 from smalldev.errors import CapacityError, PreconditionError
 from smalldev.gfunc import GFunctionSpec
@@ -153,3 +154,22 @@ def test_log_abs_g_rejects_non_finite_t(t):
 def test_certify_rejects_bad_range(t_max, fit_t_min):
     with pytest.raises(PreconditionError):
         gfunc.g_certify(GFunctionSpec(0.5), t_max=t_max, fit_t_min=fit_t_min)
+
+
+@pytest.mark.parametrize("gamma", [0.9, 0.5, 0.25, 0.1])
+def test_memoised_coefficients_give_the_same_bits(monkeypatch, gamma):
+    # the memos of c, the factors and the tail coefficients, and the log-sinc
+    # formed in one buffer, change no bit of log |G| or of its certificate
+    spec = GFunctionSpec(gamma)
+    grids = (np.linspace(0.0, 1.0, 4001), np.geomspace(1.0, 1e4, 2000),
+             np.geomspace(10.0, 1e4, 3000))
+    for t in grids:
+        assert gfunc.log_abs_g(spec, t).tobytes() \
+            == reference.log_abs_g(spec, t).tobytes()
+    cert = gfunc.g_certify(spec)
+    monkeypatch.setattr(gfunc, "log_abs_g", reference.log_abs_g)
+    ref = gfunc.g_certify(GFunctionSpec(gamma))
+    assert cert.spec.c == 1.0 / float(zeta(1.0 + gamma, 1.0))
+    for field in ("theta_G", "C_G", "decay_exponent"):
+        assert getattr(cert, field).hex() == getattr(ref, field).hex(), field
+    assert cert == ref

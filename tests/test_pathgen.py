@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from reference import closed_form_covariance
-from smalldev import pathgen, spectra
+from smalldev import gfunc, pathgen, spectra
 from smalldev.errors import CapacityError, PreconditionError
 from smalldev.pathgen import GridSpec, PeriodicGenConfig
 
@@ -759,3 +759,8 @@ def test_caches_are_bounded_and_read_only():
     for span in (1.0, 100.0):  # Gauss-Legendre, then the strata
         rule = pathgen.spectral_rule(model, span)
         assert not rule.u.flags.writeable and not rule.amp.flags.writeable
+    spec = gfunc.GFunctionSpec(0.5)
+    for memo in (gfunc.GFunctionSpec._explicit_a, gfunc.GFunctionSpec._tail_coef):
+        assert isinstance(memo.cache_info().maxsize, int)
+    assert not spec._explicit_a(16).flags.writeable
+    assert not spec._tail_coef(16).flags.writeable

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import reference
 from smalldev import pathgen, rkhs, smallball, spectra
 from smalldev.curves import BoundCurve
 from smalldev.errors import CapacityError, PreconditionError
@@ -18,8 +19,11 @@ def test_term_counts_match_inverse(top):
     for a in (1.0, 0.37, math.sqrt(2.0) * math.exp(-2.0)):
         s = a / (top + 0.5)
         assert math.floor(a / s) == top
-        got = rkhs._term_counts(a, s)
-        assert got.dtype == np.int64 and len(got) == rkhs._GRID + 1
+        bins, counts = rkhs._term_counts(a, s)
+        assert bins.dtype == counts.dtype == np.int64
+        assert bins[0] == 0 and np.all(np.diff(bins) > 0) and np.all(counts > 0)
+        got = np.zeros(rkhs._GRID + 1, dtype=np.int64)
+        got[bins] = counts
         assert np.array_equal(got, rkhs._term_counts_by_inverse(a, s, top))
 
 
@@ -70,6 +74,68 @@ def test_lattice_count_covers_enumeration_below_product():
                 product = int(np.prod(2 * np.ceil(axes / steps) + 1))
                 cells = rkhs._count_lattice_cells(axes, steps)
                 assert min(exact, product) <= cells <= min(1.01 * exact, product)
+
+
+def _cover_inputs(nu, K, eps):
+    """The axes and steps that upper_cover counts at (nu, K, eps)."""
+    axes = CoefficientEllipsoid(nu, K).semi_axes()
+    tails = np.concatenate([np.cumsum(axes[::-1])[::-1], [0.0]])
+    d = 1 + int(np.argmax(tails[1:] <= eps / 2.0))
+    return axes[:d], np.full(d, 2.0 * (eps - tails[d]) / d)
+
+
+def _steps_for(axes, tops):
+    # a step per axis that puts floor(a / s) at the given top
+    return np.array([a / (top + 0.5) for a, top in zip(axes, tops)])
+
+
+LATTICE_CASES = {
+    **{f"d1-top{top}": ([1.0], _steps_for([1.0], [top]))
+       for top in (0, 1, 5, 300, 70_000)},
+    # bins that hold many j, and a last term of several hundred bins
+    "many-j-per-bin": ([1.0, 0.9, 0.7],
+                       _steps_for([1.0, 0.9, 0.7], [2000, 1500, 400])),
+    # terms past 2^16 cells, from the inverse bin formula, first, last and
+    # between sparse ones, and one shifted by bins that hold many j
+    "dense-first": ([1.0, 1e-4], [1e-5, 1e-5]),
+    "dense-last": ([1e-4, 1.0], [1e-5, 1e-5]),
+    "dense-middle": ([1e-4, 1.0, 1e-4], [1e-5, 1e-5, 1e-5]),
+    "dense-by-heavy-bins": ([1.0, 1.0, 1.0],
+                            _steps_for([1.0] * 3, [500, 70_000, 5])),
+    # the inscribed box of two coordinates trips the int64 guard at the third
+    "box-guard": _cover_inputs(2.0, 3, 1e-5),
+    # upper_cover's own inputs, the benchmark's among them
+    **{f"cover-{nu}-{K}-{eps}": _cover_inputs(nu, K, eps)
+       for nu in (0.5, 1.0, 2.0) for K in (0, 1, 2, 4, 8)
+       for eps in (1.0, 0.5, 0.3, 0.2, 0.05)},
+    "cover-1.0-1-0.001": _cover_inputs(1.0, 1, 1e-3),
+}
+
+
+@pytest.mark.parametrize("axes, steps", LATTICE_CASES.values(),
+                         ids=LATTICE_CASES.keys())
+def test_lattice_count_equals_dense_convolution(axes, steps):
+    axes, steps = np.asarray(axes, float), np.asarray(steps, float)
+    assert rkhs._count_lattice_cells(axes, steps) \
+        == reference.count_lattice_cells(axes, steps)
+
+
+def test_lattice_count_running_total_guard(monkeypatch):
+    # 1001 x 1001 cells on the first two axes count about 7.9e5 quarter-disk
+    # points, past the inscribed box's 708^2, so only the running total
+    # trips the int64 guard at the third axis, after two terms
+    axes, steps = np.array([1.0, 1.0, 1.5e10]), np.full(3, 1e-3)
+    term_counts, calls = rkhs._term_counts, []
+
+    def counted(a, s):
+        calls.append(a)
+        return term_counts(a, s)
+
+    monkeypatch.setattr(rkhs, "_term_counts", counted)
+    product = rkhs._product_bound(axes, steps)
+    assert rkhs._count_lattice_cells(axes, steps) == product
+    assert len(calls) == 2
+    assert reference.count_lattice_cells(axes, steps) == product
 
 
 def test_bracket_names_rule_and_cells():
