@@ -48,8 +48,12 @@ def _json(obj) -> str:
 
 
 def float_list(text: str) -> list[float]:
-    """argparse type of comma-separated numbers such as --r 0.5,1,2."""
-    return [float(x) for x in text.split(",") if x]
+    """argparse type of one or more comma-separated numbers: --r 0.5,1,2."""
+    values = [float(x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected at least one number, got {text!r}")
+    return values
 
 
 def positive_int(text: str) -> int:
@@ -72,7 +76,7 @@ def beta_text(text: str) -> str:
 
 def _read_xy_csv(path: str) -> list[tuple[float, float]]:
     """(x, y) pairs of the non-blank lines after a CSV header line; ValueError
-    without a header line, or on a line that is not two numeric fields."""
+    without a header line, or on a line that is not two finite numbers."""
     out = []
     with open(path) as f:
         if not f.readline():
@@ -83,7 +87,10 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
                 continue
             if len(parts) != 2:
                 raise ValueError(f"{path} line {n}: expected x,y")
-            out.append((float(parts[0]), float(parts[1])))
+            x, y = float(parts[0]), float(parts[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path} line {n}: expected finite numbers")
+            out.append((x, y))
     return out
 
 
@@ -94,7 +101,7 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
 def cmd_simulate(p: dict) -> tuple[str, str]:
     grid = pathgen.GridSpec(0.0, p["t_max"], p["n_points"])
     if p["spectrum"] == "discrete":
-        cfg = pathgen.PeriodicGenConfig(p["nu"], p["K"], tail_tol=math.inf)
+        cfg = pathgen.PeriodicGenConfig(p["nu"], p["K"])
         path = pathgen.gen_periodic(cfg, grid, p["seed"], p["path_index"])
     else:
         model = spectra.continuous_nu(p["nu"])
@@ -105,7 +112,7 @@ def cmd_simulate(p: dict) -> tuple[str, str]:
 
 def cmd_smallball(p: dict) -> tuple[str, str]:
     grid = pathgen.GridSpec(0.0, 1.0, p["grid"])
-    cfg = pathgen.PeriodicGenConfig(p["nu"], p["K"], tail_tol=math.inf)
+    cfg = pathgen.PeriodicGenConfig(p["nu"], p["K"])
     ests = smallball.estimate(cfg, grid, p["norm"], p["r"], p["n"], p["seed"],
                               threads=p["threads"])
     header = ["r", "norm", "n", "hits", "p_hat", "ci_low", "ci_high",
@@ -119,8 +126,8 @@ def cmd_smallball(p: dict) -> tuple[str, str]:
 def cmd_l2_exact(p: dict) -> tuple[str, str]:
     spec = smallball.WeightedChiSquareSpec.periodic(p["nu"], p["K"])
     logs = [smallball.log_exact_l2(spec, r) for r in p["r"]]
-    rows = [[r, math.exp(lp), -lp] for r, lp in zip(p["r"], logs)]
-    return "l2_exact.csv", _csv(["r", "p", "phi"], rows)
+    rows = [[r, -lp] for r, lp in zip(p["r"], logs)]
+    return "l2_exact.csv", _csv(["r", "phi"], rows)
 
 
 def cmd_tsirelson(p: dict) -> tuple[str, str]:

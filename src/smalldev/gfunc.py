@@ -33,6 +33,9 @@ _TAIL_TOL = 1e-12
 #: largest explicit depth D; a |t| that needs more is a CapacityError
 MAX_DEPTH = 2_000_000
 
+#: start of the window [FIT_T_MIN, t_max] of the envelope decay fit
+FIT_T_MIN = 10.0
+
 #: N, the log-sinc series terms summed exactly over the tail
 _SERIES_TERMS = 10
 
@@ -148,21 +151,20 @@ class GCertificate:
     max_depth: int
 
 
-def g_certify(spec: GFunctionSpec, t_max: float = 1e4,
-              fit_t_min: float = 10.0) -> GCertificate:
+def g_certify(spec: GFunctionSpec, t_max: float = 1e4) -> GCertificate:
     """Certify the three working properties of G.
 
     * theta_G = inf |G| over [0, 1], from a grid minimum with a Lipschitz
       pad on log |G| (|d log G / dt| <= 0.4 t sum a_k^2 for a_k t <= 1);
     * |G| <= 1 on a real test grid (each factor is a sinc);
     * envelope decay: fit log |G| ~ -C_G t^p on local maxima of |G| over
-      [fit_t_min, t_max]; p should be close to 1/(1+gamma).
+      [FIT_T_MIN, t_max]; p should be close to 1/(1+gamma).
 
-    Needs 0 < fit_t_min < t_max < inf.
+    Needs FIT_T_MIN < t_max < inf.
     """
-    if not 0.0 < fit_t_min < t_max < math.inf:
+    if not FIT_T_MIN < t_max < math.inf:
         raise PreconditionError(
-            f"need 0 < fit_t_min < t_max < inf, got fit_t_min = {fit_t_min}, "
+            f"need 0 < fit_t_min < t_max < inf, got fit_t_min = {FIT_T_MIN}, "
             f"t_max = {t_max}")
     # -- theta_G on [0, 1], 4001-point grid
     tg = np.linspace(0.0, 1.0, 4001)
@@ -178,7 +180,7 @@ def g_certify(spec: GFunctionSpec, t_max: float = 1e4,
     if not bounded:
         raise CertificateError("|G| <= 1 violated on the test grid")
     # -- envelope decay fit on local maxima
-    tf = np.geomspace(fit_t_min, t_max, 3000)
+    tf = np.geomspace(FIT_T_MIN, t_max, 3000)
     lf = log_abs_g(spec, tf)
     peaks = np.flatnonzero((lf[1:-1] >= lf[:-2]) & (lf[1:-1] >= lf[2:])) + 1
     if len(peaks) < 5:
@@ -188,5 +190,5 @@ def g_certify(spec: GFunctionSpec, t_max: float = 1e4,
     p, logC = np.polyfit(xlog, y, 1)
     return GCertificate(spec=spec, theta_G=theta, bounded_by_one=bounded,
                         C_G=float(np.exp(logC)), decay_exponent=float(p),
-                        fit_t_range=(fit_t_min, t_max),
+                        fit_t_range=(FIT_T_MIN, t_max),
                         max_depth=spec.depth_needed(max(1.0, t_max)))

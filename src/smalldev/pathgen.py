@@ -116,34 +116,16 @@ class PathSample:
 
 @dataclass(frozen=True)
 class PeriodicGenConfig:
+    """The discrete-nu series truncated at K atoms a side; `tail_variance`
+    is the variance 2 sum_{k>K} mass_k that the truncation leaves out."""
     nu: float
     K: int
-    tail_tol: float = 1e-12
+    tail_variance: float = field(init=False)
 
     def __post_init__(self):
-        tail = 2.0 * spectra.discrete_tail(self.nu, self.K)  # refuses a bad nu or K
-        if not self.tail_tol > 0:
-            raise PreconditionError(f"tail_tol must be positive, got {self.tail_tol}")
-        if tail > self.tail_tol:
-            raise PreconditionError(
-                f"truncated tail variance {tail:.3e} exceeds tail_tol "
-                f"{self.tail_tol:.3e}; minimal admissible K is {self._minimal_K()}"
-            )
-
-    def _minimal_K(self) -> int:
-        """Least k >= K with 2 discrete_tail(nu, k) <= tail_tol, from one
-        reverse cumulative sum over the atoms past K down to 1e-18 tail_tol;
-        it rounds unlike `discrete_tail`, so two calls of that settle it."""
-        depth = max(-math.log(1e-18 * self.tail_tol), 0.0)
-        end = max(math.ceil(depth ** (1.0 / self.nu)), self.K + 1)
-        atoms = np.exp(spectra.discrete_log_masses(self.nu, end)[self.K + 1:])
-        tails = 2.0 * np.cumsum(atoms[::-1])[::-1]  # tails[i]: past K + i
-        k = self.K + int(np.argmax(tails <= self.tail_tol))
-        if 2.0 * spectra.discrete_tail(self.nu, k) > self.tail_tol:
-            return k + 1
-        if 2.0 * spectra.discrete_tail(self.nu, k - 1) <= self.tail_tol:
-            return k - 1
-        return k
+        # refuses a bad nu or K, and a tail past 2^22 atoms
+        object.__setattr__(self, "tail_variance",
+                           2.0 * spectra.discrete_tail(self.nu, self.K))
 
     def amplitudes(self) -> np.ndarray:
         """amp[0] for the constant term, amp[k] for each cos/sin pair."""
@@ -221,6 +203,7 @@ def gen_periodic(cfg: PeriodicGenConfig, grid: GridSpec, seed: int,
     vals = series_values(cfg.amplitudes(), grid.times(), seed, 1, offset=path_index)
     return PathSample(grid, vals[0], seed,
                       meta={"method": "fourier-series", "truncation_K": cfg.K,
+                            "tail_variance": cfg.tail_variance,
                             "path_index": path_index})
 
 

@@ -67,8 +67,8 @@ def fit(points, beta_mode="free") -> RateFitResult:
             raise PreconditionError(
                 "radii must lie in (0, e^-e) so log|log r| exceeds 1"
             )
-        if phi <= 0:
-            raise PreconditionError("phi values must be positive")
+        if not 0 < phi < math.inf:  # NaN fails too
+            raise PreconditionError("phi values must be positive and finite")
     need = 3 if beta_fixed is None else 2
     if len(points) < need:
         return _refusal(points, mode, f"need at least {need} points")

@@ -292,7 +292,6 @@ class TruncationBoundInput:
     model: spectra.SpectralModel
     epsilon: float
     theta: float
-    C: float = 1.0
 
     def __post_init__(self):
         if self.model.kind != spectra.CONTINUOUS_NU:
@@ -325,10 +324,11 @@ class TruncationBoundResult:
 
 
 def truncation_entropy_upper(inp: TruncationBoundInput) -> TruncationBoundResult:
-    """Entropy upper bound C |log(eps / sqrt(I))|^2 / delta from spectral
-    truncation at |u| <= v, with I the tilted mass of the truncated measure.
+    """Entropy upper bound |log(eps / sqrt(I))|^2 / delta from spectral
+    truncation at |u| <= v, with I the tilted mass of the truncated measure,
+    stated with the paper's unspecified absolute constant C = 1.
 
-    Also returns the pure rate form C |log eps|^2 / delta, whose envelope in
+    Also returns the pure rate form |log eps|^2 / delta, whose envelope in
     eps has exact slope 1 + 1/nu, and certifies that the dropped spectral
     tail perturbs functions by at most eps in sup norm.
     """
@@ -343,8 +343,8 @@ def truncation_entropy_upper(inp: TruncationBoundInput) -> TruncationBoundResult
         raise CertificateError(
             f"truncation remainder {tail_sup:.3g} exceeds epsilon {eps:.3g}"
         )
-    bound_certified = inp.C * math.log(eps / math.sqrt(I)) ** 2 / delta
-    bound_rate = inp.C * math.log(eps) ** 2 / delta
+    bound_certified = math.log(eps / math.sqrt(I)) ** 2 / delta
+    bound_rate = math.log(eps) ** 2 / delta
     return TruncationBoundResult(input=inp, I=I,
                                  bound_certified=bound_certified,
                                  bound_rate=bound_rate, tail_sup=tail_sup)

@@ -32,13 +32,15 @@ def _report(num, name, passed=True):
 
 @pytest.fixture(scope="module")
 def sup_norms_nu1():
-    cfg = PeriodicGenConfig(1.0, 45, tail_tol=1e-15)
+    cfg = PeriodicGenConfig(1.0, 45)
+    assert cfg.tail_variance <= 1e-15
     return pathgen.batch_norms(cfg.amplitudes(), GRID, SEED, N_MC, "sup")
 
 
 @pytest.fixture(scope="module")
 def sup_norms_nu2():
-    cfg = PeriodicGenConfig(2.0, 7, tail_tol=1e-15)
+    cfg = PeriodicGenConfig(2.0, 7)
+    assert cfg.tail_variance <= 1e-15
     return pathgen.batch_norms(cfg.amplitudes(), GRID, SEED, N_MC, "sup")
 
 
@@ -90,7 +92,8 @@ def test_criterion_03_lower_bound_validity(sup_norms_nu1, sup_norms_nu2):
 
 
 def test_criterion_04_l2_oracle_agreement():
-    cfg = PeriodicGenConfig(1.0, 8, tail_tol=1e-3)
+    cfg = PeriodicGenConfig(1.0, 8)
+    assert cfg.tail_variance <= 1e-3
     norms = pathgen.batch_norms(cfg.amplitudes(), GRID, SEED, N_MC, "l2")
     spec = smallball.WeightedChiSquareSpec.periodic(1.0, 8)
     for r in (0.5, 1.0, 2.0):
@@ -142,7 +145,8 @@ def test_criterion_07_covariance_recovery():
             assert abs(float(np.mean(prod)) - target) <= 3.0 * se, (model.kind, t)
     # periodic spectra
     for nu, K in [(1.0, 45), (2.0, 7)]:
-        cfg = PeriodicGenConfig(nu, K, tail_tol=1e-15)
+        cfg = PeriodicGenConfig(nu, K)
+        assert cfg.tail_variance <= 1e-15
         vals = pathgen.series_values(cfg.amplitudes(), lags, SEED, n)
         model = spectra.discrete_nu(nu)
         for j, t in enumerate(lags):
@@ -204,7 +208,7 @@ def test_criterion_10_g_function():
     spec = gfunc.GFunctionSpec(0.5)
     # 1 / zeta(3/2) pinned from a 30-digit independent evaluation
     assert spec.c == pytest.approx(0.38279338399942656, abs=1e-10)
-    cert = gfunc.g_certify(spec, t_max=1e4, fit_t_min=10.0)
+    cert = gfunc.g_certify(spec, t_max=1e4)
     assert cert.theta_G > 0.0
     assert cert.bounded_by_one
     assert cert.decay_exponent >= 1.0 / 1.5 - 0.1
@@ -218,7 +222,7 @@ def test_criterion_11_truncation_bound():
         pts = []
         for eps in np.geomspace(1e-12, 1e-3, 15):
             res = rkhs.truncation_entropy_upper(
-                rkhs.TruncationBoundInput(model, float(eps), theta=theta, C=1.0)
+                rkhs.TruncationBoundInput(model, float(eps), theta=theta)
             )
             assert res.I <= 2.0 * res.input.v
             pts.append((float(eps), res.bound_rate))

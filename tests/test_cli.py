@@ -16,6 +16,12 @@ def read(path):
         return f.read()
 
 
+def l2_phi(out):
+    """phi of the first row of an l2_exact.csv, read by its column name."""
+    header, row = read(out / "l2_exact.csv").splitlines()[:2]
+    return float(dict(zip(header.split(","), row.split(",")))["phi"])
+
+
 def test_smallball_schema_and_determinism(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -116,8 +122,7 @@ def test_l2_exact_at_large_contour_step(tmp_path):
     out = tmp_path / "l2"
     assert run(["l2-exact", "--nu", "2", "--K", "27",
                 "--r", "1.2861081668351373e-4", "--out", str(out)]) == 0
-    row = read(out / "l2_exact.csv").strip().split("\n")[1].split(",")
-    assert float(row[2]) == pytest.approx(57.72628461187268, rel=1e-12)
+    assert l2_phi(out) == pytest.approx(57.72628461187268, rel=1e-12)
 
 
 def test_l2_exact_deep_radius(tmp_path):
@@ -125,12 +130,11 @@ def test_l2_exact_deep_radius(tmp_path):
     out = tmp_path / "l2"
     assert run(["l2-exact", "--nu", "1", "--K", "5", "--r", "1e-100",
                 "--out", str(out)]) == 0
-    row = read(out / "l2_exact.csv").strip().split("\n")[1].split(",")
     x = 1e-200
     lam = [math.exp(-k) for k in range(1, 6)]
     lead = (-5.5 * math.log(x / 2.0) + math.lgamma(6.5)
             + sum(math.log(v) for v in lam))
-    assert float(row[2]) == pytest.approx(lead, rel=1e-12)
+    assert l2_phi(out) == pytest.approx(lead, rel=1e-12)
 
 
 def test_l2_exact_near_one(tmp_path):
@@ -139,9 +143,8 @@ def test_l2_exact_near_one(tmp_path):
     out = tmp_path / "l2"
     assert run(["l2-exact", "--nu", "1", "--K", "2", "--r", "5",
                 "--out", str(out)]) == 0
-    row = read(out / "l2_exact.csv").strip().split("\n")[1].split(",")
-    assert float(row[2]) == pytest.approx(1.0800625733796997e-06, rel=1e-13,
-                                          abs=0.0)
+    assert l2_phi(out) == pytest.approx(1.0800625733796997e-06, rel=1e-13,
+                                        abs=0.0)
 
 
 def test_l2_exact_overflowing_r_squared_exits_1(tmp_path, capsys):
@@ -233,10 +236,20 @@ def exit_code(argv):
     ["smallball", "--nu", "1", "--norm", "sup", "--r", "1", "--threads", "-1",
      "--out", "o"],
     ["l2-exact", "--nu", "1", "--r", "1", "--threads", "1", "--out", "o"],
+    # non-finite values used to reach the results: fit wrote NaN into
+    # fit.json, which is no JSON, and kl-translate and scaling nan rows
+    ["fit", "--input", "nan.csv", "--out", "o"],
+    ["kl-translate", "--input", "nan.csv", "--out", "o"],
+    ["scaling", "--input", "nan.csv", "--c", "0.5", "--out", "o"],
+    ["fit", "--input", "inf.csv", "--out", "o"],
+    ["kl-translate", "--input", "inf.csv", "--out", "o"],
+    ["scaling", "--input", "inf.csv", "--c", "0.5", "--out", "o"],
 ])
 def test_usage_errors_exit_2_without_output(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     inputs = {"empty.csv": "", "bad.csv": "r,phi\n1e-5,abc\n",
+              "nan.csv": "r,phi\n1e-15,357.8\n0.01,nan\n",
+              "inf.csv": "r,phi\n1e-15,357.8\n0.01,inf\n",
               "semi.csv": "r;phi\n1e-5;3.0\n",
               "wide.csv": "epsilon,lower,upper\n0.5,0.69,17.8\n",
               "ok.csv": "r,phi\n1e-5,3.0\n1e-10,9.0\n1e-20,25.0\n"}
@@ -244,6 +257,23 @@ def test_usage_errors_exit_2_without_output(tmp_path, monkeypatch, argv):
         (tmp_path / name).write_text(body)
     assert exit_code(argv) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["l2-exact", "--nu", "1", "--r"],
+    ["smallball", "--nu", "1", "--norm", "sup", "--r"],
+    ["tsirelson", "--spectrum", "discrete", "--nu", "1", "--r"],
+    ["problem5", "--alpha", "2", "--r"],
+    ["entropy", "--nu", "1", "--eps"],
+], ids=["l2-exact", "smallball", "tsirelson", "problem5", "entropy"])
+@pytest.mark.parametrize("numbers", ["", ","], ids=["empty", "comma"])
+def test_empty_number_list_exits_2_without_output(tmp_path, monkeypatch,
+                                                  capsys, argv, numbers):
+    # each used to exit 0 and write a result with only its header row
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(argv + [numbers, "--out", "o"]) == 2
+    assert "expected at least one number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 COMMON = {"out": "o", "seed": 0}
@@ -481,6 +511,9 @@ BAD_INPUT = {
     "simulate-discrete-nu-tiny": (["simulate", "--spectrum", "discrete",
                                    "--nu", "0.001", "--n-points", "8"],
                                   "exceed 2^22"),
+    "smallball-nu-tiny": (["smallball", "--nu", "0.001", "--norm", "sup",
+                           "--r", "1", "--n", "200", "--grid", "16"],
+                          "exceed 2^22"),
     "simulate-continuous-nu-tiny": (["simulate", "--spectrum", "continuous",
                                      "--nu", "0.001", "--n-points", "4"],
                                     "past the float range"),

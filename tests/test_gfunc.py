@@ -138,7 +138,9 @@ def test_tail_bound_covers_omitted_remainder(gamma, t):
 def test_depth_at_1e4_and_certificate_max_depth(gamma):
     spec = GFunctionSpec(gamma)
     assert spec.depth_needed(1e4) <= 1024
-    assert gfunc.g_certify(spec).max_depth == spec.depth_needed(1e4)
+    cert = gfunc.g_certify(spec)
+    assert cert.max_depth == spec.depth_needed(1e4)
+    assert cert.fit_t_range == (10.0, 1e4)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -148,12 +150,9 @@ def test_log_abs_g_rejects_non_finite_t(t):
 
 
 # bad t_max values are covered through the CLI in test_cli.py
-@pytest.mark.parametrize("t_max,fit_t_min", [
-    (5.0, 10.0), (1e4, 0.0), (1e4, -1.0), (1e4, math.nan),
-])
-def test_certify_rejects_bad_range(t_max, fit_t_min):
+def test_certify_rejects_bad_range():
     with pytest.raises(PreconditionError):
-        gfunc.g_certify(GFunctionSpec(0.5), t_max=t_max, fit_t_min=fit_t_min)
+        gfunc.g_certify(GFunctionSpec(0.5), t_max=5.0)
 
 
 @pytest.mark.parametrize("gamma", [0.9, 0.5, 0.25, 0.1])

@@ -33,7 +33,7 @@ def test_phases_past_float_range_are_refused():
     # the largest frequency times the largest |t| overflows: cos and sin of
     # the phases would be NaN
     grid = GridSpec(0.0, 1e308, 8)
-    cfg = PeriodicGenConfig(nu=1.0, K=4, tail_tol=math.inf)
+    cfg = PeriodicGenConfig(nu=1.0, K=4)
     with pytest.raises(CapacityError, match="past the float range"):
         pathgen.gen_periodic(cfg, grid, seed=1)
     with pytest.raises(CapacityError, match="past the float range"):
@@ -41,48 +41,20 @@ def test_phases_past_float_range_are_refused():
     with pytest.raises(CapacityError, match="past the float range"):
         pathgen.series_values(cfg.amplitudes(), np.array([0.0, -1e308]), 1, 1)
     # K = 0 has only the constant term, whose phase is 0 at every t
-    vals = pathgen.gen_periodic(PeriodicGenConfig(1.0, 0, tail_tol=math.inf),
+    vals = pathgen.gen_periodic(PeriodicGenConfig(1.0, 0),
                                 grid, seed=1).values
     assert np.all(vals == vals[0])
 
 
 def test_periodic_config_tail():
-    # K=20 at nu=1 leaves tail 2*e^{-21}/(1-e^{-1}) ~ 2.4e-9 > 1e-12
-    with pytest.raises(PreconditionError, match="minimal admissible K"):
-        PeriodicGenConfig(nu=1.0, K=20, tail_tol=1e-12)
-    PeriodicGenConfig(nu=1.0, K=20, tail_tol=1e-8)  # ok
-
-
-def reported_minimal_K(nu, K, tail_tol):
-    with pytest.raises(PreconditionError, match="minimal admissible K") as e:
-        PeriodicGenConfig(nu, K, tail_tol=tail_tol)
-    return int(str(e.value).rsplit(" ", 1)[1])
-
-
-@pytest.mark.parametrize("nu, K, tail_tol", [(0.4, 40, 1e-6),
-                                             (0.5, 40, 1e-12),
-                                             (1.0, 20, 1e-12)])
-def test_minimal_admissible_K_matches_brute_force(nu, K, tail_tol):
-    k = K
-    while 2.0 * spectra.discrete_tail(nu, k) > tail_tol:
-        k += 1
-    assert reported_minimal_K(nu, K, tail_tol) == k
-
-
-def test_minimal_admissible_K_calls_tail_at_most_three_times(monkeypatch):
-    # it used to call discrete_tail once per k: 7000 calls and 2 s here
-    calls = []
-    tail = spectra.discrete_tail
-    monkeypatch.setattr(spectra, "discrete_tail",
-                        lambda nu, K: calls.append(K) or tail(nu, K))
-    assert reported_minimal_K(0.4, 40, 1e-12) == 7042
-    assert len(calls) <= 3
-
-
-@pytest.mark.parametrize("tail_tol", [0.0, -1.0, float("nan")])
-def test_periodic_config_rejects_bad_tail_tol(tail_tol):
-    with pytest.raises(PreconditionError, match="tail_tol must be positive"):
-        PeriodicGenConfig(1.0, 4, tail_tol=tail_tol)
+    # K = 20 at nu = 1 leaves 2 e^{-21} / (1 - e^{-1}) ~ 2.4e-9 out; the
+    # config used to refuse it at its default tolerance of 1e-12
+    cfg = PeriodicGenConfig(1.0, 20)
+    assert cfg.tail_variance == 2.0 * spectra.discrete_tail(1.0, 20)
+    assert cfg.tail_variance == pytest.approx(
+        2.0 * math.exp(-21) / (1.0 - math.exp(-1)), rel=1e-12)
+    path = pathgen.gen_periodic(cfg, GridSpec(n_points=8), seed=1)
+    assert path.meta["tail_variance"] == cfg.tail_variance
 
 
 @pytest.mark.parametrize("nu, K", [(float("nan"), 3), (0.0, 3), (math.inf, 3),
@@ -94,7 +66,7 @@ def test_periodic_config_rejects_bad_nu_and_K(nu, K):
 
 
 def test_periodic_single_atom_variance():
-    cfg = PeriodicGenConfig(nu=1.0, K=0, tail_tol=2.0)
+    cfg = PeriodicGenConfig(nu=1.0, K=0)
     grid = GridSpec(n_points=4)
     vals = pathgen.series_values(cfg.amplitudes(), grid.times(), seed=3,
                                  n_paths=4000)
@@ -107,7 +79,7 @@ def test_periodic_variance_truncated_sum():
     # frozen geometric-sum value: 1 + 2*e^{-1}(1-e^{-20})/(1-e^{-1})
     target = 1.0 + 2.0 * math.exp(-1) * (1 - math.exp(-20)) / (1 - math.exp(-1))
     assert target == pytest.approx(2.16395, abs=1e-5)
-    cfg = PeriodicGenConfig(nu=1.0, K=20, tail_tol=1e-8)
+    cfg = PeriodicGenConfig(nu=1.0, K=20)
     vals = pathgen.series_values(cfg.amplitudes(), np.array([0.0]), seed=9,
                                  n_paths=20000)
     sd_err = target * math.sqrt(2.0 / 20000)
@@ -115,7 +87,7 @@ def test_periodic_variance_truncated_sum():
 
 
 def test_seed_determinism_and_offset_consistency():
-    cfg = PeriodicGenConfig(nu=1.0, K=8, tail_tol=1e-3)
+    cfg = PeriodicGenConfig(nu=1.0, K=8)
     grid = GridSpec(n_points=64)
     a = pathgen.gen_periodic(cfg, grid, seed=42, path_index=5)
     b = pathgen.gen_periodic(cfg, grid, seed=42, path_index=5)
@@ -136,7 +108,7 @@ def test_gen_periodic_is_a_batch_row():
     # a path read alone, at a block start too, equals its row of a batch
     grid = GridSpec(n_points=1024)
     for K in (8, 20, 45):
-        cfg = PeriodicGenConfig(nu=1.0, K=K, tail_tol=math.inf)
+        cfg = PeriodicGenConfig(nu=1.0, K=K)
         batch = pathgen.series_values(cfg.amplitudes(), grid.times(), seed=4,
                                       n_paths=600)
         for i in (0, 511, 512, 599):
@@ -150,7 +122,7 @@ def test_batch_norms_match_per_path():
     for nu, K, grid in [(2.0, 6, GridSpec(n_points=128)),
                         (1.0, 20, GridSpec(0.0, 1.0, 16)),  # aliases K = 20
                         (2.0, 6, GridSpec(0.0, 0.7, 100))]:
-        cfg = PeriodicGenConfig(nu=nu, K=K, tail_tol=math.inf)
+        cfg = PeriodicGenConfig(nu=nu, K=K)
         sup = pathgen.batch_norms(cfg.amplitudes(), grid, seed=21, n_paths=n,
                                   norm="sup")
         l2 = pathgen.batch_norms(cfg.amplitudes(), grid, seed=21, n_paths=n,
@@ -169,7 +141,7 @@ def test_batch_norms_match_per_path():
                          ids=["sup", "sup-cap-0", "sup-cap-1.5", "l2",
                               "l2-cap-1.5"])
 def test_batch_norms_prefix_of_longer_batch(norm, cap):
-    amps = PeriodicGenConfig(nu=1.0, K=8, tail_tol=math.inf).amplitudes()
+    amps = PeriodicGenConfig(nu=1.0, K=8).amplitudes()
     grid = GridSpec(n_points=64)
     short = pathgen.batch_norms(amps, grid, seed=3, n_paths=513, norm=norm,
                                 cap=cap)
@@ -186,7 +158,7 @@ SCREEN_GRIDS = [GridSpec(n_points=1024), GridSpec(n_points=1023),
 @pytest.mark.parametrize("grid", SCREEN_GRIDS,
                          ids=["1024", "1023", "2", "off-unit-101"])
 def test_capped_sup_norms(grid):
-    amps = PeriodicGenConfig(nu=1.0, K=20, tail_tol=math.inf).amplitudes()
+    amps = PeriodicGenConfig(nu=1.0, K=20).amplitudes()
     n = 2 * pathgen.BLOCK + 6
     exact = pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="sup")
     median = float(np.median(exact))
@@ -228,7 +200,7 @@ def test_batch_norms_same_bits_at_any_thread_count(n_points, blas_threads):
     # at 1023 and 1025 points the norms used to depend on the process's
     # BLAS thread count (sup at 1023 and l2 at 1025 here)
     get, put = blas_threads
-    amps = PeriodicGenConfig(nu=1.0, K=45, tail_tol=math.inf).amplitudes()
+    amps = PeriodicGenConfig(nu=1.0, K=45).amplitudes()
     grid = GridSpec(n_points=n_points)
     n = 3000
     put(1)
@@ -247,7 +219,7 @@ def test_batch_norms_same_bits_at_any_thread_count(n_points, blas_threads):
 @needs_blas_control
 def test_batch_norms_restores_blas_threads(blas_threads, monkeypatch):
     get, put = blas_threads
-    amps = PeriodicGenConfig(nu=1.0, K=8, tail_tol=math.inf).amplitudes()
+    amps = PeriodicGenConfig(nu=1.0, K=8).amplitudes()
     put(2)
     before = get()
     pathgen.batch_norms(amps, GridSpec(n_points=64), 1, 1100, "sup", threads=2)
@@ -280,7 +252,7 @@ def test_concurrent_batch_norms_calls_restore_blas_threads(blas_threads):
     get, put = blas_threads
     put(2)
     before = get()
-    amps = PeriodicGenConfig(nu=1.0, K=45, tail_tol=math.inf).amplitudes()
+    amps = PeriodicGenConfig(nu=1.0, K=45).amplitudes()
     grid = GridSpec(n_points=1023)
     want = pathgen.batch_norms(amps, grid, 4, 1100, "sup")
     got = [None] * 3
@@ -342,7 +314,7 @@ def test_batch_norms_workers_take_contiguous_block_ranges(monkeypatch, executor,
     # one contiguous range of blocks per worker, never one call per block,
     # and at most min(threads, CPUs, blocks) workers, the calling thread
     # taking the first range; None: the calling thread alone
-    amps = PeriodicGenConfig(nu=1.0, K=4, tail_tol=math.inf).amplitudes()
+    amps = PeriodicGenConfig(nu=1.0, K=4).amplitudes()
     grid = GridSpec(n_points=32)
     n = n_blocks * pathgen.BLOCK - 3
     want = pathgen.batch_norms(amps, grid, 2, n, "sup")
@@ -357,7 +329,7 @@ def test_batch_norms_workers_take_contiguous_block_ranges(monkeypatch, executor,
 
 
 def test_batch_norms_without_blas_control_runs_one_worker(monkeypatch, executor):
-    amps = PeriodicGenConfig(nu=1.0, K=4, tail_tol=math.inf).amplitudes()
+    amps = PeriodicGenConfig(nu=1.0, K=4).amplitudes()
     grid = GridSpec(n_points=33)
     want = pathgen.batch_norms(amps, grid, 2, 5 * pathgen.BLOCK, "l2")
     made, _ = executor
@@ -369,7 +341,7 @@ def test_batch_norms_without_blas_control_runs_one_worker(monkeypatch, executor)
 
 
 def test_batch_norms_refuses_bad_counts():
-    amps = PeriodicGenConfig(nu=1.0, K=4, tail_tol=math.inf).amplitudes()
+    amps = PeriodicGenConfig(nu=1.0, K=4).amplitudes()
     grid = GridSpec(n_points=16)
     for n_paths, threads in ((-1, 1), (10, 0)):
         with pytest.raises(PreconditionError):
@@ -571,7 +543,7 @@ def test_series_normals_keying_and_layout():
     # with xi_0..xi_K, eta_1..eta_K in that order in row i % BLOCK of the
     # normals of the generator keyed by (s, i // BLOCK)
     K, seed, offset = 3, 17, pathgen.BLOCK - 2
-    amps = PeriodicGenConfig(nu=1.0, K=K, tail_tol=math.inf).amplitudes()
+    amps = PeriodicGenConfig(nu=1.0, K=K).amplitudes()
     t = np.linspace(0.0, 1.0, 9)
     vals = pathgen.series_values(amps, t, seed, n_paths=4, offset=offset)
     k = np.arange(K + 1)[:, None]

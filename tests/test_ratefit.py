@@ -62,6 +62,15 @@ def test_fit_refusals():
             ratefit.fit(pts, beta_mode=("fixed", beta))
 
 
+@pytest.mark.parametrize("phi", [0.0, -1.0, math.nan, math.inf])
+def test_fit_refuses_phi_not_positive_and_finite(phi):
+    # NaN and inf used to pass through to a fit of NaNs
+    pts = [(1e-5, 3.0), (1e-10, phi), (1e-20, 25.0)]
+    for mode in ("free", ("fixed", 0.0)):
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            ratefit.fit(pts, beta_mode=mode)
+
+
 def test_tsirelson_slope():
     for nu in (0.5, 1.0, 2.0):
         pts = []

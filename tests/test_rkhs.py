@@ -228,7 +228,7 @@ def test_semi_axes_are_the_nonincreasing_series_amplitudes():
             log_axes = ell.log_semi_axes()
             assert len(log_axes) == 2 * K + 1 and log_axes[0] == 0.0
             assert np.all(np.diff(log_axes) <= 0.0), (nu, K)
-            amps = pathgen.PeriodicGenConfig(nu, K, tail_tol=math.inf).amplitudes()
+            amps = pathgen.PeriodicGenConfig(nu, K).amplitudes()
             assert np.repeat(amps, 2)[1:].tobytes() == ell.semi_axes().tobytes()
 
 
@@ -293,11 +293,6 @@ def test_truncation_bound():
     assert res.I <= 2.0 * inp.v
     assert res.bound_certified > 0.0
     assert res.tail_sup <= 1e-3
-    # linear in C
-    inp2 = TruncationBoundInput(model, 1e-3, theta=1.0 / 9.0, C=3.0)
-    res2 = rkhs.truncation_entropy_upper(inp2)
-    assert res2.bound_certified == pytest.approx(3.0 * res.bound_certified,
-                                                 rel=1e-12)
     # theta cap enforced
     with pytest.raises(PreconditionError):
         TruncationBoundInput(model, 1e-3, theta=0.5)

@@ -312,7 +312,8 @@ def test_phi_l2_curve_monotone():
 
 
 def test_estimate_monotone_and_common_randoms():
-    cfg = PeriodicGenConfig(nu=1.0, K=8, tail_tol=1e-3)
+    cfg = PeriodicGenConfig(nu=1.0, K=8)
+    assert cfg.tail_variance <= 1e-3
     grid = GridSpec(n_points=256)
     ests = smallball.estimate(cfg, grid, "sup", [0.5, 1.0, 2.0, 20.0],
                               n_samples=2000, seed=3)
@@ -334,7 +335,7 @@ def test_estimate_monotone_and_common_randoms():
 def test_estimate_hits_match_uncapped_norms(grid, monkeypatch):
     # estimate caps the sup norms at its largest radius; the hits at every
     # radius are those of the exact norms
-    cfg = PeriodicGenConfig(nu=1.0, K=45, tail_tol=math.inf)
+    cfg = PeriodicGenConfig(nu=1.0, K=45)
     radii = [1.0, 2.0, 0.6, 1.5, 0.8]
     norms = pathgen.batch_norms(cfg.amplitudes(), grid, 9, 3000, "sup")
     caps = []
@@ -349,7 +350,8 @@ def test_estimate_hits_match_uncapped_norms(grid, monkeypatch):
 
 
 def test_estimate_zero_hits_marker():
-    cfg = PeriodicGenConfig(nu=1.0, K=8, tail_tol=1e-3)
+    cfg = PeriodicGenConfig(nu=1.0, K=8)
+    assert cfg.tail_variance <= 1e-3
     grid = GridSpec(n_points=128)
     est = smallball.estimate(cfg, grid, "sup", [1e-6], n_samples=1000, seed=5)[0]
     assert est.hits == 0
@@ -360,7 +362,8 @@ def test_estimate_zero_hits_marker():
 
 
 def test_estimate_l2_matches_exact():
-    cfg = PeriodicGenConfig(nu=1.0, K=8, tail_tol=1e-3)
+    cfg = PeriodicGenConfig(nu=1.0, K=8)
+    assert cfg.tail_variance <= 1e-3
     grid = GridSpec(n_points=512)
     spec = WeightedChiSquareSpec.periodic(1.0, 8)
     ests = smallball.estimate(cfg, grid, "l2", [1.0], n_samples=20000, seed=17)
@@ -371,7 +374,8 @@ def test_estimate_l2_matches_exact():
 
 
 def test_estimate_preconditions():
-    cfg = PeriodicGenConfig(nu=1.0, K=4, tail_tol=1e-1)
+    cfg = PeriodicGenConfig(nu=1.0, K=4)
+    assert cfg.tail_variance <= 1e-1
     grid = GridSpec(n_points=64)
     with pytest.raises(PreconditionError):
         smallball.estimate(cfg, grid, "sup", [0.5], n_samples=50, seed=1)
