@@ -143,6 +143,7 @@ def log_abs_g(spec: GFunctionSpec, t) -> np.ndarray:
 class GCertificate:
     spec: GFunctionSpec
     theta_G: float
+    #: always true: every factor of G is a sinc, so |G| <= 1
     bounded_by_one: bool
     C_G: float
     decay_exponent: float
@@ -152,20 +153,19 @@ class GCertificate:
 
 
 def g_certify(spec: GFunctionSpec, t_max: float = 1e4) -> GCertificate:
-    """Certify the three working properties of G.
+    """Certify the working properties of G.
 
     * theta_G = inf |G| over [0, 1], from a grid minimum with a Lipschitz
       pad on log |G| (|d log G / dt| <= 0.4 t sum a_k^2 for a_k t <= 1);
-    * |G| <= 1 on a real test grid (each factor is a sinc);
+    * |G| <= 1 everywhere, as every factor is a sinc (`bounded_by_one`);
     * envelope decay: fit log |G| ~ -C_G t^p on local maxima of |G| over
       [FIT_T_MIN, t_max]; p should be close to 1/(1+gamma).
 
-    Needs FIT_T_MIN < t_max < inf.
+    Needs a finite t_max above FIT_T_MIN.
     """
     if not FIT_T_MIN < t_max < math.inf:
         raise PreconditionError(
-            f"need 0 < fit_t_min < t_max < inf, got fit_t_min = {FIT_T_MIN}, "
-            f"t_max = {t_max}")
+            f"t_max must be finite and above FIT_T_MIN = {FIT_T_MIN:g}, got {t_max}")
     # -- theta_G on [0, 1], 4001-point grid
     tg = np.linspace(0.0, 1.0, 4001)
     vals = log_abs_g(spec, tg)
@@ -174,11 +174,6 @@ def g_certify(spec: GFunctionSpec, t_max: float = 1e4) -> GCertificate:
     theta = math.exp(float(np.min(vals)) - pad)
     if not theta > 0.0:
         raise CertificateError("theta_G certification failed")
-    # -- global bound |G| <= 1 on the theta grid and out to t_max
-    lb = np.concatenate([vals, log_abs_g(spec, np.geomspace(1.0, t_max, 2000))])
-    bounded = bool(np.all(lb <= 1e-12))
-    if not bounded:
-        raise CertificateError("|G| <= 1 violated on the test grid")
     # -- envelope decay fit on local maxima
     tf = np.geomspace(FIT_T_MIN, t_max, 3000)
     lf = log_abs_g(spec, tf)
@@ -188,7 +183,7 @@ def g_certify(spec: GFunctionSpec, t_max: float = 1e4) -> GCertificate:
     y = np.log(-lf[peaks])
     xlog = np.log(tf[peaks])
     p, logC = np.polyfit(xlog, y, 1)
-    return GCertificate(spec=spec, theta_G=theta, bounded_by_one=bounded,
+    return GCertificate(spec=spec, theta_G=theta, bounded_by_one=True,
                         C_G=float(np.exp(logC)), decay_exponent=float(p),
                         fit_t_range=(FIT_T_MIN, t_max),
                         max_depth=spec.depth_needed(max(1.0, t_max)))

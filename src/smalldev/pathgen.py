@@ -1,26 +1,24 @@
 """Sample-path generation on time grids.
 
-Every process is one trigonometric series, sampled by one kernel: the
-normals of a counter block times a cos/sin basis built once per call.
-Atomic spectra are exact finite Fourier series.  Continuous spectra use the
-`spectral_rule` of the span of their times: composite Gauss-Legendre
-quadrature of the density, whose covariance is within an estimated
-`cov_error` (at most MAX_COV_ERROR, about 4 COV_TOL for continuous-nu) of
-the model's at every lag of the span, wherever such a rule needs fewer
-cos/sin pairs than the N_STRATA equal-mass strata, which serve elsewhere.
+Atomic spectra give exact finite Fourier series: the normals of a counter
+block times a cos/sin basis built once per call.  A continuous-spectrum
+path at a set of times is z L, with z one normal per row of L, the
+pivoted-Cholesky factor of the covariance that the `spectral_rule` gives
+at those times.  That rule is composite Gauss-Legendre quadrature of the
+density, whose covariance is within an estimated `cov_error` (at most
+MAX_COV_ERROR, about 4 COV_TOL for continuous-nu) of the model's at every
+lag of the times' span.  The factor stops once its residual diagonal is at
+most COV_TOL, so every sampled covariance entry is within the rule's error
+plus that residual.  It is cached per (model, times), read-only; an input
+with no sound rule, or whose factor would take too much work, is refused.
 No minorant is defined here: `tsirelson` gives the inputs of its paths.
-
-`gen_continuous` reads its path from the whole QUAD_BLOCK-path counter
-block, which a small bounded cache keeps read-only per (model, grid, seed,
-block): consecutive path indices on one grid draw the block's normals,
-build its basis and multiply them once per block, not once per path.
 
 All randomness comes from one keying scheme: a counter-based generator keyed
 by (seed, path_index // block), where the block is BLOCK paths for Fourier
-series and QUAD_BLOCK paths for spectral quadrature.  Any path index
-therefore gets the same values no matter how the batch is partitioned.  A
-continuous path's nodes also depend on the span of the call's times, so it
-is one realisation only across calls whose times have the same span.
+series and QUAD_BLOCK paths for continuous ones.  Any path index therefore
+gets the same values no matter how the batch is partitioned.  A continuous
+path's factor depends on the whole set of the call's times, so it is one
+realisation only across calls with the same times.
 
 `batch_norms` reduces each block to its paths' norms as soon as it is drawn.
 The sup norm screens every path on a column subsample of the grid first and
@@ -51,18 +49,29 @@ from .errors import CapacityError, PreconditionError
 #: paths per counter block; fixed so batches are partition-independent
 BLOCK = 512
 
-#: paths per counter block of spectral quadrature (2 normals per pair each)
+#: paths per counter block of continuous paths (one normal per factor row)
 QUAD_BLOCK = 8
 
-#: strata of the equal-mass rule; the Gauss-Legendre rule serves where it
-#: needs fewer pairs
-N_STRATA = 4096
-
-#: one-sided spectral mass that the Gauss-Legendre rule may leave out
+#: one-sided spectral mass that the Gauss-Legendre rule may leave out, and
+#: the largest residual diagonal at which the covariance factor stops
 COV_TOL = 1e-10
 
 #: largest covariance-error estimate that a Gauss-Legendre rule may state
 MAX_COV_ERROR = 8.0 * COV_TOL
+
+#: most cos/sin pairs that a Gauss-Legendre rule may take
+MAX_PAIRS = 1 << 16
+
+#: most work (pairs + points) points^2 of one covariance factor: its Gram,
+#: and its elimination at full rank; it caps the points at about 3,200
+MAX_FACTOR_WORK = 1 << 35
+
+#: basis entries held at once while the Gram is summed over node chunks
+GRAM_CHUNK = 1 << 18
+
+#: a pivot's residual diagonal may fall short of the largest by this share
+#: of it plus this share of R(0)
+PIVOT_RTOL, PIVOT_ATOL = 1e-6, 1e-13
 
 #: lags, evenly spaced over [0, span], at which the panels' error is estimated
 ESTIMATE_LAGS = 5
@@ -79,8 +88,7 @@ PANEL_PHASE = 3.0 * math.pi
 GRADED_PANELS = 14
 GRADING = 0.2
 
-GAUSS_LEGENDRE = "gauss-legendre"
-EQUAL_MASS_STRATA = "equal-mass-strata"
+PIVOTED_CHOLESKY = "pivoted-cholesky"
 
 #: grid points per screened point of the capped sup norm in `batch_norms`
 SCREEN_STRIDE = 32
@@ -165,16 +173,7 @@ def _rows(basis: np.ndarray, seed: int, n_paths: int, offset: int,
     return out
 
 
-def _cos_sin_rows(phase: np.ndarray, first_sin: int) -> np.ndarray:
-    """Rows cos(phase_j), then sin(phase_j) for j >= first_sin."""
-    n = len(phase)
-    basis = np.empty((2 * n - first_sin, phase.shape[1]))
-    np.cos(phase, out=basis[:n])
-    np.sin(phase[first_sin:], out=basis[n:])
-    return basis
-
-
-def _check_phase_range(top: float, times: np.ndarray, scale: float = 1.0) -> None:
+def _check_phase_range(top: float, times: np.ndarray | float, scale: float = 1.0) -> None:
     """Refuse phases scale * u * t past the float range, whose cos and sin
     are NaN, from one product: the largest frequency `top` times max |t|."""
     t_abs = float(np.max(np.abs(times), initial=0.0))
@@ -188,7 +187,10 @@ def _fourier_basis(amps: np.ndarray, times: np.ndarray) -> np.ndarray:
     k = 1..K: the order of the normals xi_0..xi_K, eta_1..eta_K."""
     _check_phase_range(len(amps) - 1, times, 2.0 * np.pi)
     phase = 2.0 * np.pi * np.outer(np.arange(len(amps)), times)
-    return _cos_sin_rows(phase, 1) * np.concatenate([amps, amps[1:]])[:, None]
+    basis = np.empty((2 * len(amps) - 1, phase.shape[1]))
+    np.cos(phase, out=basis[: len(amps)])
+    np.sin(phase[1:], out=basis[len(amps) :])
+    return basis * np.concatenate([amps, amps[1:]])[:, None]
 
 
 def series_values(amps: np.ndarray, times: np.ndarray, seed: int,
@@ -207,66 +209,41 @@ def gen_periodic(cfg: PeriodicGenConfig, grid: GridSpec, seed: int,
                             "path_index": path_index})
 
 
-@functools.lru_cache(maxsize=32)
-def _strata_frequencies(model: spectra.SpectralModel) -> tuple[np.ndarray, float]:
-    """Midpoint-quantile frequencies (`spectra.quantile`) of N_STRATA
-    equal-measure strata of the positive half of the spectral measure, plus
-    the mass of one stratum, which is `spectra.total_mass` shared out.
-
-    Cached per model; the frequencies are read-only, as every caller shares
-    them."""
-    mass = spectra.total_mass(model)  # refuses a mass past the float range first
-    u = spectra.quantile(model, (np.arange(N_STRATA) + 0.5) / N_STRATA)
-    u.flags.writeable = False
-    return u, mass / (2 * N_STRATA)
-
-
 @dataclass(frozen=True)
 class SpectralRule:
     """Frequencies u_j and amplitudes amp_j = sqrt(2 w_j) of the series
     X(t) = sum_j amp_j (xi_j cos u_j t + eta_j sin u_j t), whose covariance
     is R_N(t) = sum_j amp_j^2 cos(u_j t) with R_N(0) the total mass.
-
-    `tail_mass` is the one-sided mass past the last panel, which the last
-    node carries; `cov_error` estimates the largest |R_N(t) - R(t)| for |t|
-    up to the span the rule was made for, or is None where none is stated."""
-    name: str
+    `cov_error` estimates the largest |R_N(t) - R(t)| for |t| up to the
+    span the rule was made for."""
     u: np.ndarray
     amp: np.ndarray
-    tail_mass: float
-    cov_error: float | None
+    cov_error: float
 
 
-@functools.lru_cache(maxsize=32)
-def spectral_rule(model: spectra.SpectralModel, span: float) -> SpectralRule:
-    """The node rule of continuous paths whose times span `span`.
+def spectral_rule(model: spectra.SpectralModel, span: float) -> SpectralRule | None:
+    """The node rule of continuous paths whose times span `span`, or None
+    where no sound rule takes at most MAX_PAIRS pairs: the log-power family,
+    whose tail has no closed inverse, and small nu over long spans.
 
     Composite Gauss-Legendre on n panels, n first from the phase the span
-    asks for, where its pair count, known before its nodes are built, is
-    below N_STRATA and the rule is sound (`_gauss_legendre`).  An unsound
-    rule doubles n: a near-step density at large nu needs narrower panels
-    than the phase does.  Otherwise the equal-mass strata serve, as for
-    small nu on long spans and the log-power family.
-
-    Cached per (model, span) with read-only arrays, as every caller shares
-    them."""
+    asks for, where the rule is sound (`_gauss_legendre`).  An unsound rule
+    doubles n: a near-step density at large nu needs narrower panels than
+    the phase does.  The pair count is known before any node is built."""
     mass = spectra.total_mass(model)  # refuses a mass past the float range first
     top = spectra.tail_mass_point(model, COV_TOL)
+    if top is None or top == math.inf:
+        return None
+    _check_phase_range(top, span)
     # exp(-u^nu) has a branch point at u = 0 for non-integer nu
     graded = GRADED_PANELS - 1 if model.nu and not float(model.nu).is_integer() else 0
-    panels = math.inf if top is None else top * span / PANEL_PHASE
-    n = max(math.ceil(panels), 1) if panels < N_STRATA else N_STRATA  # NaN too
-    while GL_POINTS * (n + graded) < N_STRATA:
+    n = max(math.ceil(top * span / PANEL_PHASE), 1)
+    while GL_POINTS * (n + graded) <= MAX_PAIRS:
         rule = _gauss_legendre(model, span, mass, top, n, graded)
         if rule is not None:
-            break
+            return rule
         n *= 2
-    else:  # no sound Gauss-Legendre rule below N_STRATA pairs
-        u, m = _strata_frequencies(model)
-        rule = SpectralRule(EQUAL_MASS_STRATA, u, np.full(N_STRATA, math.sqrt(2.0 * m)),
-                            0.0, None)
-    rule.amp.flags.writeable = False
-    return rule
+    return None
 
 
 def _gauss_nodes(model: spectra.SpectralModel,
@@ -299,75 +276,125 @@ def _gauss_legendre(model: spectra.SpectralModel, span: float, mass: float,
     halved_u, halved_w = _gauss_nodes(
         model, np.sort(np.concatenate([edges, (edges[1:] + edges[:-1]) / 2.0])))
     lags = np.linspace(0.0, span, ESTIMATE_LAGS)[:, None]
-    panel_error = np.max(np.abs(np.cos(lags * u) @ w - np.cos(lags * halved_u) @ halved_w))
+
+    def lag_sums(u, w):  # sum_j w_j cos(u_j t) at the lags, one array held
+        phase = lags * u
+        return np.cos(phase, out=phase) @ w
+
+    panel_error = np.max(np.abs(lag_sums(u, w) - lag_sums(halved_u, halved_w)))
     tail = float(mass / 2.0 - math.fsum(w))
     w[-1] += tail
     error = float(4.0 * abs(tail) + 4.0 * panel_error
                   + 2.0 * np.finfo(float).eps * mass * (len(u) + top * span))
     if not (w[-1] >= 0.0 and error <= MAX_COV_ERROR):  # NaN too
         return None
-    u.flags.writeable = False
-    return SpectralRule(GAUSS_LEGENDRE, u, np.sqrt(2.0 * w), tail, error)
+    return SpectralRule(u, np.sqrt(2.0 * w), error)
+
+
+def _rule_gram(rule: SpectralRule, times: np.ndarray) -> np.ndarray:
+    """The rule's covariance sum_j amp_j^2 cos(u_j (t_i - t_k)) at the
+    times, as the Gram B'B of its cos/sin basis B: positive semidefinite by
+    construction.  The phases are taken from the first time, so none is
+    past top span, and the nodes are summed in chunks of at most GRAM_CHUNK
+    basis entries, so memory stays bounded however many pairs there are."""
+    t = times - times[:1]
+    gram = np.zeros((len(t), len(t)))
+    step = min(max(GRAM_CHUNK // max(2 * len(t), 1), 1), len(rule.u))
+    buffer = np.empty((2 * step, len(t)))
+    for j in range(0, len(rule.u), step):
+        u, amp = rule.u[j : j + step], rule.amp[j : j + step]
+        basis = buffer[: 2 * len(u)]
+        cos, sin = basis[: len(u)], basis[len(u) :]
+        np.outer(u, t, out=sin)  # the phases, overwritten by their sines
+        np.cos(sin, out=cos)
+        np.sin(sin, out=sin)
+        basis *= np.concatenate([amp, amp])[:, None]
+        gram += basis.T @ basis
+    return gram
+
+
+def _pivoted_cholesky(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rows L, pivots and residual of the pivoted Cholesky factorisation of
+    a positive semidefinite `cov` (Harbrecht, Peters and Schneider 2012).
+
+    It stops once the largest residual diagonal is at most COV_TOL; that
+    `residual` bounds every entry of cov - L'L, which is positive
+    semidefinite.  Each pivot is the lowest index whose residual diagonal
+    is within PIVOT_RTOL of the largest plus PIVOT_ATOL R(0), not the
+    argmax, so that rounding-level changes of `cov`, as a BLAS build or
+    thread count makes, move no pivot: a path then moves by that change
+    carried through the factor, not to another realisation."""
+    n = len(cov)
+    d = cov.diagonal().copy()
+    largest = float(np.max(d, initial=0.0))
+    slack = PIVOT_ATOL * largest
+    rows = np.empty((n, n))
+    pivots = []
+    while largest > COV_TOL:
+        k = len(pivots)
+        p = int(np.argmax(d >= largest * (1.0 - PIVOT_RTOL) - slack))
+        row = cov[p] - rows[:k, p] @ rows[:k]
+        row /= math.sqrt(d[p])
+        rows[k] = row
+        d -= row * row
+        d[p] = 0.0
+        pivots.append(p)
+        largest = float(np.max(d))
+    return rows[: len(pivots)].copy(), np.array(pivots, dtype=int), max(largest, 0.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _factor(model: spectra.SpectralModel, times: bytes) -> tuple[np.ndarray, dict]:
+    """The read-only factor L of the `spectral_rule` covariance at the
+    float64 `times`, and the meta of every path drawn from it; cached per
+    (model, times).  Refused where no sound rule exists, or where the
+    factor's work (pairs + points) points^2, its Gram and at full rank its
+    elimination, passes MAX_FACTOR_WORK."""
+    t = np.frombuffer(times)
+    span = float(np.ptp(t)) if t.size else 0.0
+    rule = spectral_rule(model, span)
+    params = ", ".join(f"{name} {value:g}" for name, value in (
+        ("nu", model.nu), ("alpha", model.alpha), ("cutoff", model.cutoff)) if value is not None)
+    where = f"continuous paths of {model.kind} ({params}) at {t.size} times over span {span:.6g}"
+    if rule is None:
+        raise CapacityError(f"{where}: no sound Gauss-Legendre rule within "
+                            f"{MAX_PAIRS} cos/sin pairs")
+    work = (len(rule.u) + t.size) * float(t.size) ** 2
+    if work > MAX_FACTOR_WORK:
+        raise CapacityError(f"{where}: factor work (pairs + points) points^2 = "
+                            f"{work:.3g} passes {MAX_FACTOR_WORK:.3g}")
+    rows, _, residual = _pivoted_cholesky(_rule_gram(rule, t))
+    rows.flags.writeable = False
+    return rows, {"method": PIVOTED_CHOLESKY, "rank": len(rows), "n_pairs": len(rule.u),
+                  "cov_error_estimate": rule.cov_error + residual}
 
 
 def continuous_values(model: spectra.SpectralModel, times: np.ndarray,
                       seed: int, n_paths: int, offset: int = 0) -> np.ndarray:
-    """Spectral sampling of a continuous-spectrum process by the
-    `spectral_rule` of the span of `times`.
+    """(n_paths, len(times)) paths of a continuous-spectrum process: z L,
+    with z the normals of a path's row, one per row of the factor L of the
+    `spectral_rule` covariance at `times`.
 
-    X(t) = sum_j amp_j (xi_j cos u_j t + eta_j sin u_j t), with xi_1..xi_N,
-    eta_1..eta_N the 2N normals of a path's row.  The pointwise variance is
-    the total mass exactly.  Under the Gauss-Legendre rule the covariance at
-    any lag within the span is within the rule's estimated `cov_error` of R,
-    at most MAX_COV_ERROR; the strata state no error.
-
-    The rule, and so the path of a (seed, path index), depends on the span
-    of `times`: a path's values at one time differ between calls whose
-    times span differently, as [0, 1] and [0, 10] do.
+    Every entry of the sampled covariance L'L is within the factor's
+    `cov_error_estimate` of R at the times' lags.  The factor, and so the
+    path of a (seed, path index), depends on the whole set of times: a
+    path's values at one time differ between calls with other times.
     """
     times = np.asarray(times, dtype=float)
-    rule = spectral_rule(model, float(np.ptp(times)) if times.size else 0.0)
-    _check_phase_range(rule.u[-1], times)
-    basis = _cos_sin_rows(np.outer(rule.u, times), 0)
-    if rule.name == EQUAL_MASS_STRATA:
-        # one common amplitude, applied after the product: folded into the
-        # basis it would change the last bits of the strata paths
-        vals = _rows(basis, seed, n_paths, offset, QUAD_BLOCK)
-        vals *= rule.amp[0]
-        return vals
-    basis *= np.concatenate([rule.amp, rule.amp])[:, None]
-    return _rows(basis, seed, n_paths, offset, QUAD_BLOCK)
-
-
-@functools.lru_cache(maxsize=8)
-def _continuous_block(model: spectra.SpectralModel, grid: GridSpec, seed: int,
-                      block: int) -> np.ndarray:
-    """The QUAD_BLOCK paths of counter block `block` on `grid`, as
-    `continuous_values` forms them; cached per (model, grid, seed, block)
-    and read-only, as every later call of the block shares it."""
-    vals = continuous_values(model, grid.times(), seed, QUAD_BLOCK,
-                             offset=block * QUAD_BLOCK)
-    vals.flags.writeable = False
-    return vals
+    rows, _ = _factor(model, times.tobytes())
+    return _rows(rows, seed, n_paths, offset, QUAD_BLOCK)
 
 
 def gen_continuous(model: spectra.SpectralModel, grid: GridSpec,
                    seed: int, path_index: int = 0) -> PathSample:
-    """Path `path_index` of `continuous_values` on `grid`, whose span sets
-    the rule: grids of different spans give different realisations.  The
-    meta names the rule, its pair count, dropped tail mass and error
-    estimate."""
+    """Path `path_index` of `continuous_values` on the grid's times.  The
+    meta names the method, the factor's rank (normals per path), the rule's
+    pair count and the stated covariance error."""
     if not model.is_continuous:
         raise PreconditionError("gen_continuous needs a continuous spectral model")
-    if not path_index >= 0:
-        raise PreconditionError(f"path index must be >= 0, got {path_index}")
-    block, pos = divmod(path_index, QUAD_BLOCK)
-    vals = _continuous_block(model, grid, seed, block)[pos].copy()
-    rule = spectral_rule(model, grid.t_max - grid.t_min)
-    return PathSample(grid, vals, seed,
-                      meta={"method": "spectral-quadrature", "rule": rule.name,
-                            "n_pairs": len(rule.u), "tail_mass": rule.tail_mass,
-                            "cov_error_estimate": rule.cov_error})
+    rows, meta = _factor(model, grid.times().tobytes())
+    vals = _rows(rows, seed, 1, path_index, QUAD_BLOCK)[0]
+    return PathSample(grid, vals, seed, meta=dict(meta))
 
 
 def _max_abs(v: np.ndarray) -> np.ndarray:

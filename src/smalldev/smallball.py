@@ -38,12 +38,16 @@ _Z95 = 1.959963984540054
 #: integrand points at a time until its tail bound is _TAIL_RTOL of its sum
 _INV_RTOL, _TAIL_RTOL, _CHUNK = 1e-10, 1e-13, 64
 
-#: a contour as the module docstring writes it, cx = x mu, the pole first
-_Parabola = namedtuple("_Parabola", "s0 cx b h log_scale")
+#: a contour as the module docstring writes it, cx = x mu, the pole first;
+#: log_d is log(s0 + 1/(2 lambda_1)) on the complement branch, else NaN
+_Parabola = namedtuple("_Parabola", "s0 cx b h log_scale log_d")
 
 #: what an exact-L2 value took: `method` is "erf", "parabola" or
-#: "parabola-complement", `tail_share` the last pass's tail bound over its sum
-_Inversion = namedtuple("_Inversion", "log_p s0 refinements points method tail_share")
+#: "parabola-complement", `tail_share` the last pass's tail bound over its
+#: sum, and `log_d` the complement saddle's log distance from the first
+#: singularity, which still moves where s0 has rounded to -1/(2 lambda_1)
+_Inversion = namedtuple("_Inversion",
+                        "log_p s0 refinements points method tail_share log_d")
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ def _parabola(w: np.ndarray, h: np.ndarray, x: float) -> _Parabola:
     b = expit(la)
     log_scale = cx - 0.5 * float(h @ np.logaddexp(0.0, la)) + math.log(2.0 / math.pi)
     return _Parabola(cx / x, cx, np.append(1.0, b[b > 0]),
-                     np.append(2.0, h[b > 0]), log_scale)
+                     np.append(2.0, h[b > 0]), log_scale, math.nan)
 
 
 def _complement_parabola(w: np.ndarray, h: np.ndarray, x: float) -> _Parabola:
@@ -178,7 +182,7 @@ def _complement_parabola(w: np.ndarray, h: np.ndarray, x: float) -> _Parabola:
     log_scale = (x * s0 - math.log(-s0) - 0.5 * float(h @ np.log(one))
                  + math.log(2.0 * mu / math.pi))
     return _Parabola(s0, x * mu, np.append(mu / s0, b[b > 0]),
-                     np.append(2.0, h[b > 0]), log_scale)
+                     np.append(2.0, h[b > 0]), log_scale, t)
 
 
 def _log_mod2(b, v):
@@ -260,11 +264,12 @@ def _log_cdf_contour(w: np.ndarray, h: np.ndarray, x: float) -> _Inversion:
     par = _parabola(w, h, x)
     log_p, refinements, points, share = _invert(par)
     if log_p <= -math.log(2.0):
-        return _Inversion(log_p, par.s0, refinements, points, "parabola", share)
+        return _Inversion(log_p, par.s0, refinements, points, "parabola", share,
+                          math.nan)
     par = _complement_parabola(w, h, x)
     log_q, refinements, more, share = _invert(par)
     return _Inversion(math.log1p(-math.exp(log_q)), par.s0, refinements,
-                      points + more, "parabola-complement", share)
+                      points + more, "parabola-complement", share, par.log_d)
 
 
 def _log_exact_l2(spec: WeightedChiSquareSpec, r: float) -> _Inversion:
@@ -280,7 +285,7 @@ def _log_exact_l2(spec: WeightedChiSquareSpec, r: float) -> _Inversion:
     y = math.sqrt(x / (2.0 * w[0]))  # one chi-square: p = erf(y)
     p = erf(y)
     log_p = math.log(p) if p <= 0.5 else math.log1p(-erfc(y))
-    return _Inversion(log_p, math.nan, 0, 0, "erf", math.nan)
+    return _Inversion(log_p, math.nan, 0, 0, "erf", math.nan, math.nan)
 
 
 def log_exact_l2(spec: WeightedChiSquareSpec, r: float) -> float:
@@ -295,8 +300,8 @@ def exact_l2(spec: WeightedChiSquareSpec, r: float) -> float:
 
 def phi_l2_curve(nu: float, K: int, r_list) -> BoundCurve:
     """phi(r) = -log P(L2 norm <= r) for the periodic process, exact.
-    `extra` carries, per r, `s0`, `refinements`, `points`, `method` and
-    `tail_share` as `_Inversion` defines them."""
+    `extra` carries, per r, `s0`, `refinements`, `points`, `method`,
+    `tail_share` and `log_d` as `_Inversion` defines them."""
     spec = WeightedChiSquareSpec.periodic(nu, K)
     r_arr = np.asarray(list(r_list), float)
     rows = [_log_exact_l2(spec, r) for r in r_arr]

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import (erfinv, gamma as gamma_fn, gammainc, gammaincc, gammainccinv,
-                           gammaincinv, gammaln)
+from scipy.special import gamma as gamma_fn, gammainc, gammaincc, gammainccinv, gammaln
 
 from .errors import (CapacityError, DomainError, NumericFailure, PreconditionError,
                      UnsupportedOperation)
@@ -211,59 +210,20 @@ def _spectral_integral(model: SpectralModel, f, t: float = 0.0) -> float:
     return 2.0 * val
 
 
-def _truncated_share(model: SpectralModel) -> float:
-    """P(1/nu, c^nu), the share of the half-line mass of exp(-u^nu) that lies
-    in [0, c]; 1 without a cutoff."""
-    c, nu = model.cutoff, model.nu
-    return 1.0 if c is None else gammainc(1.0 / nu, _power(c, nu))
-
-
 def total_mass(model: SpectralModel) -> float:
     """Total spectral mass (integral of the density or sum of atoms)."""
     if model.kind in (CONTINUOUS_NU, TRUNCATED_CONTINUOUS_NU):
         # int_0^c exp(-u^nu) du = Gamma(1 + 1/nu) P(1/nu, c^nu); P = 1 at c = inf
-        nu = model.nu
+        c, nu = model.cutoff, model.nu
         if gammaln(1.0 + 1.0 / nu) > _LOG_MAX - math.log(2.0):
             raise CapacityError(f"{model.kind} mass at nu {nu} is past the float range")
-        return 2.0 * gamma_fn(1.0 + 1.0 / nu) * _truncated_share(model)
+        share = 1.0 if c is None else gammainc(1.0 / nu, _power(c, nu))
+        return 2.0 * gamma_fn(1.0 + 1.0 / nu) * share
     if model.kind == BANDLIMITED:
         return 2.0 * model.cutoff
     if model.kind == DISCRETE_NU:
         return 1.0 + 2.0 * discrete_tail(model.nu, 0)
     return _spectral_integral(model, lambda u: density_eval(model, u))
-
-
-def quantile(model: SpectralModel, p) -> np.ndarray:
-    """Frequencies u >= 0 below which the positive half of a continuous
-    spectral measure holds the share p of its mass, for an array of p in
-    [0, 1): the one inverse law of the continuous families.  nu = 1 and 2
-    keep closed forms, as `gammaincinv` is off in the last digits there."""
-    if not model.is_continuous:
-        raise UnsupportedOperation("quantile needs a continuous spectral measure")
-    p = np.asarray(p, dtype=float)
-    if not np.all((p >= 0.0) & (p < 1.0)):  # NaN fails too
-        raise PreconditionError("quantile shares must lie in [0, 1)")
-    kind, nu = model.kind, model.nu
-    if kind == BANDLIMITED:
-        return p * model.cutoff
-    if kind == CONTINUOUS_NU and nu == 1.0:
-        return -np.log1p(-p)
-    if kind == CONTINUOUS_NU and nu == 2.0:
-        return erfinv(p)
-    if kind in (CONTINUOUS_NU, TRUNCATED_CONTINUOUS_NU):
-        # int_0^u exp(-x^nu) dx is proportional to gammainc(1/nu, u^nu)
-        g = gammaincinv(1.0 / nu, p * _truncated_share(model))
-        if math.log(np.max(g, initial=1.0)) / nu >= _LOG_MAX:  # below nu of about 0.0074
-            raise CapacityError(f"{kind} strata at nu {nu} are past the float range")
-        return g ** (1.0 / nu)
-    # log-power family: inverse CDF tabulated uniformly on [0, 1] and
-    # geometrically from 1 to U, as the density varies on the log scale
-    U = _quad_upper_limit(model)
-    ug = np.concatenate([np.linspace(0.0, 1.0, 1000, endpoint=False),
-                         np.geomspace(1.0, U, 200000)])
-    dens = density(model, ug)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(ug))])
-    return np.interp(p * cdf[-1], cdf, ug)
 
 
 def covariance(model: SpectralModel, t: float) -> CovarianceValue:

@@ -208,11 +208,6 @@ def _kernel(cfg: TsirelsonConfig, t) -> np.ndarray:
                         np.sin(m * x / 2.0) / (m * half))
 
 
-def minorant_covariance(cfg: TsirelsonConfig, t) -> np.ndarray:
-    """Closed-form covariance of the grid minorant, sigma^2 times `_kernel`."""
-    return cfg.sigma2 * _kernel(cfg, t)
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     cfg: TsirelsonConfig

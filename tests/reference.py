@@ -6,7 +6,7 @@ import math
 import numpy as np
 from scipy.special import zeta
 
-from smalldev import gfunc, rkhs, spectra
+from smalldev import gfunc, rkhs, spectra, tsirelson
 
 
 def closed_form_covariance(model: spectra.SpectralModel, t: float) -> float | None:
@@ -24,6 +24,12 @@ def closed_form_covariance(model: spectra.SpectralModel, t: float) -> float | No
             return 2.0 * c
         return 2.0 * math.sin(c * t) / t
     return None
+
+
+def minorant_covariance(cfg: tsirelson.TsirelsonConfig, t) -> np.ndarray:
+    """Closed-form covariance of the Tsirelson grid minorant at an array of
+    lags: sigma^2 times the normalised Dirichlet kernel or sinc."""
+    return cfg.sigma2 * tsirelson._kernel(cfg, t)
 
 
 def _dense_term_counts(a: float, s: float) -> np.ndarray:

@@ -81,6 +81,23 @@ def test_manifest_rerun_roundtrip(tmp_path, monkeypatch, argv):
             assert read(f"a/{name}") == read(f"b/{name}"), name
 
 
+def test_continuous_rerun_with_cold_caches(tmp_path, monkeypatch):
+    # the rerun builds the path's factor afresh, as a rerun in a new process
+    # does, and writes the same bytes
+    monkeypatch.chdir(tmp_path)
+    assert run(ROUNDTRIP["simulate-continuous"] + ["--out", "a"]) == 0
+    manifest = json.loads(read("a/manifest.json"))
+    manifest["params"]["out"] = "b"
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    caches = [f for f in vars(pathgen).values() if hasattr(f, "cache_clear")]
+    assert pathgen._factor in caches
+    for cache in caches:
+        cache.cache_clear()
+    assert run(["rerun", "m.json"]) == 0
+    assert pathgen._factor.cache_info().misses == 1
+    assert read("a/path.csv") == read("b/path.csv")
+
+
 @pytest.mark.skipif(pathgen._blas_threads() is None,
                     reason="numpy bundles no OpenBLAS to pin")
 def test_smallball_bytes_at_any_thread_count(tmp_path):
@@ -471,7 +488,7 @@ def test_g_certify_bad_t_max_exits_1(tmp_path, capsys, t_max):
                 "--out", str(tmp_path / "g")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: need 0 < fit_t_min < t_max < inf")
+    assert err[0].startswith("error: t_max must be finite and above FIT_T_MIN = 10")
 
 
 BAD_INPUT = {
@@ -520,7 +537,10 @@ BAD_INPUT = {
     "simulate-continuous-strata-past-float": (["simulate", "--spectrum",
                                                "continuous", "--nu", "0.006",
                                                "--n-points", "4"],
-                                              "strata at nu 0.006"),
+                                              "no sound Gauss-Legendre rule"),
+    "simulate-continuous-nu-0.3": (["simulate", "--spectrum", "continuous",
+                                    "--nu", "0.3", "--n-points", "8"],
+                                   "continuous-nu (nu 0.3) at 8 times over span 1"),
     "entropy-eps-tiny": (["entropy", "--nu", "1", "--K", "3", "--eps", "1e-320"],
                          "past the float range"),
     "g-certify-gamma-below-resolution": (["g-certify", "--gamma", "1e-300"],

@@ -172,3 +172,12 @@ def test_memoised_coefficients_give_the_same_bits(monkeypatch, gamma):
     for field in ("theta_G", "C_G", "decay_exponent"):
         assert getattr(cert, field).hex() == getattr(ref, field).hex(), field
     assert cert == ref
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_abs_g_at_most_one(gamma):
+    # every factor is a sinc, so log |G| <= 0 exactly: log |sin x / x| <= 0
+    # and the tail series is subtracted, so g_certify states it without a scan
+    spec = GFunctionSpec(gamma)
+    t = np.concatenate([np.linspace(0.0, 50.0, 5001), np.geomspace(50.0, 1e4, 5000)])
+    assert np.max(gfunc.log_abs_g(spec, t)) <= 0.0

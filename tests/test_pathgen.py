@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import sys
 import threading
 from concurrent.futures import Future
@@ -7,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from reference import closed_form_covariance
 from smalldev import gfunc, pathgen, spectra
@@ -357,8 +357,7 @@ def test_continuous_pairwise_correlation():
     cases = [(spectra.continuous_nu(2.0), math.exp(-0.0625)),
              (spectra.continuous_nu(1.0), 0.8)]
     for model in (spectra.continuous_nu(0.5),
-                  spectra.truncated_continuous_nu(1.0, 2.0),
-                  spectra.log_power_alpha(1.5)):
+                  spectra.truncated_continuous_nu(1.0, 2.0)):
         cases.append((model, spectra.covariance(model, 0.5).value
                       / spectra.covariance(model, 0.0).value))
     for model, target in cases:
@@ -368,59 +367,13 @@ def test_continuous_pairwise_correlation():
         assert c == pytest.approx(target, abs=3.0 / math.sqrt(4000)), model
 
 
-def _half_mass_below(model, u):
-    """int_0^u f; for the log-power family in log frequency s = log x, as
-    min(u, 1) + int_0^(log u) e^(s - s^alpha) ds, since a quad over [0, u]
-    does not sample the bulk of the mass at large u."""
-    tol = dict(epsabs=1e-14, epsrel=1e-12, limit=200)
-    if model.kind != spectra.LOG_POWER_ALPHA:
-        return quad(lambda x: spectra.density_eval(model, x), 0.0, u, **tol)[0]
-    return min(u, 1.0) + quad(lambda s: math.exp(s - s ** model.alpha), 0.0,
-                              math.log(max(u, 1.0)), **tol)[0]
-
-
-@pytest.mark.parametrize("model", [spectra.continuous_nu(0.5),
-                                   spectra.continuous_nu(1.5),
-                                   spectra.truncated_continuous_nu(1.0, 2.0),
-                                   spectra.log_power_alpha(1.2),
-                                   spectra.log_power_alpha(1.5)])
-def test_strata_quantiles_exact(model):
-    # stratum j sits at the midpoint quantile p_j of the positive half mass;
-    # log-power strata come from a trapezoid table, whose error peaks just
-    # past the kink at u = 1
-    rel = 2e-8 if model.kind == spectra.LOG_POWER_ALPHA else 1e-9
-    u, m = pathgen._strata_frequencies(model)
-    half_mass = m * pathgen.N_STRATA
-    assert half_mass == pytest.approx(spectra.total_mass(model) / 2.0,
-                                      rel=1e-12)
-    for j in (0, 1, pathgen.N_STRATA // 2, pathgen.N_STRATA - 1):
-        p = (j + 0.5) / pathgen.N_STRATA
-        assert _half_mass_below(model, u[j]) / half_mass == pytest.approx(p, rel=rel), j
-
-
-def test_strata_frequencies_cached_read_only():
-    u, m = pathgen._strata_frequencies(spectra.continuous_nu(0.5))
-    u2, m2 = pathgen._strata_frequencies(spectra.continuous_nu(0.5))
-    assert u2 is u and m2 == m
-    with pytest.raises(ValueError):
-        u[0] = 0.0
-
-
-def test_truncated_strata_past_float_range():
-    # the cutoff's power used to overflow; P = 1 gives the untruncated strata
-    u, m = pathgen._strata_frequencies(spectra.truncated_continuous_nu(2.0, 1e200))
-    ref = pathgen._strata_frequencies(spectra.truncated_continuous_nu(2.0, math.inf))
-    assert np.array_equal(u, ref[0]) and m == ref[1]
-    assert m == spectra.total_mass(spectra.continuous_nu(2.0)) / (2 * pathgen.N_STRATA)
-
-
 def test_continuous_determinism_and_metadata():
     model = spectra.continuous_nu(1.0)
     grid = GridSpec(n_points=16)
     a = pathgen.gen_continuous(model, grid, seed=77)
     b = pathgen.gen_continuous(model, grid, seed=77)
     assert np.array_equal(a.values, b.values)
-    assert a.meta["method"] == "spectral-quadrature"
+    assert a.meta["method"] == pathgen.PIVOTED_CHOLESKY
 
 
 def test_continuous_variance_on_coarse_long_grid():
@@ -450,21 +403,23 @@ def test_gen_continuous_is_a_batch_row():
     assert np.array_equal(tail, batch[6:11])
 
 
-def test_continuous_block_memo_matches_cold_calls():
-    # block hits, cold calls and the batch give the same bytes, across a block
-    # boundary and out of order
+def test_factor_cache_matches_cold_calls():
+    # gen_continuous path i is row i of continuous_values on the grid's
+    # times, whether its factor is built afresh or read from the cache,
+    # across a block boundary and out of order
     model = spectra.continuous_nu(0.5)
     grid = GridSpec(0.0, 10.0, 16)
     order = (9, 3, 8, 7, 0, 15, 16, 23)
     cold = {}
     for i in order:
-        pathgen._continuous_block.cache_clear()
+        pathgen._factor.cache_clear()
         cold[i] = pathgen.gen_continuous(model, grid, seed=31, path_index=i).values
-    pathgen._continuous_block.cache_clear()
+    pathgen._factor.cache_clear()
     batch = pathgen.continuous_values(model, grid.times(), seed=31, n_paths=24)
     for i in order:
         hit = pathgen.gen_continuous(model, grid, seed=31, path_index=i).values
         assert np.array_equal(hit, cold[i]) and np.array_equal(hit, batch[i]), i
+    assert pathgen._factor.cache_info().misses == 1
 
 
 def _count_series_blocks(monkeypatch):
@@ -472,22 +427,8 @@ def _count_series_blocks(monkeypatch):
     block = pathgen._series_block
     monkeypatch.setattr(pathgen, "_series_block",
                         lambda *a: calls.append(a[1:]) or block(*a))
-    pathgen._continuous_block.cache_clear()
+    pathgen._factor.cache_clear()
     return calls
-
-
-def test_continuous_block_drawn_once_per_block(monkeypatch):
-    model = spectra.continuous_nu(1.0)
-    grid = GridSpec(0.0, 1.0, 8)
-    calls = _count_series_blocks(monkeypatch)
-    for i in range(2 * pathgen.QUAD_BLOCK):
-        pathgen.gen_continuous(model, grid, seed=4, path_index=i)
-    assert calls == [(4, 0, pathgen.QUAD_BLOCK), (4, 1, pathgen.QUAD_BLOCK)]
-    calls.clear()
-    for i in range(2 * pathgen.QUAD_BLOCK):
-        pathgen._continuous_block.cache_clear()
-        pathgen.gen_continuous(model, grid, seed=4, path_index=i)
-    assert len(calls) == 2 * pathgen.QUAD_BLOCK
 
 
 def test_continuous_block_not_shared_across_grids_or_seeds(monkeypatch):
@@ -498,6 +439,7 @@ def test_continuous_block_not_shared_across_grids_or_seeds(monkeypatch):
     paths = [pathgen.gen_continuous(model, grid, seed, path_index=2).values
              for grid, seed in keys]
     assert len(calls) == len(keys)
+    assert pathgen._factor.cache_info().misses == 3  # the seed shares a factor
     for (grid, seed), path in zip(keys, paths):
         row = pathgen.continuous_values(model, grid.times(), seed, 1, offset=2)[0]
         assert np.array_equal(path, row), (grid, seed)
@@ -511,9 +453,10 @@ def test_gen_continuous_values_are_the_callers():
     first = pathgen.gen_continuous(model, grid, seed=9, path_index=1)
     kept = first.values.copy()
     first.values[:] = 0.0
+    first.meta["rank"] = -1
     again = pathgen.gen_continuous(model, grid, seed=9, path_index=1)
     assert np.array_equal(again.values, kept)
-    assert again.values.flags.writeable
+    assert again.values.flags.writeable and again.meta["rank"] > 0
 
 
 def test_gen_continuous_rejects_negative_path_index():
@@ -559,40 +502,23 @@ def test_series_normals_keying_and_layout():
 
 
 def test_quadrature_normals_keying_and_layout():
-    # path i is sum_j amp_j (xi_j cos u_j t + eta_j sin u_j t) with
-    # xi_1..xi_N, eta_1..eta_N in row i % QUAD_BLOCK of the normals keyed by
-    # (seed, i // QUAD_BLOCK), at the nodes of the span's active rule
+    # path i is z L, with z the rank normals in row i % QUAD_BLOCK of the
+    # generator keyed by (seed, i // QUAD_BLOCK), and L the factor of the
+    # Gauss-Legendre covariance at the call's times
     seed, offset = 23, pathgen.QUAD_BLOCK - 1
-    for model, t, rule in [
-            (spectra.continuous_nu(1.0), [0.0, 0.3, 2.5, 7.0], pathgen.GAUSS_LEGENDRE),
-            (spectra.continuous_nu(0.5), [0.0, 0.3, 2.5, 10.0],
-             pathgen.EQUAL_MASS_STRATA)]:
+    for model, t in [(spectra.continuous_nu(1.0), [0.0, 0.3, 2.5, 7.0]),
+                     (spectra.continuous_nu(0.5), [0.0, 0.3, 2.5, 10.0])]:
         t = np.array(t)
         vals = pathgen.continuous_values(model, t, seed, n_paths=3, offset=offset)
-        active = pathgen.spectral_rule(model, float(t[-1]))
-        assert active.name == rule
-        u, amp, S = active.u, active.amp, len(active.u)
+        rule = pathgen.spectral_rule(model, float(t[-1]))
+        rows, pivots, _ = pathgen._pivoted_cholesky(pathgen._rule_gram(rule, t))
+        assert sorted(pivots) == [0, 1, 2, 3]
         for row, i in enumerate(range(offset, offset + 3)):
             block, pos = divmod(i, pathgen.QUAD_BLOCK)
             z = pathgen._rng_for_block(seed, block).standard_normal(
-                (pathgen.QUAD_BLOCK, 2 * S))[pos]
-            xi, eta = z[:S], z[S:]
-            ref = np.array([math.fsum(amp * xi * np.cos(u * x))
-                            + math.fsum(amp * eta * np.sin(u * x)) for x in t])
-            assert np.max(np.abs(vals[row] - ref)) <= 1e-12 * np.max(np.abs(ref)), (rule, i)
-
-
-def test_strata_batch_keeps_its_bytes():
-    # the strata rule forms its paths as it did before the Gauss-Legendre
-    # rule existed: the unscaled basis times the normals, then one common
-    # amplitude sqrt(2 m); folding it into the basis changes the last bits
-    model, t = spectra.continuous_nu(0.5), GridSpec(0.0, 10.0, 16).times()
-    assert pathgen.spectral_rule(model, 10.0).name == pathgen.EQUAL_MASS_STRATA
-    u, m = pathgen._strata_frequencies(model)
-    ref = pathgen._rows(pathgen._cos_sin_rows(np.outer(u, t), 0), 5, 20, 3,
-                        pathgen.QUAD_BLOCK)
-    ref *= math.sqrt(2.0 * m)
-    assert np.array_equal(pathgen.continuous_values(model, t, 5, 20, offset=3), ref)
+                (pathgen.QUAD_BLOCK, len(rows)))[pos]
+            ref = np.array([math.fsum(z * rows[:, j]) for j in range(len(t))])
+            assert np.max(np.abs(vals[row] - ref)) <= 1e-12 * np.max(np.abs(ref)), i
 
 
 def _rule_covariance(rule, t):
@@ -610,7 +536,7 @@ def test_gauss_legendre_covariance_within_stated_bound(model, span):
     # the largest |R_N - R| over 100 lags of (0, span] is within the rule's
     # stated bound; R from the closed forms where they exist
     rule = pathgen.spectral_rule(model, span)
-    assert rule.name == pathgen.GAUSS_LEGENDRE and len(rule.u) < pathgen.N_STRATA
+    assert len(rule.u) <= pathgen.MAX_PAIRS
     err = 0.0
     for t in np.linspace(span / 100, span, 100):
         exact = closed_form_covariance(model, t)
@@ -628,7 +554,6 @@ def test_gauss_legendre_is_sound_at_large_nu(nu, span):
     # non-negative and its error estimate is within MAX_COV_ERROR
     model = spectra.continuous_nu(nu)
     rule = pathgen.spectral_rule(model, span)
-    assert rule.name == pathgen.GAUSS_LEGENDRE
     assert np.all(np.isfinite(rule.amp)) and rule.cov_error <= pathgen.MAX_COV_ERROR
     assert _rule_covariance(rule, 0.0) == pytest.approx(spectra.total_mass(model),
                                                         rel=1e-12, abs=0)
@@ -654,7 +579,7 @@ def test_unsound_gauss_legendre_doubles_its_panels():
 @pytest.mark.parametrize("model, span", [
     (spectra.continuous_nu(0.5), 1.0), (spectra.continuous_nu(0.5), 10.0),
     (spectra.continuous_nu(2.0), 10.0), (spectra.bandlimited(3.0), 2.0),
-    (spectra.truncated_continuous_nu(1.5, 2.0), 1.0), (spectra.log_power_alpha(1.5), 1.0)])
+    (spectra.truncated_continuous_nu(1.5, 2.0), 1.0)])
 def test_rule_variance_is_the_total_mass(model, span):
     rule = pathgen.spectral_rule(model, span)
     assert _rule_covariance(rule, 0.0) == pytest.approx(spectra.total_mass(model),
@@ -662,32 +587,119 @@ def test_rule_variance_is_the_total_mass(model, span):
 
 
 def test_rule_choice_counts_pairs():
-    # Gauss-Legendre takes only keys where it needs fewer pairs than the
-    # strata; small nu on a long span and the log-power family keep them
+    # the pairs follow the span's phase; past MAX_PAIRS, and for the
+    # log-power family, whose tail has no closed inverse, there is no rule
     pairs = {(nu, span): len(pathgen.spectral_rule(spectra.continuous_nu(nu), span).u)
              for nu in (0.5, 1.0, 2.0) for span in (1.0, 10.0)}
-    assert pairs == {(0.5, 1.0): 1820, (0.5, 10.0): pathgen.N_STRATA,
+    assert pairs == {(0.5, 1.0): 1820, (0.5, 10.0): 15800,
                      (1.0, 1.0): 60, (1.0, 10.0): 500, (2.0, 1.0): 20, (2.0, 10.0): 100}
-    assert pathgen.spectral_rule(spectra.log_power_alpha(3.0), 1.0).name == \
-        pathgen.EQUAL_MASS_STRATA
+    assert pathgen.spectral_rule(spectra.log_power_alpha(3.0), 1.0) is None
+    assert pathgen.spectral_rule(spectra.continuous_nu(0.3), 1.0) is None
+    assert pathgen.spectral_rule(spectra.continuous_nu(0.5), 100.0) is None
     # a bandlimited Tsirelson minorant's path takes tens of pairs
     assert len(pathgen.spectral_rule(spectra.bandlimited(5.0), 1.0).u) == 20
 
 
 def test_gen_continuous_meta_names_the_rule():
-    grid = GridSpec(0.0, 1.0, 8)
-    meta = pathgen.gen_continuous(spectra.continuous_nu(1.0), grid, seed=1).meta
-    rule = pathgen.spectral_rule(spectra.continuous_nu(1.0), 1.0)
-    assert meta == {"method": "spectral-quadrature", "rule": pathgen.GAUSS_LEGENDRE,
-                    "n_pairs": 60, "tail_mass": rule.tail_mass,
-                    "cov_error_estimate": rule.cov_error}
-    # tail_mass_point inverts the tail law to about COV_TOL
-    assert meta["tail_mass"] == pytest.approx(pathgen.COV_TOL, rel=1e-3)
-    assert meta["cov_error_estimate"] >= 4.0 * meta["tail_mass"]
+    grid = GridSpec(0.0, 1.0, 64)
+    model = spectra.continuous_nu(1.0)
+    meta = pathgen.gen_continuous(model, grid, seed=1).meta
+    rule = pathgen.spectral_rule(model, 1.0)
+    rows, _, residual = pathgen._pivoted_cholesky(pathgen._rule_gram(rule, grid.times()))
+    assert meta == {"method": pathgen.PIVOTED_CHOLESKY, "rank": len(rows),
+                    "n_pairs": 60, "cov_error_estimate": rule.cov_error + residual}
+    assert len(rows) < grid.n_points and 0.0 < residual <= pathgen.COV_TOL
+    # nu 0.5 on [0, 10] takes a 15,800-pair rule and states its error too
     meta = pathgen.gen_continuous(spectra.continuous_nu(0.5), GridSpec(0.0, 10.0, 8),
                                   seed=1).meta
-    assert meta["rule"] == pathgen.EQUAL_MASS_STRATA and meta["n_pairs"] == pathgen.N_STRATA
-    assert meta["tail_mass"] == 0.0 and meta["cov_error_estimate"] is None
+    assert meta["n_pairs"] == 15800 and meta["rank"] == 8
+    assert 0.0 < meta["cov_error_estimate"] <= pathgen.MAX_COV_ERROR + pathgen.COV_TOL
+
+
+FACTOR_MODELS = [spectra.continuous_nu(nu) for nu in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0)] \
+    + [spectra.bandlimited(1.0), spectra.bandlimited(10.0),
+       spectra.truncated_continuous_nu(2.0, 3.0)]
+
+
+@pytest.mark.parametrize("model", FACTOR_MODELS, ids=lambda m: "-".join(
+    [m.kind] + [f"{v:g}" for v in (m.nu, m.cutoff) if v is not None]))
+@pytest.mark.parametrize("t_max, n_points", [(1.0, 16), (1.0, 64), (10.0, 16), (10.0, 64)])
+def test_sampled_covariance_within_stated_error(model, t_max, n_points):
+    # every entry of L'L, the covariance the paths sample, is within the
+    # stated error of spectra.covariance at its lag
+    grid = GridSpec(0.0, t_max, n_points)
+    rows, meta = pathgen._factor(model, grid.times().tobytes())
+    lags = np.arange(n_points) * grid.spacing
+    exact = [closed_form_covariance(model, t) for t in lags]
+    exact = np.array([spectra.covariance(model, t).value if e is None else e
+                      for t, e in zip(lags, exact)])
+    index = np.arange(n_points)
+    err = np.abs(rows.T @ rows - exact[np.abs(index[:, None] - index)])
+    assert np.max(err) <= meta["cov_error_estimate"], (np.max(err), meta)
+    assert meta["rank"] == len(rows) <= n_points
+
+
+#: the continuous (model, grid) keys of the benchmark's continuous-sim workload
+BENCH_KEYS = [(1.0, 10.0, 16), (0.5, 10.0, 16), (0.5, 1.0, 64), (1.0, 1.0, 64)]
+
+
+@pytest.mark.parametrize("nu, t_max, n_points", BENCH_KEYS)
+def test_pivots_do_not_depend_on_rounding(nu, t_max, n_points):
+    # a symmetric change of 1e-15 relative in C, as another BLAS build or
+    # thread count makes, moves no pivot: each is the lowest index within
+    # the stated tolerance of the largest residual, not the argmax.  The
+    # leading rows hold to 1e-12; a later row k moves by the change of its
+    # Schur complement over sqrt(d_k), up to 5e-10 at nu 1 on [0, 1] x 64,
+    # so it is held times its pivot entry sqrt(d_k), as L'L is, to 1e-12 R(0)
+    grid = GridSpec(0.0, t_max, n_points)
+    model = spectra.continuous_nu(nu)
+    cov = pathgen._rule_gram(pathgen.spectral_rule(model, t_max), grid.times())
+    rows, pivots, _ = pathgen._pivoted_cholesky(cov)
+    scale = cov[0, 0]
+    diag = rows[np.arange(len(rows)), pivots][:, None]
+    lead = diag[:, 0] ** 2 >= 1e-3 * scale  # pivots that carry most of R(0)
+    rng = np.random.default_rng(2012)
+    for _ in range(10):
+        noise = rng.uniform(-1.0, 1.0, cov.shape)
+        moved, moved_pivots, _ = pathgen._pivoted_cholesky(
+            cov * (1.0 + 1e-15 * (noise + noise.T) / 2.0))
+        assert np.array_equal(moved_pivots, pivots)
+        assert np.max(np.abs(moved - rows)[lead]) <= 1e-12
+        assert np.max(np.abs(moved - rows) * diag) <= 1e-12 * scale
+        assert np.max(np.abs(moved.T @ moved - rows.T @ rows)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("model, times, family", [
+    (spectra.log_power_alpha(1.5), np.linspace(0.0, 1.0, 8), "log-power-alpha (alpha 1.5)"),
+    (spectra.continuous_nu(0.3), np.linspace(0.0, 1.0, 8), "continuous-nu (nu 0.3)"),
+    (spectra.continuous_nu(0.5), np.linspace(0.0, 100.0, 8), "continuous-nu (nu 0.5)")])
+def test_no_sound_rule_is_refused(model, times, family):
+    # no path is given without a stated covariance error
+    span = f"{times[-1] - times[0]:g}"
+    with pytest.raises(CapacityError, match=rf"{re.escape(family)} at 8 times over "
+                                            rf"span {span}: no sound Gauss-Legendre"):
+        pathgen.continuous_values(model, times, seed=1, n_paths=2)
+
+
+def test_factor_work_past_its_bound_is_refused():
+    # nu 1 on [0, 1] has a 60-pair rule, but (60 + 4096) 4096^2 passes the
+    # bound before the 128 MB covariance is formed
+    with pytest.raises(CapacityError, match=r"continuous-nu \(nu 1\) at 4096 times "
+                                            r"over span 1: factor work"):
+        pathgen.gen_continuous(spectra.continuous_nu(1.0), GridSpec(0.0, 1.0, 4096), 1)
+    path = pathgen.gen_continuous(spectra.continuous_nu(1.0), GridSpec(0.0, 1.0, 2048), 1)
+    assert path.meta["rank"] < 20
+
+
+def test_factor_is_one_realisation_per_set_of_times():
+    # a path depends on its set of times, not on their offset: shifted times
+    # give the same covariance and so the same path
+    model, t = spectra.continuous_nu(1.0), np.linspace(0.0, 1.0, 9)
+    a = pathgen.continuous_values(model, t, seed=3, n_paths=2)
+    assert np.array_equal(pathgen.continuous_values(model, t + 5.0, seed=3, n_paths=2), a)
+    # a sub-grid is another realisation: its factor has other rows
+    b = pathgen.continuous_values(model, t[::2], seed=3, n_paths=2)
+    assert not np.array_equal(b, a[:, ::2])
 
 
 def test_one_rng_keying_scheme():
@@ -724,13 +736,8 @@ def test_caches_are_bounded_and_read_only():
                         and isinstance(size[0].value, int)):
                     unbounded.append((path.name, node.name))
     assert unbounded == []
-    model = spectra.continuous_nu(1.0)
-    u, _ = pathgen._strata_frequencies(model)
-    block = pathgen._continuous_block(model, GridSpec(n_points=4), 0, 0)
-    assert not u.flags.writeable and not block.flags.writeable
-    for span in (1.0, 100.0):  # Gauss-Legendre, then the strata
-        rule = pathgen.spectral_rule(model, span)
-        assert not rule.u.flags.writeable and not rule.amp.flags.writeable
+    rows, _ = pathgen._factor(spectra.continuous_nu(1.0), GridSpec(n_points=4).times().tobytes())
+    assert not rows.flags.writeable
     spec = gfunc.GFunctionSpec(0.5)
     for memo in (gfunc.GFunctionSpec._explicit_a, gfunc.GFunctionSpec._tail_coef):
         assert isinstance(memo.cache_info().maxsize, int)

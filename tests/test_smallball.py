@@ -221,6 +221,18 @@ def test_phi_l2_curve_reports_contour_work():
     assert extra["points"].tolist() == [0]
     assert extra["refinements"].tolist() == [0]
     assert math.isnan(extra["s0"][0]) and math.isnan(extra["tail_share"][0])
+    assert math.isnan(extra["log_d"][0])
+
+
+def test_complement_records_log_d_where_s0_has_rounded():
+    # from r = 1e9 at nu 1, K 2, s0 = d - 1/2 rounds to -0.5 exactly, so s0
+    # no longer says where the saddle is; log d still falls as x grows
+    extra = smallball.phi_l2_curve(1.0, 2, [0.5, 1e7, 1e8, 1e9]).extra
+    assert extra["method"].tolist() == ["parabola"] + ["parabola-complement"] * 3
+    assert math.isnan(extra["log_d"][0])
+    log_d = extra["log_d"][1:]
+    assert np.all(np.isfinite(log_d)) and np.all(np.diff(log_d) < 0)
+    assert extra["s0"][-1] == -0.5
 
 
 def _log_p_mpmath(spec, r, s0):

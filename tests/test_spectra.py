@@ -334,40 +334,6 @@ def test_model_validation():
             bad()
 
 
-@pytest.mark.parametrize("model", [spectra.continuous_nu(0.5),
-                                   spectra.continuous_nu(1.0),
-                                   spectra.continuous_nu(2.0),
-                                   spectra.continuous_nu(3.0),
-                                   spectra.truncated_continuous_nu(1.5, 2.0),
-                                   spectra.bandlimited(2.5)])
-def test_quantile_inverts_the_half_mass(model):
-    # the mass of [0, quantile(p)] is the share p of the positive half's
-    p = np.array([0.0, 1e-6, 0.1, 0.5, 0.9, 0.999])
-    u = spectra.quantile(model, p)
-    below = [quad(lambda x: spectra.density_eval(model, x), 0.0, x,
-                  epsabs=1e-14, epsrel=1e-13, limit=200)[0] for x in u]
-    assert np.allclose(below, p * spectra.total_mass(model) / 2.0, rtol=1e-10, atol=1e-15)
-    assert np.all(np.diff(u) > 0)
-
-
-def test_quantile_refuses_shares_outside_the_unit_interval_and_atoms():
-    for p in (-0.1, 1.0, math.nan):
-        with pytest.raises(PreconditionError, match=r"\[0, 1\)"):
-            spectra.quantile(spectra.continuous_nu(1.5), [0.5, p])
-    with pytest.raises(UnsupportedOperation, match="continuous"):
-        spectra.quantile(spectra.discrete_nu(1.0), [0.5])
-
-
-def test_truncated_share_scales_mass_and_quantile_alike():
-    # one share P(1/nu, c^nu) sets the truncated mass and its quantiles:
-    # the truncated measure's p-quantile is the full one's at p P
-    full, cut = spectra.continuous_nu(1.5), spectra.truncated_continuous_nu(1.5, 1.2)
-    share = spectra.total_mass(cut) / spectra.total_mass(full)
-    p = np.array([0.25, 0.75])
-    assert np.allclose(spectra.quantile(cut, p), spectra.quantile(full, p * share),
-                       rtol=1e-13)
-
-
 @pytest.mark.parametrize("nu", [0.5, 0.75, 1.0, 2.0, 3.0])
 def test_tail_mass_point_inverts_the_tail(nu):
     u = spectra.tail_mass_point(spectra.continuous_nu(nu), 1e-10)
