@@ -6,10 +6,11 @@ byte-for-byte.  `--config FILE` and `--config=FILE` both insert the file's
 `key=value` lines, keys spelled as flag names, before the explicit flags,
 which override them.  `smallball --threads N` reduces the Monte Carlo path
 blocks on up to N worker threads (`pathgen.batch_norms`) and gives the same
-bytes at every N.  The argparse tree is built once per process; the default
-seed is read from SMALLDEV_SEED at each run.  The `--out` directory is made
-only for a run that succeeds.  Exit codes: 0 success, 1 numeric failure or
-invalid input, 2 usage error.
+bytes at every N; `smallball --spectrum` has the single value `discrete`.
+The argparse tree is built once per process; the default seed is read from
+SMALLDEV_SEED at each run.  The `--out` directory is made only for a run
+that succeeds.  Exit codes: 0 success, 1 numeric failure or invalid input,
+2 usage error.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import PreconditionError
+
 
 @dataclass(frozen=True)
 class BoundCurve:
@@ -25,4 +27,4 @@ class BoundCurve:
         n = len(self.x)
         for side in (self.lower, self.upper):
             if side is not None and len(side) != n:
-                raise ValueError("curve sides must match x in length")
+                raise PreconditionError("curve sides must match x in length")

@@ -87,17 +87,12 @@ class GFunctionSpec:
         return self._tail_coef(D)[-1] * x ** (2 * _SERIES_TERMS + 2) \
             / (1.0 - (x / math.pi) ** 2)
 
-    def _tail_ok(self, D: int, tmax: float) -> bool:
+    def depth_needed(self, tmax: float) -> int:
+        D = 16
         # beyond depth D: need a_{D+1} t <= 1 so the log-sinc series
         # converges factorwise, and the remainder below tolerance; a bound
         # that overflows to inf or nan at a huge depth fails the test
-        if float(self.a(D + 1)) * tmax > 1.0:
-            return False
-        return bool(self._tail_bound(D, tmax) <= _TAIL_TOL)
-
-    def depth_needed(self, tmax: float) -> int:
-        D = 16
-        while not self._tail_ok(D, tmax):
+        while float(self.a(D + 1)) * tmax > 1.0 or not self._tail_bound(D, tmax) <= _TAIL_TOL:
             D *= 2
             if D > MAX_DEPTH:
                 raise CapacityError(
@@ -155,8 +150,12 @@ class GCertificate:
 def g_certify(spec: GFunctionSpec, t_max: float = 1e4) -> GCertificate:
     """Certify the working properties of G.
 
-    * theta_G = inf |G| over [0, 1], from a grid minimum with a Lipschitz
-      pad on log |G| (|d log G / dt| <= 0.4 t sum a_k^2 for a_k t <= 1);
+    * theta_G = inf |G| over [0, 1] = |G(1)|, as there every a_k t <= c
+      < pi, so every factor is positive and decreasing: exp(log_abs_g(1)
+      - _TAIL_TOL - 4 eps (D + 1)), D the depth at t = 1.  The omitted tail
+      terms are all negative, so the log overestimates by at most
+      _TAIL_TOL; 4 eps (D + 1) allows for rounding, 2 eps per log-sinc
+      term (sin, quotient, log) and as much again in the sums;
     * |G| <= 1 everywhere, as every factor is a sinc (`bounded_by_one`);
     * envelope decay: fit log |G| ~ -C_G t^p on local maxima of |G| over
       [FIT_T_MIN, t_max]; p should be close to 1/(1+gamma).
@@ -166,14 +165,8 @@ def g_certify(spec: GFunctionSpec, t_max: float = 1e4) -> GCertificate:
     if not FIT_T_MIN < t_max < math.inf:
         raise PreconditionError(
             f"t_max must be finite and above FIT_T_MIN = {FIT_T_MIN:g}, got {t_max}")
-    # -- theta_G on [0, 1], 4001-point grid
-    tg = np.linspace(0.0, 1.0, 4001)
-    vals = log_abs_g(spec, tg)
-    lip = 0.4 * spec.c ** 2 * float(zeta(2.0 + 2.0 * spec.gamma, 1.0))
-    pad = lip * (tg[1] - tg[0]) / 2.0
-    theta = math.exp(float(np.min(vals)) - pad)
-    if not theta > 0.0:
-        raise CertificateError("theta_G certification failed")
+    rounding = 4.0 * np.finfo(float).eps * (spec.depth_needed(1.0) + 1)
+    theta = math.exp(float(log_abs_g(spec, 1.0)[0]) - _TAIL_TOL - rounding)
     # -- envelope decay fit on local maxima
     tf = np.geomspace(FIT_T_MIN, t_max, 3000)
     lf = log_abs_g(spec, tf)
@@ -186,4 +179,4 @@ def g_certify(spec: GFunctionSpec, t_max: float = 1e4) -> GCertificate:
     return GCertificate(spec=spec, theta_G=theta, bounded_by_one=True,
                         C_G=float(np.exp(logC)), decay_exponent=float(p),
                         fit_t_range=(FIT_T_MIN, t_max),
-                        max_depth=spec.depth_needed(max(1.0, t_max)))
+                        max_depth=spec.depth_needed(t_max))

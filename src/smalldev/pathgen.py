@@ -230,9 +230,11 @@ def spectral_rule(model: spectra.SpectralModel, span: float) -> SpectralRule | N
     asks for, where the rule is sound (`_gauss_legendre`).  An unsound rule
     doubles n: a near-step density at large nu needs narrower panels than
     the phase does.  The pair count is known before any node is built."""
-    mass = spectra.total_mass(model)  # refuses a mass past the float range first
     top = spectra.tail_mass_point(model, COV_TOL)
-    if top is None or top == math.inf:
+    if top is None:  # before the mass, which is a quadrature for log-power
+        return None
+    mass = spectra.total_mass(model)  # refuses a mass past the float range
+    if top == math.inf:
         return None
     _check_phase_range(top, span)
     # exp(-u^nu) has a branch point at u = 0 for non-integer nu
@@ -404,15 +406,19 @@ def _max_abs(v: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _blas_threads():
     """(get, set) of the thread count of the OpenBLAS that numpy wheels
-    bundle in numpy.libs, or None where numpy carries no such library, as a
-    build against a system BLAS does.  Looked up once per process."""
+    bundle in numpy.libs; None without one that loads and has the 64-bit
+    thread calls, as in a build against a system BLAS.  Looked up once."""
     site = os.path.dirname(os.path.dirname(np.__file__))
     libs = glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas*"))
+    if not libs:
+        return None
     try:
         lib = ctypes.CDLL(libs[0])
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
+    except OSError:
+        return None
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
@@ -425,10 +431,9 @@ _BLAS_PIN = threading.Lock()
 
 
 def _usable_cpus() -> int:
-    try:
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
         return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return os.cpu_count() or 1
 
 
 def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,

@@ -218,15 +218,13 @@ class CertificateReport:
     passed: bool
 
 
-def uncorrelated_certificate(cfg: TsirelsonConfig,
-                             delta: float | None = None) -> CertificateReport:
-    """Verify that the minorant is uncorrelated across the grid.
+def uncorrelated_certificate(cfg: TsirelsonConfig) -> CertificateReport:
+    """Verify that the minorant is uncorrelated across the config's own grid.
 
-    Evaluates the closed-form covariance at every lag k * delta and asserts
+    Evaluates the closed-form covariance at every lag k * Delta and asserts
     |R| <= 1e-10 * sigma^2; a failure indicates a grid/convention mismatch.
     """
     _, sigma2, d, _ = (float(a[0]) for a in cfg._grid())
-    d = d if delta is None else delta
     n = 2 * int(cfg.l) if cfg.spectrum == DISCRETE else max(math.floor(1.0 / d), 1)
     lags = np.arange(1, n + 1) * d
     vals = sigma2 * _kernel(cfg, lags)

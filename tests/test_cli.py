@@ -580,6 +580,13 @@ BAD_INPUT = {
                                  "sup", "--r", "1", "--n", "1000000000000000",
                                  "--grid", "16", "--threads", "2"],
                                 "1000000000000000 norms do not fit in memory"),
+    "l2-exact-r-0": (["l2-exact", "--nu", "1", "--r", "0"], "r must be positive"),
+    "scaling-c-2": (["scaling", "--input", "phi.csv", "--c", "2"],
+                    "c must be in (0, 1]"),
+    "tsirelson-r-2": (["tsirelson", "--spectrum", "discrete", "--nu", "1",
+                       "--r", "2"], "bound_opt requires 0 < r < 1"),
+    "g-certify-too-few-maxima": (["g-certify", "--gamma", "0.999999",
+                                  "--t-max", "20"], "too few envelope maxima"),
 }
 
 

@@ -181,3 +181,15 @@ def test_abs_g_at_most_one(gamma):
     spec = GFunctionSpec(gamma)
     t = np.concatenate([np.linspace(0.0, 50.0, 5001), np.geomspace(50.0, 1e4, 5000)])
     assert np.max(gfunc.log_abs_g(spec, t)) <= 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_theta_is_abs_g_at_one(gamma):
+    # on [0, 1] every a_k t <= c < pi, so every factor is positive and
+    # decreasing: inf |G| is |G(1)|, which g_certify reads without a scan
+    spec = GFunctionSpec(gamma)
+    vals = gfunc.log_abs_g(spec, np.linspace(0.0, 1.0, 100_001))
+    assert np.all(np.diff(vals) <= 0.0)
+    low = math.exp(np.min(vals))
+    theta = gfunc.g_certify(spec).theta_G
+    assert low * (1.0 - 1e-10) <= theta <= low

@@ -6,6 +6,7 @@ import pathlib
 import re
 
 import smalldev
+from smalldev import errors
 
 SRC = pathlib.Path(smalldev.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
@@ -90,6 +91,45 @@ def test_unused_import_check_sees_each_form():
               "def f(x: np.ndarray) -> float:\n"
               "    raise Capacity(spectra.total_mass(x))\n")
     assert unused_imports(source) == ["os", "pathgen", "PreconditionError"]
+
+
+def raised_names(source: str) -> list[str]:
+    """The name of what each `raise` in `source` raises, the class that it
+    calls or names; a bare re-raise names nothing and is left out."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.append(ast.unparse(exc))
+    return names
+
+
+def _library_error(name: str) -> bool:
+    cls = getattr(errors, name.rpartition(".")[2], None)
+    return isinstance(cls, type) and issubclass(cls, errors.SmallDevError)
+
+
+def test_library_raises_only_its_own_errors():
+    # a caller catches SmallDevError alone; cli, the front end, also raises
+    # argparse's and the file readers' errors, which it turns into exit codes
+    found = {m: [n for n in raised_names((SRC / f"{m}.py").read_text())
+                 if not _library_error(n)]
+             for m in MODULES if m != "cli"}
+    assert {m: names for m, names in found.items() if names} == {}
+
+
+def test_raised_name_check_sees_each_form():
+    source = ("def f(x):\n"
+              "    if x:\n        raise ValueError('x')\n"
+              "    try:\n        g()\n"
+              "    except KeyError:\n        raise CapacityError('y') from None\n"
+              "    except OSError:\n        raise\n"
+              "    raise errors.DomainError\n")
+    assert sorted(raised_names(source)) == [
+        "CapacityError", "ValueError", "errors.DomainError"]
+    assert [_library_error(n) for n in ("ValueError", "CapacityError",
+                                        "errors.DomainError", "SmallDevError")] \
+        == [False, True, True, True]
 
 
 def test_bench_trace_targets_exist():

@@ -349,6 +349,29 @@ def test_batch_norms_refuses_bad_counts():
     for n_paths in (10**15, 10**22):  # past memory, past numpy's array size
         with pytest.raises(CapacityError, match="do not fit in memory"):
             pathgen.batch_norms(amps, grid, 1, n_paths, "sup")
+    with pytest.raises(PreconditionError, match="unknown norm 'linf'"):
+        pathgen.batch_norms(amps, grid, 1, 10, "linf")
+
+
+def test_blas_lookup_without_a_bundled_openblas(monkeypatch, tmp_path):
+    # no library in numpy.libs, one that does not load, and one without the
+    # 64-bit-integer thread calls: each leaves the BLAS as it is
+    lookup = pathgen._blas_threads.__wrapped__
+    monkeypatch.setattr(pathgen.glob, "glob", lambda pattern: [])
+    assert lookup() is None
+    missing = str(tmp_path / "libscipy_openblas64_.so")
+    monkeypatch.setattr(pathgen.glob, "glob", lambda pattern: [missing])
+    assert lookup() is None
+    monkeypatch.setattr(pathgen.ctypes, "CDLL", lambda path: object())
+    assert lookup() is None
+
+
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(pathgen.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(pathgen.os, "cpu_count", lambda: 3)
+    assert pathgen._usable_cpus() == 3
+    monkeypatch.setattr(pathgen.os, "cpu_count", lambda: None)  # unknown
+    assert pathgen._usable_cpus() == 1
 
 
 def test_continuous_pairwise_correlation():
@@ -667,6 +690,18 @@ def test_pivots_do_not_depend_on_rounding(nu, t_max, n_points):
         assert np.max(np.abs(moved - rows)[lead]) <= 1e-12
         assert np.max(np.abs(moved - rows) * diag) <= 1e-12 * scale
         assert np.max(np.abs(moved.T @ moved - rows.T @ rows)) <= 1e-12 * scale
+
+
+def test_log_power_refusal_computes_no_mass(monkeypatch):
+    # the tail alone refuses the log-power family, before its mass, a
+    # QUADPACK integral that a refusal does not cache, is computed
+    calls = []
+    monkeypatch.setattr(spectra, "_spectral_integral", lambda *args: calls.append(args))
+    model = spectra.log_power_alpha(1.5)
+    assert pathgen.spectral_rule(model, 1.0) is None
+    with pytest.raises(CapacityError, match="no sound Gauss-Legendre rule"):
+        pathgen.continuous_values(model, np.linspace(0.0, 1.0, 8), seed=1, n_paths=2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("model, times, family", [

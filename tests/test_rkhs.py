@@ -367,3 +367,11 @@ def test_translators_refuse_a_curve_without_an_upper_side():
     H = BoundCurve(x=np.array([0.1]), lower=np.array([3.0]), upper=None, label="H")
     with pytest.raises(PreconditionError, match="upper bound on H"):
         rkhs.scaling_patch(H, 0.5)
+
+
+def test_curve_sides_must_match_x():
+    # a library error, so that a caller catching SmallDevError sees it
+    x = np.array([0.1, 0.2])
+    for lower, upper in ((np.array([1.0]), None), (None, np.array([1.0, 2.0, 3.0]))):
+        with pytest.raises(PreconditionError, match="curve sides must match x"):
+            BoundCurve(x=x, lower=lower, upper=upper, label="c")

@@ -36,6 +36,10 @@ def test_config_validation():
         TsirelsonConfig(1.0, DISCRETE, 1.5)
     with pytest.raises(PreconditionError):
         TsirelsonConfig(1.0, "other", 1)
+    with pytest.raises(PreconditionError, match="unknown convention 'other'"):
+        TsirelsonConfig(1.0, DISCRETE, 1, "other")
+    with pytest.raises(PreconditionError, match="unknown variant 'other'"):
+        tsirelson.bound_at(TsirelsonConfig(1.0, DISCRETE, 1), 0.1, "other")
     TsirelsonConfig(1.0, CONTINUOUS, 1.5)  # real l fine for continuous
     for nu in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(PreconditionError):
@@ -106,6 +110,8 @@ def test_asymptotic_constant():
     vals = [tsirelson.asymptotic_constant(nu) for nu in (1, 2, 10, 1000)]
     assert all(np.diff(vals) > 0)
     assert vals[-1] == pytest.approx(1 / math.pi, rel=1e-2)
+    with pytest.raises(PreconditionError, match="nu must be finite and positive"):
+        tsirelson.asymptotic_constant(0)
 
 
 def test_bound_opt_window_and_monotonicity():
@@ -306,7 +312,7 @@ def test_minorant_covariance_array_matches_scalar():
         assert np.allclose(got, ref, rtol=0.0, atol=1e-12 * cfg.sigma2)
 
 
-def test_uncorrelated_certificate():
+def test_uncorrelated_certificate(monkeypatch):
     for l in range(1, 11):
         for conv in (PAPER_2PI, PERIOD_1):
             rep = tsirelson.uncorrelated_certificate(
@@ -319,6 +325,12 @@ def test_uncorrelated_certificate():
         )
         assert rep.passed
     # wrong grid step is caught
-    cfg = TsirelsonConfig(1.0, DISCRETE, 2)
+    grid = tsirelson._grid
+
+    def halved(*args):
+        level, sigma2, delta, count = grid(*args)
+        return level, sigma2, delta / 2.0, count
+
+    monkeypatch.setattr(tsirelson, "_grid", halved)
     with pytest.raises(CertificateError):
-        tsirelson.uncorrelated_certificate(cfg, delta=cfg.delta / 2)
+        tsirelson.uncorrelated_certificate(TsirelsonConfig(1.0, DISCRETE, 2))
