@@ -349,9 +349,12 @@ def _pivoted_cholesky(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 def _factor(model: spectra.SpectralModel, times: bytes) -> tuple[np.ndarray, dict]:
     """The read-only factor L of the `spectral_rule` covariance at the
     float64 `times`, and the meta of every path drawn from it; cached per
-    (model, times).  Refused where no sound rule exists, or where the
-    factor's work (pairs + points) points^2, its Gram and at full rank its
-    elimination, passes MAX_FACTOR_WORK."""
+    (model, times).  Refused for an atomic model, where no sound rule
+    exists, or where the factor's work (pairs + points) points^2, its Gram
+    and at full rank its elimination, passes MAX_FACTOR_WORK."""
+    if not model.is_continuous:
+        raise PreconditionError(f"continuous paths need a continuous spectral model, "
+                                f"got {model.kind}")
     t = np.frombuffer(times)
     span = float(np.ptp(t)) if t.size else 0.0
     rule = spectral_rule(model, span)
@@ -392,8 +395,6 @@ def gen_continuous(model: spectra.SpectralModel, grid: GridSpec,
     """Path `path_index` of `continuous_values` on the grid's times.  The
     meta names the method, the factor's rank (normals per path), the rule's
     pair count and the stated covariance error."""
-    if not model.is_continuous:
-        raise PreconditionError("gen_continuous needs a continuous spectral model")
     rows, meta = _factor(model, grid.times().tobytes())
     vals = _rows(rows, seed, 1, path_index, QUAD_BLOCK)[0]
     return PathSample(grid, vals, seed, meta=dict(meta))

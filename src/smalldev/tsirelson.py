@@ -18,7 +18,7 @@ Two grid conventions are shipped for atomic spectra: ``paper-2pi`` (atoms
 at integer frequencies, period-2pi paths) and ``period-1`` (atoms at
 2 pi k, period-1 paths); they differ by the factor 2 pi in the exponent.
 Continuous-spectrum grids always use Delta = 2 pi / l, which sits on a
-Dirichlet zero of the flat-density minorant.
+Dirichlet zero of the flat-density minorant, and take only ``paper-2pi``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ class TsirelsonConfig:
             raise PreconditionError(f"unknown spectrum {self.spectrum!r}")
         if self.convention not in (PAPER_2PI, PERIOD_1):
             raise PreconditionError(f"unknown convention {self.convention!r}")
+        if self.spectrum == CONTINUOUS and self.convention == PERIOD_1:
+            raise PreconditionError("a continuous spectrum has the one grid "
+                                    "Delta = 2 pi / l: use convention paper-2pi")
         if not 1 <= self.l < math.inf:
             raise PreconditionError(f"l must be finite and >= 1, got {self.l}")
         if self.spectrum == DISCRETE and self.l != int(self.l):
@@ -118,8 +121,9 @@ def _phi(nu: float, spectrum: str, convention: str, variant: str,
             factor = l / np.pi if convention == PAPER_2PI else 2.0 * l
         else:
             factor = l / (2.0 * np.pi)
-        gap = -math.log(r) - l ** nu
-        return np.where(gap > 0.0, factor * gap, 0.0)
+        with np.errstate(over="ignore"):  # l^nu past the float range: gap -inf
+            gap = -math.log(r) - l ** nu
+        return factor * np.maximum(gap, 0.0)
     if variant == RIGOROUS_GRID_COUNT:
         _, sigma2, _, count = grid or _grid(nu, spectrum, convention, l)
         # sigma underflows to 0 at large l: such a grid bounds nothing
@@ -145,29 +149,24 @@ def bound_at(cfg: TsirelsonConfig, r: float,
 def bound_opt(nu: float, spectrum: str, r: float,
               convention: str = PAPER_2PI,
               variant: str = PAPER_EXPONENT) -> LowerBoundResult:
-    """Best bound over l in a window around the asymptotically optimal l.
-
-    Every candidate l goes through the formulas of `bound_at`, `_CHUNK`
-    candidates per numpy pass; the first l, in ascending order, with the
-    largest value wins, and `bound_at` reports it.
+    """Best bound over l = 1, 1 + step, ... (step 1, or 1/4 for continuous
+    spectra) up to the first of l = 1, 2, 4, ... where the bound is 0, found
+    by one `_phi` call: both variants are positive on an interval of l from
+    1.  A bound still positive where the window would pass 2^32 candidates
+    is refused before the scan.  The scan takes `_CHUNK` candidates per call
+    and the first maximum wins; the rigorous variant evaluates `_grid` once
+    for the end, once per chunk and once in `bound_at` for the winner.
     """
     if not 0 < r < 1:
         raise PreconditionError("bound_opt requires 0 < r < 1")
-    TsirelsonConfig(nu, spectrum, 1, convention)  # refuses a bad nu first
-    x = abs(math.log(r)) / (nu + 1.0)
-    # the window holds about 4 seed candidates (16 seed for continuous
-    # spectra); past 2^32 the scan takes hours, and seed may overflow
-    log_n = math.log(x) / nu + math.log(4.0 if spectrum == DISCRETE else 16.0)
-    if log_n > 32.0 * math.log(2.0):
-        raise CapacityError(f"l window of about 10^{log_n / math.log(10.0):.1f} "
-                            f"candidates exceeds 2^32")
-    seed = x ** (1.0 / nu)
-    l_max = 4.0 * math.ceil(seed)
-    # candidates 1, 1 + step, ..., l_max
-    if spectrum == DISCRETE:
-        step, n = 1.0, max(int(l_max), 1)
-    else:
-        step, n = 0.25, 4 * int(max(l_max, 1.0)) - 3
+    TsirelsonConfig(nu, spectrum, 1, convention)  # refuses bad parameters first
+    step = 1.0 if spectrum == DISCRETE else 0.25
+    ends = 2.0 ** np.arange(33 if spectrum == DISCRETE else 31)  # <= 2^32 candidates
+    zero = np.flatnonzero(_phi(nu, spectrum, convention, variant, ends, r) == 0.0)
+    if zero.size == 0:
+        raise CapacityError(f"the bound is still positive at l = {ends[-1]:.0f}: "
+                            f"a window to its end would pass 2^32 candidates")
+    n = int((ends[zero[0]] - 1.0) / step) + 1  # candidates 1, 1 + step, ..., end
     best_l, best_phi = 1.0, -math.inf
     for lo in range(0, n, _CHUNK):
         l = 1.0 + step * np.arange(lo, min(lo + _CHUNK, n))

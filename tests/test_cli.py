@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -52,7 +55,7 @@ ROUNDTRIP = {
     "tsirelson": ["tsirelson", "--spectrum", "discrete", "--nu", "1",
                   "--r", "1e-20,1e-50"],
     "tsirelson-l": ["tsirelson", "--spectrum", "continuous", "--nu", "2",
-                    "--r", "1e-10,0.01", "--l", "5", "--convention", "period-1",
+                    "--r", "1e-10,0.01", "--l", "5", "--convention", "paper-2pi",
                     "--variant", "rigorous-grid-count"],
     "entropy": ["entropy", "--nu", "1", "--K", "4", "--eps", "0.5,0.3"],
     "kl-translate": ["kl-translate", "--input", "phi.csv", "--lam", "2.5"],
@@ -547,7 +550,16 @@ BAD_INPUT = {
                                          "1 + gamma > 1"),
     "tsirelson-window-past-2-to-32": (["tsirelson", "--spectrum", "discrete",
                                        "--nu", "0.2", "--r", "1e-100"],
-                                      "l window of about 10^12.0 candidates"),
+                                      "still positive at l = 4294967296"),
+    "tsirelson-rigorous-window-past-2-to-32": (["tsirelson", "--spectrum",
+                                                "discrete", "--nu", "0.01",
+                                                "--r", "1e-300", "--variant",
+                                                "rigorous-grid-count"],
+                                               "still positive at l = 4294967296"),
+    "tsirelson-continuous-period-1": (["tsirelson", "--spectrum", "continuous",
+                                       "--nu", "1", "--r", "0.01",
+                                       "--convention", "period-1"],
+                                      "use convention paper-2pi"),
     "problem5-alpha-inf": (["problem5", "--alpha", "inf", "--r", "0.1"],
                            "alpha must exceed 1 and be finite"),
     "kl-translate-lam-nan": (["kl-translate", "--input", "phi.csv", "--lam",
@@ -604,3 +616,27 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys,
     assert err[0].startswith("error: ") and message in err[0]
     # no output directory either: it is made only for a run that succeeds
     assert not (tmp_path / "o").exists()
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each command of the README's `sh` block of smalldev
+    commands, continuation lines joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    block = next(b for b in blocks if b.startswith("smalldev "))
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # a renamed flag or a changed default breaks the documented commands
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "phi.csv").write_text(
+        "r,phi\n" + "".join(f"1e-{e},{0.08 * (e * math.log(10)) ** 2!r}\n"
+                            for e in (3, 6, 10, 20, 40, 80)))
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} >= {"simulate", "tsirelson", "fit", "rerun"}
+    for argv in commands:
+        assert run(argv) == 0, argv
+

@@ -499,9 +499,14 @@ def test_continuous_stationarity():
 
 
 def test_gen_continuous_rejects_discrete():
-    with pytest.raises(PreconditionError):
-        pathgen.gen_continuous(spectra.discrete_nu(1.0), GridSpec(n_points=4),
-                               seed=0)
+    # both continuous entry points refuse an atomic model the same way;
+    # continuous_values used to raise UnsupportedOperation from the tail rule
+    model = spectra.discrete_nu(1.0)
+    message = "continuous paths need a continuous spectral model, got discrete-nu"
+    with pytest.raises(PreconditionError, match=message):
+        pathgen.gen_continuous(model, GridSpec(n_points=4), seed=0)
+    with pytest.raises(PreconditionError, match=message):
+        pathgen.continuous_values(model, np.array([0.0, 0.5]), seed=0, n_paths=2)
 
 
 def test_series_normals_keying_and_layout():

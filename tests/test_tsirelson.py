@@ -5,7 +5,7 @@ import pytest
 
 import reference
 from smalldev import pathgen, spectra, tsirelson
-from smalldev.errors import CertificateError, PreconditionError
+from smalldev.errors import CapacityError, CertificateError, PreconditionError
 from smalldev.tsirelson import (
     CONTINUOUS,
     DISCRETE,
@@ -41,6 +41,12 @@ def test_config_validation():
     with pytest.raises(PreconditionError, match="unknown variant 'other'"):
         tsirelson.bound_at(TsirelsonConfig(1.0, DISCRETE, 1), 0.1, "other")
     TsirelsonConfig(1.0, CONTINUOUS, 1.5)  # real l fine for continuous
+    # a continuous grid is always Delta = 2 pi / l: period-1 used to be
+    # accepted, echoed and ignored
+    with pytest.raises(PreconditionError, match="use convention paper-2pi"):
+        TsirelsonConfig(1.0, CONTINUOUS, 2.0, PERIOD_1)
+    with pytest.raises(PreconditionError, match="use convention paper-2pi"):
+        tsirelson.bound_opt(1.0, CONTINUOUS, 0.01, PERIOD_1)
     for nu in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(PreconditionError):
             TsirelsonConfig(nu, DISCRETE, 1)
@@ -116,7 +122,7 @@ def test_asymptotic_constant():
 
 def test_bound_opt_window_and_monotonicity():
     res = tsirelson.bound_opt(1.0, DISCRETE, 1e-6)
-    # seed l ~ |log r|/2 ~ 6.9; optimizer should land nearby
+    # the asymptotic optimum l ~ |log r|/2 ~ 6.9; the scan lands nearby
     assert res.l_used in (6, 7, 8)
     rs = [1e-3, 1e-5, 1e-8, 1e-12]
     phis = [tsirelson.bound_opt(1.0, DISCRETE, r).phi_lower for r in rs]
@@ -145,28 +151,39 @@ def test_continuous_rate_constant_stabilizes():
         )
 
 
-def _window(nu, spectrum, r):
-    """The candidate levels of `bound_opt`'s window."""
-    seed = (abs(math.log(r)) / (nu + 1.0)) ** (1.0 / nu)
-    l_max = 4.0 * math.ceil(seed)
-    if spectrum == DISCRETE:
-        return range(1, max(int(l_max), 1) + 1)
-    return np.arange(1.0, max(l_max, 1.0) + 0.25, 0.25)
+def _step(spectrum):
+    return 1.0 if spectrum == DISCRETE else 0.25
 
 
-def _scalar_bound_opt(nu, spectrum, r, convention, variant):
-    """Reference scan: bound_at at every window candidate, first maximum wins."""
-    best = None
-    for l in _window(nu, spectrum, r):
-        res = tsirelson.bound_at(TsirelsonConfig(nu, spectrum, float(l), convention),
-                                 r, variant)
+def _bound(nu, spectrum, r, convention, variant, l):
+    return tsirelson.bound_at(TsirelsonConfig(nu, spectrum, float(l), convention),
+                              r, variant)
+
+
+def _scalar_bound_opt(*case):
+    """Reference scan: bound_at at l = 1, 1 + step, ... until the bound is 0;
+    the first maximum wins."""
+    best, l = None, 1.0
+    while True:
+        res = _bound(*case, l)
         if best is None or res.phi_lower > best.phi_lower:
             best = res
-    return best
+        if res.phi_lower == 0.0:
+            return best
+        l += _step(case[1])
+
+
+def _window_end(*case):
+    """The first of l = 1, 2, 4, ... where bound_at is 0."""
+    l = 1.0
+    while _bound(*case, l).phi_lower > 0.0:
+        l *= 2.0
+    return l
 
 
 def _scan_cases():
-    for nu in (0.5, 1.0, 2.0, 3.0):
+    # at nu 40 the window's end l^nu passes the float range
+    for nu in (0.5, 1.0, 2.0, 3.0, 40.0):
         for spectrum, conv in ((DISCRETE, PAPER_2PI), (DISCRETE, PERIOD_1),
                                (CONTINUOUS, PAPER_2PI)):
             for variant in (PAPER_EXPONENT, RIGOROUS_GRID_COUNT):
@@ -177,6 +194,47 @@ def _scan_cases():
 def test_bound_opt_matches_scalar_scan():
     for case in _scan_cases():
         assert tsirelson.bound_opt(*case) == _scalar_bound_opt(*case)
+
+
+def test_bound_opt_scans_to_where_the_bound_ends(monkeypatch):
+    # the window used to end at 4 ceil(seed), with seed the paper variant's
+    # optimum (|log r| / (nu + 1))^(1/nu); that cut the rigorous variant's
+    # optimum off below nu of about 0.6 (nu 0.3, r 1e-5: l 5,752 and phi
+    # 17,772 against l 65,841 and phi 77,225)
+    small_nu = [(nu, spectrum, r, PAPER_2PI, RIGOROUS_GRID_COUNT)
+                for nu in (0.3, 0.4, 0.5) for spectrum in (DISCRETE, CONTINUOUS)
+                for r in (1e-5, 1e-20)]
+    phi = tsirelson._phi
+    scanned = []
+
+    def recording(*args):
+        l = args[4]
+        if np.all(np.diff(l) == _step(args[1])):  # not the probe l = 1, 2, 4, ...
+            scanned.append(l[-1])
+        return phi(*args)
+
+    monkeypatch.setattr(tsirelson, "_phi", recording)
+    for case in [*_scan_cases(), *small_nu]:
+        scanned.clear()
+        res = tsirelson.bound_opt(*case)
+        last = max(scanned)
+        assert _bound(*case, last + _step(case[1])).phi_lower == 0.0, case
+        assert res.phi_lower >= _bound(*case, last).phi_lower, case
+
+
+@pytest.mark.parametrize("variant", [PAPER_EXPONENT, RIGOROUS_GRID_COUNT])
+def test_window_past_2_to_32_is_refused_before_the_scan(monkeypatch, variant):
+    calls = []
+    phi = tsirelson._phi
+
+    def counting(*args):
+        calls.append(args)
+        return phi(*args)
+
+    monkeypatch.setattr(tsirelson, "_phi", counting)
+    with pytest.raises(CapacityError, match="still positive at l = 4294967296"):
+        tsirelson.bound_opt(0.01, DISCRETE, 1e-300, variant=variant)
+    assert len(calls) == 1  # the probe of the window's end, no chunk
 
 
 @pytest.mark.parametrize("chunk", [3, 7])
@@ -230,9 +288,12 @@ def test_grid_is_evaluated_once_per_call(monkeypatch):
         calls.clear()
         tsirelson.uncorrelated_certificate(cfg)
         assert len(calls) == 1, cfg
-        # bound_opt: one per rigorous chunk plus one for the winner
-        chunks = math.ceil(len(_window(1.0, spectrum, 1e-20)) / 7)
-        for variant, expected in ((PAPER_EXPONENT, 1), (RIGOROUS_GRID_COUNT, chunks + 1)):
+        # bound_opt: one for the window's end, one per rigorous chunk and
+        # one for the winner
+        case = (1.0, spectrum, 1e-20, PAPER_2PI, RIGOROUS_GRID_COUNT)
+        n = int((_window_end(*case) - 1.0) / _step(spectrum)) + 1
+        for variant, expected in ((PAPER_EXPONENT, 1),
+                                  (RIGOROUS_GRID_COUNT, math.ceil(n / 7) + 2)):
             calls.clear()
             tsirelson.bound_opt(1.0, spectrum, 1e-20, variant=variant)
             assert len(calls) == expected, (spectrum, variant)
