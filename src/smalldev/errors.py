@@ -5,10 +5,6 @@ class SmallDevError(Exception):
     """Base class for all library errors."""
 
 
-class UnsupportedOperation(SmallDevError):
-    """Operation does not apply to this kind of spectral model."""
-
-
 class PreconditionError(SmallDevError):
     """An input contract was violated."""
 

@@ -66,6 +66,10 @@ MAX_PAIRS = 1 << 16
 #: and its elimination at full rank; it caps the points at about 3,200
 MAX_FACTOR_WORK = 1 << 35
 
+#: most entries of a Fourier basis, 2K + 1 rows by the times, and of the
+#: (2K + 1)-square Gram of its L2 norms: 256 MiB of float64 each
+MAX_BASIS_ENTRIES = 1 << 25
+
 #: basis entries held at once while the Gram is summed over node chunks
 GRAM_CHUNK = 1 << 18
 
@@ -103,6 +107,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n_points < 2:
             raise PreconditionError("n_points must be >= 2")
+        if self.n_points > MAX_BASIS_ENTRIES:  # refused before times() allocates
+            raise CapacityError(f"{self.n_points} grid points pass {MAX_BASIS_ENTRIES}")
         if not 0 < self.t_max - self.t_min < math.inf:  # NaN fails too
             raise PreconditionError("grid requires finite t_min < t_max with a finite span")
 
@@ -182,9 +188,16 @@ def _check_phase_range(top: float, times: np.ndarray | float, scale: float = 1.0
                             f"{t_abs:.3g} are past the float range")
 
 
+def _check_basis_size(rows: int, columns: int) -> None:
+    if rows * columns > MAX_BASIS_ENTRIES:  # refused before it is allocated
+        raise CapacityError(f"a {rows} x {columns} Fourier basis or Gram passes "
+                            f"{MAX_BASIS_ENTRIES} entries")
+
+
 def _fourier_basis(amps: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Rows amp_k cos 2 pi k t for k = 0..K, then amp_k sin 2 pi k t for
     k = 1..K: the order of the normals xi_0..xi_K, eta_1..eta_K."""
+    _check_basis_size(2 * len(amps) - 1, len(times))
     _check_phase_range(len(amps) - 1, times, 2.0 * np.pi)
     phase = 2.0 * np.pi * np.outer(np.arange(len(amps)), times)
     basis = np.empty((2 * len(amps) - 1, phase.shape[1]))
@@ -349,12 +362,9 @@ def _pivoted_cholesky(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 def _factor(model: spectra.SpectralModel, times: bytes) -> tuple[np.ndarray, dict]:
     """The read-only factor L of the `spectral_rule` covariance at the
     float64 `times`, and the meta of every path drawn from it; cached per
-    (model, times).  Refused for an atomic model, where no sound rule
-    exists, or where the factor's work (pairs + points) points^2, its Gram
-    and at full rank its elimination, passes MAX_FACTOR_WORK."""
-    if not model.is_continuous:
-        raise PreconditionError(f"continuous paths need a continuous spectral model, "
-                                f"got {model.kind}")
+    (model, times).  Refused where no sound rule exists, or where the
+    factor's work (pairs + points) points^2, its Gram and at full rank its
+    elimination, passes MAX_FACTOR_WORK."""
     t = np.frombuffer(times)
     span = float(np.ptp(t)) if t.size else 0.0
     rule = spectral_rule(model, span)
@@ -501,6 +511,8 @@ def _reduce_blocks(out: np.ndarray, amps: np.ndarray, grid: GridSpec,
                    seed: int, norm: str, cap: float, threads: int) -> np.ndarray:
     """`batch_norms` into `out` on at most `threads` workers."""
     n_paths = len(out)
+    if norm == "l2":
+        _check_basis_size(2 * len(amps) - 1, 2 * len(amps) - 1)
     times = grid.times()
     basis = _fourier_basis(amps, times)
     if norm == "l2":

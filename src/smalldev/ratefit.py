@@ -81,17 +81,24 @@ def fit(points, beta_mode="free") -> RateFitResult:
     y = np.log(phi)
     x1 = np.log(L)
     x2 = np.log(np.log(L))
-    if beta_fixed is None:
-        X = np.column_stack([np.ones_like(x1), x1, x2])
-    else:
-        X = np.column_stack([np.ones_like(x1), x1])
-        y = y - beta_fixed * x2
-    coef, res, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    # a large fixed beta takes the response, the coefficients or the
+    # residuals past the float range: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if beta_fixed is None:
+            X = np.column_stack([np.ones_like(x1), x1, x2])
+        else:
+            X = np.column_stack([np.ones_like(x1), x1])
+            y = y - beta_fixed * x2
+        coef, res, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+        rss = float(np.sum((X @ coef - y) ** 2))
+        A = float(np.exp(coef[0]))
     if rank < X.shape[1]:
         return _refusal(points, mode, "collinear regressors")
-    rss = float(np.sum((X @ coef - y) ** 2))
+    if not (0 < A < math.inf and rss < math.inf):  # NaN fails too
+        raise CapacityError(f"the fit at {mode} is past the float range: "
+                            f"A = {A:.3g}, rss = {rss:.3g}")
     beta = float(coef[2]) if beta_fixed is None else float(beta_fixed)
-    return RateFitResult(A=float(np.exp(coef[0])), gamma=float(coef[1]),
+    return RateFitResult(A=A, gamma=float(coef[1]),
                          beta=beta, rss=rss, n_points=len(points),
                          r_min=float(r.min()), r_max=float(r.max()),
                          mode=mode)

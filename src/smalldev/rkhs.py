@@ -230,6 +230,9 @@ def entropy_lower(ell: CoefficientEllipsoid, epsilon: float) -> float:
     """
     if not 0 < epsilon < math.inf:
         raise PreconditionError("epsilon must be positive and finite")
+    # one ball covers the unit ball there, so H = 0; 4 eps may pass the float range
+    if epsilon >= 2.0 * ell.sup_radius:
+        return 0.0
     # at every leading dimension d: log vol of the d-dim ellipsoid (unit ball
     # + sum of log axes) less the box's (side 2 eps for x0, 4 eps after)
     d = np.arange(1.0, 2 * ell.K + 2)
@@ -251,15 +254,23 @@ def entropy_bracket(ell: CoefficientEllipsoid, epsilon: float) -> EntropyBracket
     )
 
 
+def _check_finite(x: np.ndarray, upper: np.ndarray, what: str) -> None:
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(upper))):
+        raise CapacityError(f"{what} is past the float range")
+
+
 def kl_phi_to_H(phi_curve: BoundCurve, lam: float = 2.0) -> BoundCurve:
     """Entropy upper bound H(2r/lam) <= phi(r) + lam^2 / 2, from the upper
-    side of a phi curve; a curve without one is refused."""
+    side of a phi curve; a curve without one is refused, and so is one
+    whose scales or bounds are past the float range."""
     if not 0 < lam < math.inf:
         raise PreconditionError("lambda must be finite and positive")
     if phi_curve.upper is None:
         raise PreconditionError("an entropy upper bound needs an upper bound on phi")
-    x = 2.0 * np.asarray(phi_curve.x) / lam
-    upper = np.asarray(phi_curve.upper) + lam * lam / 2.0
+    with np.errstate(over="ignore"):
+        x = 2.0 * np.asarray(phi_curve.x) / lam
+        upper = np.asarray(phi_curve.upper) + lam * lam / 2.0
+    _check_finite(x, upper, f"the entropy curve at lambda {lam:g}")
     return BoundCurve(x=x, lower=None, upper=upper,
                       label="entropy-from-smallball",
                       extra={"lambda": lam, "source": phi_curve.label})
@@ -353,13 +364,18 @@ def truncation_entropy_upper(inp: TruncationBoundInput) -> TruncationBoundResult
 def scaling_patch(H_curve: BoundCurve, c: float) -> BoundCurve:
     """Time-rescaling patch: H of the horizon-1/c ball at 2 eps is at most
     ceil(1/c) times H(eps), from the upper side of an H curve; a curve
-    without one is refused."""
+    without one is refused, and so is one whose scales or bounds are past
+    the float range."""
     if not 0 < c <= 1:
         raise PreconditionError("c must be in (0, 1]")
     if H_curve.upper is None:
         raise PreconditionError("the scaling patch needs an upper bound on H")
+    if not 1.0 / c < math.inf:
+        raise CapacityError(f"1/c at c = {c:g} is past the float range")
     n = math.ceil(1.0 / c)
-    return BoundCurve(x=2.0 * np.asarray(H_curve.x), lower=None,
-                      upper=n * np.asarray(H_curve.upper), label="scaling-patch",
+    with np.errstate(over="ignore"):
+        x, upper = 2.0 * np.asarray(H_curve.x), n * np.asarray(H_curve.upper)
+    _check_finite(x, upper, f"the scaling patch at c = {c:g}")
+    return BoundCurve(x=x, lower=None, upper=upper, label="scaling-patch",
                       extra={"c": c, "n": n, "source": H_curve.label})
 

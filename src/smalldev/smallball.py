@@ -91,8 +91,8 @@ def estimate(cfg: pathgen.PeriodicGenConfig, grid: pathgen.GridSpec, norm: str,
     if n_samples < 100:
         raise PreconditionError("n_samples must be >= 100")
     r_arr = np.asarray(list(r_list), dtype=float)
-    if not np.all(r_arr > 0):
-        raise PreconditionError("radii must be positive")
+    if not np.all((r_arr > 0) & (r_arr < math.inf)):
+        raise PreconditionError("radii must be positive and finite")
     norms = pathgen.batch_norms(cfg.amplitudes(), grid, seed, n_samples, norm,
                                 cap=float(r_arr.max(initial=0.0)), threads=threads)
     out = []

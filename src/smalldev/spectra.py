@@ -1,10 +1,11 @@
 """Spectral measures of the studied processes and their derived quantities.
 
-Five families are supported: the continuous densities exp(-|u|^nu), the
-discrete measures with atoms exp(-|k|^nu) at frequency 2*pi*k, the
+A `SpectralModel` is one of four spectral densities: exp(-|u|^nu), the
 bandlimited flat density on [-cutoff, cutoff], the slowly decaying test
-family exp(-(log+ |u|)^alpha), and the truncated continuous density
-exp(-|u|^nu) restricted to |u| <= cutoff.
+family exp(-(log+ |u|)^alpha), and exp(-|u|^nu) truncated to
+|u| <= cutoff.  The discrete measures with atoms exp(-|k|^nu) at
+frequency 2*pi*k are no model: their atoms up to K, their tail past K and
+their series amplitudes come from the (nu, K) functions below.
 """
 
 from __future__ import annotations
@@ -17,16 +18,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, gammainc, gammaincc, gammainccinv, gammaln
 
-from .errors import (CapacityError, DomainError, NumericFailure, PreconditionError,
-                     UnsupportedOperation)
+from .errors import CapacityError, DomainError, NumericFailure, PreconditionError
 
 CONTINUOUS_NU = "continuous-nu"
 DISCRETE_NU = "discrete-nu"
 BANDLIMITED = "bandlimited"
 LOG_POWER_ALPHA = "log-power-alpha"
 TRUNCATED_CONTINUOUS_NU = "truncated-continuous-nu"
-
-_CONTINUOUS_KINDS = (CONTINUOUS_NU, BANDLIMITED, LOG_POWER_ALPHA, TRUNCATED_CONTINUOUS_NU)
 
 #: relative size below which the further atoms of a discrete sum are dropped
 _ATOM_TOL = 1e-18
@@ -46,7 +44,7 @@ class SpectralModel:
     cutoff: float | None = None
 
     def __post_init__(self):
-        if self.kind in (CONTINUOUS_NU, DISCRETE_NU, TRUNCATED_CONTINUOUS_NU):
+        if self.kind in (CONTINUOUS_NU, TRUNCATED_CONTINUOUS_NU):
             if self.nu is None or not 0 < self.nu < math.inf:
                 raise PreconditionError(f"{self.kind} requires finite nu > 0, got {self.nu}")
         if self.kind == LOG_POWER_ALPHA:
@@ -55,20 +53,13 @@ class SpectralModel:
         if self.kind in (BANDLIMITED, TRUNCATED_CONTINUOUS_NU):
             if self.cutoff is None or not self.cutoff > 0:
                 raise PreconditionError(f"{self.kind} requires cutoff > 0, got {self.cutoff}")
-        if self.kind not in _CONTINUOUS_KINDS + (DISCRETE_NU,):
+        if self.kind not in (CONTINUOUS_NU, BANDLIMITED, LOG_POWER_ALPHA,
+                             TRUNCATED_CONTINUOUS_NU):
             raise PreconditionError(f"unknown spectral model kind {self.kind!r}")
-
-    @property
-    def is_continuous(self) -> bool:
-        return self.kind in _CONTINUOUS_KINDS
 
 
 def continuous_nu(nu: float) -> SpectralModel:
     return SpectralModel(CONTINUOUS_NU, nu=float(nu))
-
-
-def discrete_nu(nu: float) -> SpectralModel:
-    return SpectralModel(DISCRETE_NU, nu=float(nu))
 
 
 def bandlimited(cutoff: float = 1.0) -> SpectralModel:
@@ -91,8 +82,6 @@ class CovarianceValue:
 
 def density(model: SpectralModel, u) -> np.ndarray:
     """Spectral density f(u) over an array of frequencies; even in u."""
-    if not model.is_continuous:
-        raise UnsupportedOperation("density needs a continuous spectral measure")
     a = np.abs(np.asarray(u, dtype=float))
     if model.kind == LOG_POWER_ALPHA:  # log+ u = log max(u, 1)
         return np.exp(-np.log(np.maximum(a, 1.0)) ** model.alpha)
@@ -117,7 +106,8 @@ def discrete_log_masses(nu: float, K: int) -> np.ndarray:
             f"{DISCRETE_NU} atoms need finite nu > 0 and K >= 0, got nu = {nu}, K = {K}")
     if K >= 1 << 22:
         raise CapacityError(f"{DISCRETE_NU} atoms to k = {K:.3g} exceed 2^22 (nu = {nu})")
-    return -np.arange(K + 1, dtype=float) ** nu
+    with np.errstate(over="ignore"):  # k^nu past the float range: mass 0
+        return -np.arange(K + 1, dtype=float) ** nu
 
 
 def discrete_log_amplitudes(nu: float, K: int) -> np.ndarray:
@@ -128,8 +118,9 @@ def discrete_log_amplitudes(nu: float, K: int) -> np.ndarray:
     return log_amp
 
 
-def _tail_log_masses(nu: float, K: int) -> np.ndarray:
-    """Log masses of the atoms past K down to _ATOM_TOL times the first."""
+def discrete_tail(nu: float, K: int) -> float:
+    """sum_{k > K} exp(-k^nu), the mass of the atoms at k > K on one side,
+    summed down to _ATOM_TOL times the first of them."""
     discrete_log_masses(nu, K)  # refuses a bad nu or K
     # end = ((K+1)^nu + log(1/_ATOM_TOL))^(1/nu) = (K+1) base^(1/nu), sized in
     # logs first: for a tiny nu the power overflows long before k = 2^22
@@ -140,12 +131,7 @@ def _tail_log_masses(nu: float, K: int) -> np.ndarray:
             f"{DISCRETE_NU} atoms to k = 10^{log_end / math.log(10.0):.4g} "
             f"exceed 2^22 (nu = {nu})")
     end = math.ceil((K + 1) * base ** (1.0 / nu))
-    return discrete_log_masses(nu, end)[K + 1:]
-
-
-def discrete_tail(nu: float, K: int) -> float:
-    """sum_{k > K} exp(-k^nu), the mass of the atoms at k > K on one side."""
-    return float(np.sum(np.exp(_tail_log_masses(nu, K))))
+    return float(np.sum(np.exp(discrete_log_masses(nu, end)[K + 1:])))
 
 
 def _power(c: float, nu: float) -> float:
@@ -211,7 +197,7 @@ def _spectral_integral(model: SpectralModel, f, t: float = 0.0) -> float:
 
 
 def total_mass(model: SpectralModel) -> float:
-    """Total spectral mass (integral of the density or sum of atoms)."""
+    """Total spectral mass, the integral of the density."""
     if model.kind in (CONTINUOUS_NU, TRUNCATED_CONTINUOUS_NU):
         # int_0^c exp(-u^nu) du = Gamma(1 + 1/nu) P(1/nu, c^nu); P = 1 at c = inf
         c, nu = model.cutoff, model.nu
@@ -221,31 +207,20 @@ def total_mass(model: SpectralModel) -> float:
         return 2.0 * gamma_fn(1.0 + 1.0 / nu) * share
     if model.kind == BANDLIMITED:
         return 2.0 * model.cutoff
-    if model.kind == DISCRETE_NU:
-        return 1.0 + 2.0 * discrete_tail(model.nu, 0)
     return _spectral_integral(model, lambda u: density_eval(model, u))
 
 
 def covariance(model: SpectralModel, t: float) -> CovarianceValue:
-    """R(t) = integral of exp(i u t) against the spectral measure.
-
-    Real by symmetry; computed by `_spectral_integral` for continuous
-    measures and by truncated summation for discrete ones.
-    """
+    """R(t) = integral of exp(i u t) f(u) du, real by symmetry; the mass
+    at t = 0 and a `_spectral_integral` elsewhere."""
     t = float(t)
-    if model.kind == DISCRETE_NU:
-        # atoms at 2*pi*k give period-1 covariance
-        log_mass = _tail_log_masses(model.nu, 0)
-        k = np.arange(1, len(log_mass) + 1)
-        val = 1.0 + 2.0 * float(np.sum(np.exp(log_mass) * np.cos(2.0 * np.pi * k * t)))
-        return CovarianceValue(t, val)
     if t == 0.0:
         return CovarianceValue(0.0, total_mass(model))
     return CovarianceValue(t, _spectral_integral(model, lambda u: density_eval(model, u), t))
 
 
 def exp_moment(model: SpectralModel, rate: float) -> float:
-    """M(rate) = (integral of exp(rate * |u|) dF(u)) ** (1/2); M(0)^2 is the mass.
+    """M(rate) = (integral of exp(rate |u|) f(u) du) ** (1/2); M(0)^2 is the mass.
 
     A moment past the float range is a CapacityError."""
     rate = float(rate)
@@ -258,15 +233,6 @@ def exp_moment(model: SpectralModel, rate: float) -> float:
     decays = nu is not None and (nu > 1.0 or (nu == 1.0 and rate < 1.0))
     if model.cutoff is None and not decays:
         raise DomainError(f"exponential moment diverges for {model.kind} at rate {rate}")
-    if model.kind == DISCRETE_NU:
-        # tilted atoms exp(rate k - k^nu), k = 0..K; K doubles until the
-        # last atom is past their peak and below _ATOM_TOL of their sum
-        K = 4
-        while True:
-            tilted = np.exp(discrete_log_masses(model.nu, K) + rate * np.arange(K + 1))
-            if tilted[-1] <= tilted[-2] and tilted[-1] < _ATOM_TOL * np.sum(tilted):
-                return math.sqrt(2.0 * float(np.sum(tilted)) - 1.0)
-            K *= 2
     c = _tail_point(model, rate) if decays else model.cutoff
     support = truncated_continuous_nu(nu, c) if decays else model
 
@@ -293,13 +259,11 @@ def continuous_tail(nu: float, c: float) -> float:
 
 
 def tail_mass_point(model: SpectralModel, tol: float) -> float | None:
-    """A frequency past which one side of the measure holds at most tol:
+    """A frequency past which one side of the density holds at most tol:
     the bandlimited cutoff; else the cutoff or, if sooner, the least u with
     `continuous_tail(nu, u) <= tol`, inverted in logs and inf when it is past
     the float range.  None for the log-power family, whose tail has no
     closed inverse."""
-    if not model.is_continuous:
-        raise UnsupportedOperation("tail_mass_point needs a continuous spectral measure")
     if not tol > 0:
         raise PreconditionError(f"tail_mass_point needs tol > 0, got {tol}")
     if model.kind == BANDLIMITED:

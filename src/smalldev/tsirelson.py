@@ -60,8 +60,9 @@ class TsirelsonConfig:
         if self.spectrum == CONTINUOUS and self.convention == PERIOD_1:
             raise PreconditionError("a continuous spectrum has the one grid "
                                     "Delta = 2 pi / l: use convention paper-2pi")
-        if not 1 <= self.l < math.inf:
-            raise PreconditionError(f"l must be finite and >= 1, got {self.l}")
+        if not (1 <= self.l and 2.0 * self.l + 1.0 < math.inf):  # NaN fails too
+            raise PreconditionError(f"l must be finite and >= 1, with 2 l + 1 finite, "
+                                    f"got {self.l}")
         if self.spectrum == DISCRETE and self.l != int(self.l):
             raise PreconditionError("discrete spectrum requires integer l")
 
@@ -136,8 +137,8 @@ def _phi(nu: float, spectrum: str, convention: str, variant: str,
 
 def bound_at(cfg: TsirelsonConfig, r: float,
              variant: str = PAPER_EXPONENT) -> LowerBoundResult:
-    if not r > 0:
-        raise PreconditionError("r must be positive")
+    if not 0 < r < math.inf:
+        raise PreconditionError("r must be positive and finite")
     grid = cfg._grid()
     phi = float(_phi(cfg.nu, cfg.spectrum, cfg.convention, variant,
                      np.array([float(cfg.l)]), r, grid)[0])

@@ -3,6 +3,7 @@ against."""
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.special import zeta
 
@@ -24,6 +25,19 @@ def closed_form_covariance(model: spectra.SpectralModel, t: float) -> float | No
             return 2.0 * c
         return 2.0 * math.sin(c * t) / t
     return None
+
+
+def periodic_covariance(nu: float, t: float) -> float:
+    """sum_k exp(-|k|^nu) cos 2 pi k t over all integers k, the covariance of
+    the discrete-nu atoms at 2 pi k, in closed form for nu = 1 and 2: the
+    Poisson kernel (1 - q^2) / (1 - 2 q cos 2 pi t + q^2) and the Jacobi
+    theta function theta_3(pi t, q), both at q = e^-1."""
+    q = math.exp(-1.0)
+    if nu == 1.0:
+        return (1.0 - q * q) / (1.0 - 2.0 * q * math.cos(2.0 * math.pi * t) + q * q)
+    if nu == 2.0:
+        return float(mpmath.jtheta(3, math.pi * t, q))
+    raise ValueError(f"no closed periodic covariance at nu = {nu}")
 
 
 def minorant_covariance(cfg: tsirelson.TsirelsonConfig, t) -> np.ndarray:

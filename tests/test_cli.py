@@ -318,6 +318,9 @@ SMALLBALL = {**COMMON, "spectrum": "discrete", "nu": 1.0, "K": 4, "norm": "sup",
                                        "r": [1.0]}},
     {"command": "smallball", "params": {**SMALLBALL, "threads": 0}},
     {"command": "smallball", "params": {**SMALLBALL, "threads": -1}},
+    # a manifest must name a command, not an option or another rerun
+    {"command": "-h", "params": {"out": "o"}},
+    {"command": "rerun", "params": {"out": "o"}},
 ])
 def test_bad_manifest_exits_2_without_output(tmp_path, monkeypatch, manifest):
     (tmp_path / "ok.csv").write_text("r,phi\n1e-5,3.0\n1e-10,9.0\n")
@@ -409,11 +412,13 @@ def test_fit_and_problem5(tmp_path):
     pcsv = tmp_path / "phi.csv"
     rows = [f"{r},{abs(math.log(r)) ** 2}"
             for r in (1e-15, 1e-12, 1e-9, 1e-6, 1e-4)]
-    pcsv.write_text("r,phi\n" + "\n".join(rows))
+    # a blank line between the points is skipped
+    pcsv.write_text("r,phi\n" + "\n".join(rows[:2]) + "\n\n" + "\n".join(rows[2:]))
     out = tmp_path / "f"
     assert run(["fit", "--input", str(pcsv), "--beta", "fixed:0",
                 "--out", str(out)]) == 0
     res = json.loads(read(out / "fit.json"))
+    assert res["n_points"] == 5
     assert res["gamma"] == pytest.approx(2.0, abs=1e-6)
     out5 = tmp_path / "p5"
     assert run(["problem5", "--alpha", "2", "--r", "1e-10,1e-6",
@@ -599,6 +604,44 @@ BAD_INPUT = {
                        "--r", "2"], "bound_opt requires 0 < r < 1"),
     "g-certify-too-few-maxima": (["g-certify", "--gamma", "0.999999",
                                   "--t-max", "20"], "too few envelope maxima"),
+    # the (2K + 1)-square L2 Gram, 298 GiB here, used to end in a MemoryError
+    "smallball-l2-gram-past-bound": (["smallball", "--nu", "1", "--K", "100000",
+                                      "--norm", "l2", "--r", "1", "--n", "200",
+                                      "--grid", "16"],
+                                     "200001 x 200001 Fourier basis or Gram passes"),
+    # so did a grid of 10^13 points, whose times alone take 73 TiB
+    "simulate-n-points-past-bound": (["simulate", "--spectrum", "discrete", "--nu",
+                                      "1", "--K", "0", "--n-points",
+                                      "10000000000000"], "grid points pass 33554432"),
+    "smallball-grid-past-bound": (["smallball", "--nu", "1", "--K", "0", "--norm",
+                                   "sup", "--r", "1", "--n", "200", "--grid",
+                                   "10000000000000"], "grid points pass 33554432"),
+    # 2 l + 1 = inf used to be written as sigma2 nan
+    "tsirelson-discrete-l-grid-past-float": (["tsirelson", "--spectrum", "discrete",
+                                              "--nu", "1", "--r", "0.01", "--l",
+                                              "1e308"], "with 2 l + 1 finite"),
+    "tsirelson-continuous-l-grid-past-float": (["tsirelson", "--spectrum",
+                                                "continuous", "--nu", "1", "--r",
+                                                "0.01", "--l", "1e308"],
+                                               "with 2 l + 1 finite"),
+    # results past the float range used to be written as inf, or ended in
+    # an OverflowError (scaling at c 1e-320)
+    "scaling-c-1e-320": (["scaling", "--input", "phi.csv", "--c", "1e-320"],
+                         "past the float range"),
+    "scaling-c-1e-308": (["scaling", "--input", "phi.csv", "--c", "1e-308"],
+                         "past the float range"),
+    "kl-translate-lam-1e308": (["kl-translate", "--input", "phi.csv", "--lam",
+                                "1e308"], "past the float range"),
+    "kl-translate-lam-1e-320": (["kl-translate", "--input", "phi.csv", "--lam",
+                                 "1e-320"], "past the float range"),
+    "fit-beta-fixed-1e308": (["fit", "--input", "phi.csv", "--beta", "fixed:1e308"],
+                             "past the float range"),
+    # an infinite radius used to be written as r = inf
+    "smallball-r-inf": (["smallball", "--nu", "1", "--K", "4", "--norm", "sup",
+                         "--r", "inf", "--n", "200", "--grid", "16"],
+                        "radii must be positive and finite"),
+    "tsirelson-l-r-inf": (["tsirelson", "--spectrum", "discrete", "--nu", "1",
+                           "--r", "inf", "--l", "2"], "r must be positive and finite"),
 }
 
 
@@ -640,3 +683,84 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     for argv in commands:
         assert run(argv) == 0, argv
 
+
+
+#: one small run of each command, and of each spectrum or norm that takes
+#: another code path, whose numeric flags `test_numeric_flag_sweep` varies
+SWEEP_BASE = {
+    "simulate-discrete": ["simulate", "--spectrum", "discrete", "--nu", "1",
+                          "--K", "4", "--n-points", "8"],
+    "simulate-continuous": ["simulate", "--spectrum", "continuous", "--nu", "1",
+                            "--n-points", "8"],
+    "smallball-sup": ["smallball", "--nu", "1", "--K", "4", "--norm", "sup",
+                      "--r", "1", "--n", "100", "--grid", "16"],
+    "smallball-l2": ["smallball", "--nu", "1", "--K", "4", "--norm", "l2",
+                     "--r", "1", "--n", "100", "--grid", "16"],
+    "l2-exact": ["l2-exact", "--nu", "1", "--K", "4", "--r", "1"],
+    "tsirelson": ["tsirelson", "--spectrum", "discrete", "--nu", "1",
+                  "--r", "0.01"],
+    "tsirelson-l": ["tsirelson", "--spectrum", "continuous", "--nu", "1",
+                    "--r", "0.01", "--l", "2", "--variant", "rigorous-grid-count"],
+    "entropy": ["entropy", "--nu", "1", "--K", "4", "--eps", "0.5"],
+    "kl-translate": ["kl-translate", "--input", "phi.csv"],
+    "g-certify": ["g-certify", "--gamma", "0.5", "--t-max", "100"],
+    "scaling": ["scaling", "--input", "phi.csv", "--c", "0.5"],
+    "fit": ["fit", "--input", "phi.csv"],
+    "problem5": ["problem5", "--alpha", "2", "--r", "0.01"],
+}
+
+SWEEP_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-320"]
+
+#: result columns that may hold inf: phi is inf where no path hits
+NONFINITE_COLUMNS = {("smallball.csv", "phi_hat"), ("smallball.csv", "phi_hi")}
+
+
+def numeric_flags(command: str) -> list[str]:
+    """The flags of `command` whose values are numbers."""
+    ap = cli._build_parser()
+    sub = next(a for a in ap._actions if a.choices and command in a.choices)
+    types = (int, float, cli.float_list, cli.positive_int)
+    return [a.option_strings[0] for a in sub.choices[command]._actions
+            if a.type in types]
+
+
+def nonfinite_outputs(out: pathlib.Path) -> list[str]:
+    """Each nan or inf that a run wrote, as file: column."""
+    found = []
+    for path in out.iterdir():
+        if path.suffix == ".json":  # NaN and Infinity are no JSON
+            json.loads(path.read_text(),
+                       parse_constant=lambda c: found.append(f"{path.name}: {c}"))
+            continue
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        found += [f"{path.name}: {name}" for row in rows
+                  for name, cell in zip(header, row)
+                  if cell in ("nan", "inf", "-inf")
+                  and (path.name, name) not in NONFINITE_COLUMNS]
+    return found
+
+
+@pytest.mark.parametrize("base", SWEEP_BASE.values(), ids=SWEEP_BASE.keys())
+def test_numeric_flag_sweep(tmp_path, monkeypatch, base):
+    # every numeric flag at each edge value exits 0, 1 or 2 and raises
+    # nothing (RuntimeWarnings are errors here), and a run that exits 0
+    # writes no nan or inf
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "phi.csv").write_text("r,phi\n1e-15,357.8\n1e-9,128.8\n1e-6,57.2\n")
+    runs = [base + [f"{flag}={value}"] for flag in numeric_flags(base[0])
+            for value in SWEEP_VALUES]
+    if base[0] == "fit":
+        runs += [base + [f"--beta=fixed:{value}"] for value in SWEEP_VALUES]
+    failures = []
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"o{i}"
+        try:
+            code = exit_code(argv + ["--out", str(out)])
+        except Exception as exc:  # every escape is a failure
+            failures.append(f"{shlex.join(argv)}: {exc!r}")
+            continue
+        if code not in (0, 1, 2):
+            failures.append(f"{shlex.join(argv)}: exit {code}")
+        elif code == 0 and nonfinite_outputs(out):
+            failures.append(f"{shlex.join(argv)}: {nonfinite_outputs(out)}")
+    assert failures == []

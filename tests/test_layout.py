@@ -118,6 +118,15 @@ def test_library_raises_only_its_own_errors():
     assert {m: names for m, names in found.items() if names} == {}
 
 
+def test_every_library_error_is_raised():
+    # an error class that nothing raises is left over from deleted code
+    raised = {name.rpartition(".")[2] for m in MODULES
+              for name in raised_names((SRC / f"{m}.py").read_text())}
+    classes = {name for name, cls in vars(errors).items() if isinstance(cls, type)
+               and issubclass(cls, errors.SmallDevError) and cls is not errors.SmallDevError}
+    assert sorted(classes - raised) == []
+
+
 def test_raised_name_check_sees_each_form():
     source = ("def f(x):\n"
               "    if x:\n        raise ValueError('x')\n"

@@ -20,6 +20,9 @@ def test_grid_validation():
         GridSpec(t_min=0.5, t_max=0.5, n_points=2)
     with pytest.raises(PreconditionError):
         GridSpec(n_points=1)
+    # more points than any basis may hold, refused before the times are formed
+    with pytest.raises(CapacityError, match="grid points pass"):
+        GridSpec(n_points=pathgen.MAX_BASIS_ENTRIES + 1)
     # non-finite bounds, or finite bounds whose span overflows
     for t_min, t_max in [(0.0, math.inf), (0.0, math.nan), (-math.inf, 0.0),
                          (math.nan, 1.0), (-1e308, 1e308)]:
@@ -353,6 +356,23 @@ def test_batch_norms_refuses_bad_counts():
         pathgen.batch_norms(amps, grid, 1, 10, "linf")
 
 
+def test_fourier_basis_past_its_entry_bound_is_refused():
+    # numpy's MemoryError used to end these; both sizes are ones that numpy
+    # refuses at once, the basis at 35 TB and the L2 Gram at 298 GiB
+    amps = np.exp(spectra.discrete_log_amplitudes(1.0, (1 << 22) - 1))
+    grid = GridSpec(n_points=1 << 20)
+    message = r"8388607 x 1048576 Fourier basis or Gram passes 33554432 entries"
+    with pytest.raises(CapacityError, match=message):
+        pathgen.series_values(amps, grid.times(), 1, 1)
+    with pytest.raises(CapacityError, match=message):
+        pathgen.batch_norms(amps, grid, 1, 10, "sup")
+    amps = PeriodicGenConfig(nu=1.0, K=100_000).amplitudes()
+    with pytest.raises(CapacityError, match="200001 x 200001 Fourier basis"):
+        pathgen.batch_norms(amps, GridSpec(n_points=16), 1, 200, "l2")
+    # the benchmark's basis, 91 x 1024, is far inside the bound
+    assert 91 * 1024 * 256 < pathgen.MAX_BASIS_ENTRIES
+
+
 def test_blas_lookup_without_a_bundled_openblas(monkeypatch, tmp_path):
     # no library in numpy.libs, one that does not load, and one without the
     # 64-bit-integer thread calls: each leaves the BLAS as it is
@@ -496,17 +516,6 @@ def test_continuous_stationarity():
     se = R0 * math.sqrt(2.0 / 4000)
     assert np.var(vals[:, 0]) == pytest.approx(R0, abs=3 * se)
     assert np.var(vals[:, 1]) == pytest.approx(R0, abs=3 * se)
-
-
-def test_gen_continuous_rejects_discrete():
-    # both continuous entry points refuse an atomic model the same way;
-    # continuous_values used to raise UnsupportedOperation from the tail rule
-    model = spectra.discrete_nu(1.0)
-    message = "continuous paths need a continuous spectral model, got discrete-nu"
-    with pytest.raises(PreconditionError, match=message):
-        pathgen.gen_continuous(model, GridSpec(n_points=4), seed=0)
-    with pytest.raises(PreconditionError, match=message):
-        pathgen.continuous_values(model, np.array([0.0, 0.5]), seed=0, n_paths=2)
 
 
 def test_series_normals_keying_and_layout():

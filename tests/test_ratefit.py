@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smalldev import ratefit, tsirelson
-from smalldev.errors import PreconditionError
+from smalldev.errors import CapacityError, PreconditionError
 
 
 def _synthetic(A, gamma, beta, r_values):
@@ -59,6 +59,12 @@ def test_fit_refusals():
     pts = [(1e-5, 3.0), (1e-10, 9.0), (1e-20, 25.0)]
     for beta in (math.nan, math.inf, -math.inf):
         with pytest.raises(PreconditionError, match="beta must be finite"):
+            ratefit.fit(pts, beta_mode=("fixed", beta))
+    with pytest.raises(PreconditionError, match="unknown beta_mode"):
+        ratefit.fit(pts, beta_mode=("bogus", 1.0))
+    # a huge fixed beta used to give rss inf, which is no JSON, and A = 0
+    for beta in (1e150, 1e308, -1e308):
+        with pytest.raises(CapacityError, match="past the float range"):
             ratefit.fit(pts, beta_mode=("fixed", beta))
 
 

@@ -31,6 +31,9 @@ def test_entropy_trivial_and_interval():
     ell = CoefficientEllipsoid(1.0, 4)
     # one ball suffices beyond the diameter
     assert rkhs.entropy_upper(ell, 2.0 * ell.sup_radius + 0.1) == 0.0
+    # and the lower side is 0, also where 4 eps is past the float range
+    for eps in (2.0 * ell.sup_radius + 0.1, 1e308):
+        assert rkhs.entropy_lower(ell, eps) == 0.0
     # one-dimensional ellipsoid = interval of half-length 1
     e0 = CoefficientEllipsoid(1.0, 0)
     for eps in (0.3, 0.1, 0.05):
@@ -257,10 +260,16 @@ def test_kl_phi_to_H():
             rkhs.kl_phi_to_H(curve, lam=lam)
         with pytest.raises(PreconditionError, match="finite and positive"):
             rkhs.kl_entropy_lower(8.0, 32.0, lam)
+    # lambda^2 / 2, or 2 r / lambda, past the float range used to give inf
+    for lam in (1e308, 1e-320):
+        with pytest.raises(CapacityError, match="past the float range"):
+            rkhs.kl_phi_to_H(curve, lam=lam)
 
 
 def test_alpha_r():
     assert rkhs.alpha_r(math.log(2.0)) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        rkhs.alpha_r(-1.0)
     assert rkhs.alpha_r(0.0) == math.inf
     # independent quantile oracle
     assert rkhs.alpha_r(5.0) == pytest.approx(norm.ppf(math.exp(-5.0)),
@@ -293,9 +302,14 @@ def test_truncation_bound():
     assert res.I <= 2.0 * inp.v
     assert res.bound_certified > 0.0
     assert res.tail_sup <= 1e-3
-    # theta cap enforced
-    with pytest.raises(PreconditionError):
-        TruncationBoundInput(model, 1e-3, theta=0.5)
+    # theta cap enforced; a model other than continuous-nu, and epsilon
+    # outside (0, 1), refused
+    for args, message in [((model, 1e-3, 0.5), "theta must lie"),
+                          ((spectra.bandlimited(1.0), 1e-3, 0.1), "continuous model"),
+                          ((model, 0.0, 0.1), "epsilon must be in"),
+                          ((model, 1.0, 0.1), "epsilon must be in")]:
+        with pytest.raises(PreconditionError, match=message):
+            TruncationBoundInput(*args)
 
 
 def test_truncation_I_leq_2v_sweep():
@@ -345,6 +359,10 @@ def test_scaling_patch():
     assert np.allclose(out.upper, [20.0, 10.0])
     assert rkhs.scaling_patch(H, 1.0).upper[0] == pytest.approx(10.0)
     assert rkhs.scaling_patch(H, 0.4).extra["n"] == 3
+    # ceil(1/c) used to end in an OverflowError, and n H in inf
+    for c in (1e-320, 1e-308):
+        with pytest.raises(CapacityError, match="past the float range"):
+            rkhs.scaling_patch(H, c)
 
 
 def test_kl_cross_consistency_with_exact_l2():

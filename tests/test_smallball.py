@@ -25,6 +25,8 @@ def test_wilson_basic_properties():
     assert lo < 0.5 < hi
     lo2, hi2 = smallball.wilson_interval(100, 100)
     assert hi2 == 1.0 and lo2 < 1.0
+    with pytest.raises(PreconditionError, match="n must be positive"):
+        smallball.wilson_interval(0, 0)
 
 
 def test_wilson_coverage_bernoulli():
@@ -391,8 +393,10 @@ def test_estimate_preconditions():
     grid = GridSpec(n_points=64)
     with pytest.raises(PreconditionError):
         smallball.estimate(cfg, grid, "sup", [0.5], n_samples=50, seed=1)
-    with pytest.raises(PreconditionError):
-        smallball.estimate(cfg, grid, "sup", [-0.5], n_samples=200, seed=1)
+    # an infinite radius used to be estimated and written as r = inf
+    for r in (-0.5, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="radii must be positive"):
+            smallball.estimate(cfg, grid, "sup", [r], n_samples=200, seed=1)
 
 
 def test_spec_validation():

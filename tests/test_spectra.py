@@ -12,7 +12,6 @@ from smalldev.errors import (
     DomainError,
     NumericFailure,
     PreconditionError,
-    UnsupportedOperation,
 )
 
 
@@ -43,22 +42,15 @@ def test_density_even():
             assert got[-3] > 0.0 and got[-1] == 0.0
 
 
-def test_density_rejects_discrete():
-    with pytest.raises(UnsupportedOperation):
-        spectra.density_eval(spectra.discrete_nu(1.0), 0.3)
-    with pytest.raises(UnsupportedOperation):
-        spectra.density(spectra.discrete_nu(1.0), np.array([0.0, 0.3]))
-
-
 def test_discrete_atoms_and_tail():
     assert np.array_equal(spectra.discrete_log_masses(1.5, 6),
                           -np.arange(7.0) ** 1.5)
+    # k^nu past the float range is a log mass of -inf, and no overflow warning
+    assert spectra.discrete_log_masses(1e308, 3).tolist() == [0.0, -1.0, -math.inf, -math.inf]
     for nu, K in [(0.5, 0), (0.5, 40), (1.0, 20), (2.0, 0), (2.0, 5)]:
         ref = math.fsum(math.exp(-k ** nu) for k in range(K + 1, K + 20000))
         assert spectra.discrete_tail(nu, K) == pytest.approx(ref, rel=1e-13)
-    m = spectra.discrete_nu(1.0)
-    assert spectra.total_mass(m) == pytest.approx(
-        1.0 + 2.0 / (math.e - 1.0), rel=1e-14)
+    assert spectra.discrete_tail(1.0, 0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-14)
     for nu, K in [(math.nan, 2), (0.0, 2), (-1.0, 2), (math.inf, 2), (1.0, -1)]:
         with pytest.raises(PreconditionError):
             spectra.discrete_log_masses(nu, K)
@@ -77,7 +69,7 @@ def test_discrete_atoms_and_tail():
             spectra.discrete_log_amplitudes(nu, K)
     # 2.1e16 atoms would be summed: refused before any is formed
     with pytest.raises(CapacityError):
-        spectra.total_mass(spectra.discrete_nu(0.1))
+        spectra.discrete_tail(0.1, 0)
     with pytest.raises(CapacityError):
         spectra.discrete_log_masses(1.0, 1 << 22)
 
@@ -208,8 +200,8 @@ def test_covariance_closed_forms():
 
 
 def test_covariance_at_zero_is_total_mass():
-    for m in [spectra.continuous_nu(0.7), spectra.discrete_nu(2.0),
-              spectra.bandlimited(2.0), spectra.log_power_alpha(3.0)]:
+    for m in [spectra.continuous_nu(0.7), spectra.bandlimited(2.0),
+              spectra.log_power_alpha(3.0)]:
         assert spectra.covariance(m, 0.0).value == pytest.approx(
             spectra.total_mass(m), rel=1e-9
         )
@@ -222,7 +214,7 @@ def test_covariance_at_zero_is_total_mass():
 def test_bochner_positivity():
     rng = np.random.default_rng(12345)
     for m in [spectra.continuous_nu(1.0), spectra.continuous_nu(2.0),
-              spectra.discrete_nu(1.0), spectra.bandlimited(1.0)]:
+              spectra.bandlimited(1.0)]:
         R0 = spectra.total_mass(m)
         lags = rng.uniform(0.0, 2.0, size=8)
         M = np.array(
@@ -233,17 +225,10 @@ def test_bochner_positivity():
 
 
 def test_covariance_bounded_by_mass():
-    for m in [spectra.continuous_nu(1.0), spectra.discrete_nu(1.0)]:
+    for m in [spectra.continuous_nu(1.0), spectra.bandlimited(1.0)]:
         R0 = spectra.total_mass(m)
         for t in [0.1, 0.9, 2.5]:
             assert abs(spectra.covariance(m, t).value) <= R0 * (1 + 1e-12)
-
-
-def test_discrete_covariance_period_one():
-    m = spectra.discrete_nu(1.0)
-    a = spectra.covariance(m, 0.37).value
-    b = spectra.covariance(m, 1.37).value
-    assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_exp_moment():
@@ -300,21 +285,10 @@ def test_exp_moment_past_float_range():
 
 
 def test_exp_moment_at_rate_zero_is_root_mass():
-    for m in [spectra.continuous_nu(1.5), spectra.discrete_nu(2.0),
+    for m in [spectra.continuous_nu(1.5),
               spectra.bandlimited(2.0), spectra.log_power_alpha(3.0),
               spectra.truncated_continuous_nu(1.0, 2.0)]:
         assert spectra.exp_moment(m, 0.0) == math.sqrt(spectra.total_mass(m))
-
-
-def test_exp_moment_discrete():
-    m = spectra.discrete_nu(2.0)
-    ref = 1.0 + 2.0 * sum(math.exp(1.0 * k - k * k) for k in range(1, 60))
-    assert spectra.exp_moment(m, 1.0) == pytest.approx(math.sqrt(ref), rel=1e-12)
-    # nu = 10: every atom past k = 1 underflows to 0
-    assert spectra.exp_moment(spectra.discrete_nu(10.0), 1.0) == math.sqrt(3.0)
-    # nu = 1: 1 + 2 sum_k exp(-k / 2) = 1 + 2 / (e^(1/2) - 1)
-    assert spectra.exp_moment(spectra.discrete_nu(1.0), 0.5) == pytest.approx(
-        math.sqrt(1.0 + 2.0 / math.expm1(0.5)), rel=1e-13)
 
 
 def test_model_validation():
@@ -324,10 +298,12 @@ def test_model_validation():
         spectra.log_power_alpha(1.0)
     with pytest.raises(PreconditionError):
         spectra.bandlimited(-1.0)
-    with pytest.raises(PreconditionError):
-        spectra.SpectralModel("nope")
+    # the discrete atoms are no model: they come from the (nu, K) functions
+    for kind in ("nope", spectra.DISCRETE_NU):
+        with pytest.raises(PreconditionError, match="unknown spectral model kind"):
+            spectra.SpectralModel(kind, nu=1.0)
     for bad in (lambda: spectra.continuous_nu(math.nan),
-                lambda: spectra.discrete_nu(math.inf),
+                lambda: spectra.continuous_nu(math.inf),
                 lambda: spectra.log_power_alpha(math.nan),
                 lambda: spectra.truncated_continuous_nu(1.0, math.nan)):
         with pytest.raises(PreconditionError):
@@ -348,8 +324,6 @@ def test_tail_mass_point_edges_and_refusals():
     assert spectra.tail_mass_point(spectra.log_power_alpha(2.0), 1e-10) is None
     # past the float range in logs, with no overflow
     assert spectra.tail_mass_point(spectra.continuous_nu(0.006), 1e-10) == math.inf
-    with pytest.raises(UnsupportedOperation):
-        spectra.tail_mass_point(spectra.discrete_nu(1.0), 1e-10)
     with pytest.raises(PreconditionError, match="tol > 0"):
         spectra.tail_mass_point(spectra.continuous_nu(1.0), 0.0)
 

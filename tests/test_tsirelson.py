@@ -40,6 +40,8 @@ def test_config_validation():
         TsirelsonConfig(1.0, DISCRETE, 1, "other")
     with pytest.raises(PreconditionError, match="unknown variant 'other'"):
         tsirelson.bound_at(TsirelsonConfig(1.0, DISCRETE, 1), 0.1, "other")
+    with pytest.raises(PreconditionError, match="r must be positive"):
+        tsirelson.bound_at(TsirelsonConfig(1.0, DISCRETE, 1), 0.0)
     TsirelsonConfig(1.0, CONTINUOUS, 1.5)  # real l fine for continuous
     # a continuous grid is always Delta = 2 pi / l: period-1 used to be
     # accepted, echoed and ignored
@@ -53,10 +55,12 @@ def test_config_validation():
         # the window used to be sized first: ZeroDivisionError or ValueError
         with pytest.raises(PreconditionError):
             tsirelson.bound_opt(nu, DISCRETE, 0.1)
-    for l in (math.nan, math.inf):
-        # l = inf used to give sigma2 nan with RuntimeWarnings from _grid
-        with pytest.raises(PreconditionError, match="l must be finite and >= 1"):
-            TsirelsonConfig(1.0, CONTINUOUS, l)
+    # l = inf, and l = 1e308 where 2 l + 1 is inf, used to give sigma2 nan
+    # with RuntimeWarnings from _grid
+    for spectrum in (DISCRETE, CONTINUOUS):
+        for l in (math.nan, math.inf, 1e308):
+            with pytest.raises(PreconditionError, match="l must be finite and >= 1"):
+                TsirelsonConfig(1.0, spectrum, l)
 
 
 def test_bound_at_invalid_radius():
