@@ -125,9 +125,8 @@ def cmd_smallball(p: dict) -> tuple[str, str]:
 
 
 def cmd_l2_exact(p: dict) -> tuple[str, str]:
-    spec = smallball.WeightedChiSquareSpec.periodic(p["nu"], p["K"])
-    logs = [smallball.log_exact_l2(spec, r) for r in p["r"]]
-    rows = [[r, -lp] for r, lp in zip(p["r"], logs)]
+    curve = smallball.phi_l2_curve(p["nu"], p["K"], p["r"])
+    rows = [[r, phi] for r, phi in zip(p["r"], curve.lower)]
     return "l2_exact.csv", _csv(["r", "phi"], rows)
 
 

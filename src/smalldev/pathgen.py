@@ -10,15 +10,17 @@ MAX_COV_ERROR, about 4 COV_TOL for continuous-nu) of the model's at every
 lag of the times' span.  The factor stops once its residual diagonal is at
 most COV_TOL, so every sampled covariance entry is within the rule's error
 plus that residual.  It is cached per (model, times), read-only; an input
-with no sound rule, or whose factor would take too much work, is refused.
+with no rule, whose refusal names the cause, or whose factor would take too
+much work, is refused.
 No minorant is defined here: `tsirelson` gives the inputs of its paths.
 
 All randomness comes from one keying scheme: a counter-based generator keyed
 by (seed, path_index // block), where the block is BLOCK paths for Fourier
-series and QUAD_BLOCK paths for continuous ones.  Any path index therefore
-gets the same values no matter how the batch is partitioned.  A continuous
-path's factor depends on the whole set of the call's times, so it is one
-realisation only across calls with the same times.
+series and QUAD_BLOCK paths for continuous ones; both are 64-bit words, so
+a seed outside [0, 2^64) or a block past 2^64 is refused.  Any path index
+therefore gets the same values no matter how the batch is partitioned.  A
+continuous path's factor depends on the whole set of the call's times, so it
+is one realisation only across calls with the same times.
 
 `batch_norms` reduces each block to its paths' norms as soon as it is drawn.
 The sup norm screens every path on a column subsample of the grid first and
@@ -147,9 +149,13 @@ class PeriodicGenConfig:
 
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The generator of one counter block, keyed by the 64-bit words (seed,
+    block): a seed outside [0, 2^64) or a block past them is refused."""
+    if not 0 <= seed < 1 << 64:
+        raise PreconditionError(f"seed must be in [0, 2^64), got {seed}")
+    if not block < 1 << 64:
+        raise CapacityError(f"counter block {block} (path index // block size) is past 2^64")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
 def _series_block(basis: np.ndarray, seed: int, block: int,
@@ -234,21 +240,31 @@ class SpectralRule:
     cov_error: float
 
 
-def spectral_rule(model: spectra.SpectralModel, span: float) -> SpectralRule | None:
-    """The node rule of continuous paths whose times span `span`, or None
-    where no sound rule takes at most MAX_PAIRS pairs: the log-power family,
-    whose tail has no closed inverse, and small nu over long spans.
+def _paths_of(model: spectra.SpectralModel) -> str:
+    """The model as continuous-path refusals name it."""
+    params = ", ".join(f"{name} {value:g}" for name, value in (
+        ("nu", model.nu), ("alpha", model.alpha), ("cutoff", model.cutoff)) if value is not None)
+    return f"continuous paths of {model.kind} ({params})"
+
+
+def spectral_rule(model: spectra.SpectralModel, span: float) -> SpectralRule:
+    """The node rule of continuous paths whose times span `span`.  A
+    CapacityError names why there is none: the log-power family's tail has
+    no closed inverse, the tail point is past the float range (tiny nu), or
+    no sound rule takes at most MAX_PAIRS pairs (small nu over long spans).
 
     Composite Gauss-Legendre on n panels, n first from the phase the span
     asks for, where the rule is sound (`_gauss_legendre`).  An unsound rule
     doubles n: a near-step density at large nu needs narrower panels than
     the phase does.  The pair count is known before any node is built."""
+    where = f"{_paths_of(model)} over span {span:.6g}"
     top = spectra.tail_mass_point(model, COV_TOL)
     if top is None:  # before the mass, which is a quadrature for log-power
-        return None
+        raise CapacityError(f"{where}: the tail has no closed inverse to place the nodes")
     mass = spectra.total_mass(model)  # refuses a mass past the float range
     if top == math.inf:
-        return None
+        raise CapacityError(f"{where}: the tail point of mass {COV_TOL:g} is past "
+                            "the float range")
     _check_phase_range(top, span)
     # exp(-u^nu) has a branch point at u = 0 for non-integer nu
     graded = GRADED_PANELS - 1 if model.nu and not float(model.nu).is_integer() else 0
@@ -258,7 +274,8 @@ def spectral_rule(model: spectra.SpectralModel, span: float) -> SpectralRule | N
         if rule is not None:
             return rule
         n *= 2
-    return None
+    raise CapacityError(f"{where}: no sound Gauss-Legendre rule within {MAX_PAIRS} "
+                        "cos/sin pairs")
 
 
 def _gauss_nodes(model: spectra.SpectralModel,
@@ -362,22 +379,17 @@ def _pivoted_cholesky(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 def _factor(model: spectra.SpectralModel, times: bytes) -> tuple[np.ndarray, dict]:
     """The read-only factor L of the `spectral_rule` covariance at the
     float64 `times`, and the meta of every path drawn from it; cached per
-    (model, times).  Refused where no sound rule exists, or where the
+    (model, times).  Refused where `spectral_rule` gives no rule, or where the
     factor's work (pairs + points) points^2, its Gram and at full rank its
     elimination, passes MAX_FACTOR_WORK."""
     t = np.frombuffer(times)
     span = float(np.ptp(t)) if t.size else 0.0
     rule = spectral_rule(model, span)
-    params = ", ".join(f"{name} {value:g}" for name, value in (
-        ("nu", model.nu), ("alpha", model.alpha), ("cutoff", model.cutoff)) if value is not None)
-    where = f"continuous paths of {model.kind} ({params}) at {t.size} times over span {span:.6g}"
-    if rule is None:
-        raise CapacityError(f"{where}: no sound Gauss-Legendre rule within "
-                            f"{MAX_PAIRS} cos/sin pairs")
     work = (len(rule.u) + t.size) * float(t.size) ** 2
     if work > MAX_FACTOR_WORK:
-        raise CapacityError(f"{where}: factor work (pairs + points) points^2 = "
-                            f"{work:.3g} passes {MAX_FACTOR_WORK:.3g}")
+        raise CapacityError(f"{_paths_of(model)} at {t.size} times over span {span:.6g}: "
+                            f"factor work (pairs + points) points^2 = {work:.3g} passes "
+                            f"{MAX_FACTOR_WORK:.3g}")
     rows, _, residual = _pivoted_cholesky(_rule_gram(rule, t))
     rows.flags.writeable = False
     return rows, {"method": PIVOTED_CHOLESKY, "rank": len(rows), "n_pairs": len(rule.u),

@@ -9,8 +9,9 @@ sum_k |c_k|^2 exp(|k|^nu) <= 1.  In the real cos/sin coordinates
 Entropy in sup norm is bracketed: the upper side covers a truncated
 ellipsoid by a coordinate lattice (a box of per-coordinate side eps/d maps
 into a sup-norm ball of radius eps/2, dropped coordinates contribute the
-other eps/2); the lower side is volumetric against the Fourier-coefficient
-box {|c_k| <= eps} that contains every sup-norm eps-ball section.
+other eps/2) and is labelled by the counter with the rule it used; the
+lower side is volumetric against the Fourier-coefficient box
+{|c_k| <= eps} that contains every sup-norm eps-ball section.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from . import spectra
 from .curves import BoundCurve
 from .errors import CapacityError, CertificateError, PreconditionError
 
-#: truncated-ellipsoid dimension cap for the covering count
-MAX_DIM = 14
+#: most leading coordinates a cover keeps: its exact product bound costs ~ d^2
+MAX_DIM = 2 ** 13
 
 #: histogram bins per unit of the ellipsoid's quadratic form in the cell count
 _GRID = 2 ** 16
@@ -125,17 +126,18 @@ def _shift_add(src: np.ndarray, shifts: np.ndarray, weights: np.ndarray,
         np.add(out[b:], src_m, out=out[b:])
 
 
-def _count_lattice_cells(axes: np.ndarray, steps: np.ndarray) -> int:
-    """Cover count of the coordinate lattice cells meeting the centered
-    ellipsoid, never above the coordinate product bound.
+def _count_lattice_cells(axes: np.ndarray, steps: np.ndarray) -> tuple[int, str]:
+    """(cells, rule): a cover count of the coordinate lattice cells meeting
+    the centered ellipsoid, never above the coordinate product bound.
 
     The cell [m s, (m+1) s) is closest to the origin at j s with j = m or
     j = -m-1, so each j >= 0 stands for two cells, and a cell meets the
     ellipsoid iff sum_i (j_i s_i / a_i)^2 <= 1.  Each term is rounded down
     to a bin of width 1/_GRID and the bin counts are convolved coordinate by
     coordinate; rounding down only admits more cells, so 2^d times the mass
-    in bins <= _GRID counts a cover.  The product bound is returned when it
-    is smaller, or when the histogram could overflow int64.
+    in bins <= _GRID counts a cover (LATTICE_COVERING).  The product bound
+    (COORDINATE_PRODUCT) is returned when it is not larger, or when the
+    histogram could overflow int64.
 
     Each term comes as (bin, count) pairs.  The convolution shifts the
     denser side by the sparser side's bins, in int64 throughout, into two
@@ -155,7 +157,7 @@ def _count_lattice_cells(axes: np.ndarray, steps: np.ndarray) -> int:
         box = math.prod(math.floor(a / (s * math.sqrt(i))) + 1
                         for a, s in zip(axes[:i], steps[:i]))
         if box * reach[i] > _INT64_MAX:
-            return product
+            return product, COORDINATE_PRODUCT
     hist = np.zeros(_GRID + 1, dtype=np.int64)
     hist[0] = 1
     conv = np.empty_like(hist)
@@ -163,7 +165,7 @@ def _count_lattice_cells(axes: np.ndarray, steps: np.ndarray) -> int:
     total = 1
     for i, (a, s, n) in enumerate(zip(axes, steps, reach)):
         if total * n > _INT64_MAX:
-            return product
+            return product, COORDINATE_PRODUCT
         bins, counts = _term_counts(a, s)
         if i == len(axes) - 1:
             # the leading coordinates' mass in bins <= _GRID - b for each of
@@ -184,7 +186,8 @@ def _count_lattice_cells(axes: np.ndarray, steps: np.ndarray) -> int:
             _shift_add(hist, bins, counts, conv, scratch)
         hist, conv = conv, hist
         total = int(hist.sum())
-    return min(2 ** len(axes) * total, product)
+    cells = 2 ** len(axes) * total
+    return (cells, LATTICE_COVERING) if cells < product else (product, COORDINATE_PRODUCT)
 
 
 def upper_cover(ell: CoefficientEllipsoid, epsilon: float) -> tuple[int, str]:
@@ -210,10 +213,7 @@ def upper_cover(ell: CoefficientEllipsoid, epsilon: float) -> tuple[int, str]:
     steps = np.full(d, 2.0 * budget / d)  # cell sup-radius sums to budget
     if float(axes[0]) / float(steps[0]) == math.inf:
         raise CapacityError(f"epsilon {epsilon:.3g} puts cells per axis past the float range")
-    cells = _count_lattice_cells(axes, steps)
-    if cells == _product_bound(axes, steps):
-        return cells, COORDINATE_PRODUCT
-    return cells, LATTICE_COVERING
+    return _count_lattice_cells(axes, steps)
 
 
 def entropy_upper(ell: CoefficientEllipsoid, epsilon: float) -> float:

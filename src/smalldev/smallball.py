@@ -3,9 +3,9 @@
 Monte Carlo estimates use common random numbers across the radius list, so
 hit counts are monotone in r by construction, and report Wilson 95%
 intervals.  The squared L2 norm of the periodic process is a weighted sum
-of chi-squares, h_j-fold lambda_j Z^2.  One chi-square is an erf; other
-sums are inverted on the parabola z(u) = s0 + mu ((1 + i u)^2 - 1), u >= 0
-(Weideman and Trefethen 2007), through a real saddle s0 of g(z) = x z
+of chi-squares, h_j-fold lambda_j Z^2, one chi-square (K = 0) included.
+Its law is inverted on the parabola z(u) = s0 + mu ((1 + i u)^2 - 1),
+u >= 0 (Weideman and Trefethen 2007), through a real saddle s0 of g(z) = x z
 - log z - (1/2) sum_j h_j log(1 + 2 lambda_j z), with mu the distance from
 s0 to the nearest singularity.  The mass is exp(log_scale) times
 int_0^inf Re f du, f(u) = (1 + i u) exp(x mu eta) prod_j (1 + b_j eta)^(-h_j/2)
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import erf, erfc, erfcx, expit
+from scipy.special import erfcx, expit
 
 from . import pathgen, spectra
 from .curves import BoundCurve
@@ -42,7 +42,7 @@ _INV_RTOL, _TAIL_RTOL, _CHUNK = 1e-10, 1e-13, 64
 #: log_d is log(s0 + 1/(2 lambda_1)) on the complement branch, else NaN
 _Parabola = namedtuple("_Parabola", "s0 cx b h log_scale log_d")
 
-#: what an exact-L2 value took: `method` is "erf", "parabola" or
+#: what an exact-L2 value took: `method` is "parabola" or
 #: "parabola-complement", `tail_share` the last pass's tail bound over its
 #: sum, and `log_d` the complement saddle's log distance from the first
 #: singularity, which still moves where s0 has rounded to -1/(2 lambda_1)
@@ -279,13 +279,8 @@ def _log_exact_l2(spec: WeightedChiSquareSpec, r: float) -> _Inversion:
     x = float(r) * float(r)
     if not np.finfo(float).tiny <= x < math.inf:
         raise NumericFailure(f"r = {r:g}: r^2 is not a normal float")
-    w, h = np.asarray(spec.weights, float), np.asarray(spec.mults, float)
-    if len(w) > 1 or h[0] != 1:
-        return _log_cdf_contour(w, h, x)
-    y = math.sqrt(x / (2.0 * w[0]))  # one chi-square: p = erf(y)
-    p = erf(y)
-    log_p = math.log(p) if p <= 0.5 else math.log1p(-erfc(y))
-    return _Inversion(log_p, math.nan, 0, 0, "erf", math.nan, math.nan)
+    return _log_cdf_contour(np.asarray(spec.weights, float),
+                            np.asarray(spec.mults, float), x)
 
 
 def log_exact_l2(spec: WeightedChiSquareSpec, r: float) -> float:

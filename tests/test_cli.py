@@ -408,6 +408,19 @@ def test_entropy_and_scaling_pipeline(tmp_path):
         assert h2 == pytest.approx(2 * H)
 
 
+def test_entropy_below_the_old_dimension_cap(tmp_path):
+    # eps 0.1 and 0.01 keep 16 and 17 coordinates at K = 8; a cap of 14 once
+    # refused them, though the counter falls back to the product by itself
+    out = tmp_path / "e"
+    assert run(["entropy", "--nu", "1", "--K", "8", "--eps", "0.5,0.1,0.01",
+                "--out", str(out)]) == 0
+    rows = [line.split(",") for line in read(out / "entropy.csv").splitlines()[1:]]
+    assert [row[4] for row in rows] == ["lattice-covering", "lattice-covering",
+                                        "coordinate-product"]
+    assert [round(float(row[2]), 2) for row in rows[1:]] == [48.66, 96.26]
+    assert all(float(row[1]) <= float(row[2]) for row in rows)
+
+
 def test_fit_and_problem5(tmp_path):
     pcsv = tmp_path / "phi.csv"
     rows = [f"{r},{abs(math.log(r)) ** 2}"
@@ -542,13 +555,34 @@ BAD_INPUT = {
     "simulate-continuous-nu-tiny": (["simulate", "--spectrum", "continuous",
                                      "--nu", "0.001", "--n-points", "4"],
                                     "past the float range"),
-    "simulate-continuous-strata-past-float": (["simulate", "--spectrum",
-                                               "continuous", "--nu", "0.006",
-                                               "--n-points", "4"],
-                                              "no sound Gauss-Legendre rule"),
+    "simulate-continuous-tail-point-past-float": (["simulate", "--spectrum",
+                                                   "continuous", "--nu", "0.006",
+                                                   "--n-points", "4"],
+                                                  "the tail point of mass 1e-10 is "
+                                                  "past the float range"),
     "simulate-continuous-nu-0.3": (["simulate", "--spectrum", "continuous",
                                     "--nu", "0.3", "--n-points", "8"],
-                                   "continuous-nu (nu 0.3) at 8 times over span 1"),
+                                   "continuous-nu (nu 0.3) over span 1: no sound "
+                                   "Gauss-Legendre rule within 65536 cos/sin pairs"),
+    "simulate-seed-negative": (["simulate", "--spectrum", "discrete", "--nu", "1",
+                                "--K", "4", "--n-points", "8", "--seed", "-1"],
+                               "seed must be in [0, 2^64), got -1"),
+    "simulate-seed-2-to-64": (["simulate", "--spectrum", "continuous", "--nu", "1",
+                               "--n-points", "8", "--seed", "18446744073709551616"],
+                              "seed must be in [0, 2^64)"),
+    "smallball-seed-negative": (["smallball", "--nu", "1", "--K", "4", "--norm", "sup",
+                                 "--r", "1", "--n", "200", "--grid", "16",
+                                 "--seed", "-1"], "seed must be in [0, 2^64)"),
+    "simulate-discrete-block-past-2-to-64": (["simulate", "--spectrum", "discrete",
+                                              "--nu", "1", "--K", "4", "--n-points",
+                                              "8", "--path-index",
+                                              "100000000000000000000000"],
+                                             "is past 2^64"),
+    "simulate-continuous-block-past-2-to-64": (["simulate", "--spectrum",
+                                                "continuous", "--nu", "1",
+                                                "--n-points", "8", "--path-index",
+                                                "100000000000000000000000"],
+                                               "is past 2^64"),
     "entropy-eps-tiny": (["entropy", "--nu", "1", "--K", "3", "--eps", "1e-320"],
                          "past the float range"),
     "g-certify-gamma-below-resolution": (["g-certify", "--gamma", "1e-300"],
@@ -764,3 +798,72 @@ def test_numeric_flag_sweep(tmp_path, monkeypatch, base):
         elif code == 0 and nonfinite_outputs(out):
             failures.append(f"{shlex.join(argv)}: {nonfinite_outputs(out)}")
     assert failures == []
+
+
+#: the sweep's base runs that `test_every_flag_changes_the_result` varies
+#: flag by flag; tsirelson-l's continuous spectrum has one valid convention
+FLAG_BASE = {name: argv for name, argv in SWEEP_BASE.items() if name != "tsirelson-l"}
+
+#: a valid value of each flag other than the base run's (or its default)
+OTHER_VALUE = {
+    "--nu": "2", "--K": "5", "--n-points": "9", "--t-max": "2", "--path-index": "1",
+    "--seed": "2", "--norm": "l2", "--r": "0.02", "--n": "101", "--grid": "17",
+    "--threads": "2", "--l": "3", "--convention": "period-1",
+    "--variant": "rigorous-grid-count", "--eps": "0.4", "--input": "psi.csv",
+    "--lam": "3", "--gamma": "0.6", "--c": "0.25", "--beta": "fixed:0.5",
+    "--alpha": "3",
+}
+#: other values by base name or by command, where the one above would not do
+OTHER_VALUE_FOR = {
+    ("simulate-discrete", "--spectrum"): "continuous",
+    ("simulate-continuous", "--spectrum"): "discrete",
+    ("smallball", "--spectrum"): "discrete",  # its one value, given explicitly
+    ("smallball-l2", "--norm"): "sup",
+    ("tsirelson", "--spectrum"): "continuous",
+    ("g-certify", "--t-max"): "200",
+}
+
+#: the flags, by base name or by command, that change no result byte: the
+#: README's list of those kept for old command lines and manifests, and
+#: `smallball --threads`
+INERT = {("smallball", "--spectrum"), ("smallball", "--threads"),
+         ("simulate-continuous", "--K")} | {
+    (name, "--seed") for name in ("l2-exact", "tsirelson", "entropy", "kl-translate",
+                                  "g-certify", "scaling", "fit", "problem5")}
+
+
+def declared_flags(command: str) -> list[str]:
+    """Every flag of `command` that sets a parameter, but --out and --config."""
+    ap = cli._build_parser()
+    sub = next(a for a in ap._actions if a.choices and command in a.choices)
+    return [a.option_strings[0] for a in sub.choices[command]._actions
+            if a.option_strings and a.dest not in ("help", "out", "config")]
+
+
+def result_text(out: pathlib.Path) -> str:
+    (name,) = [p.name for p in out.iterdir() if p.name != "manifest.json"]
+    return read(out / name)
+
+
+@pytest.mark.parametrize("name", FLAG_BASE.keys())
+def test_every_flag_changes_the_result(tmp_path, monkeypatch, name):
+    # a flag that is parsed but changes nothing is named in INERT, and the
+    # README says so; every other flag changes the result file
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SMALLDEV_SEED", raising=False)
+    (tmp_path / "phi.csv").write_text("r,phi\n1e-15,357.8\n1e-9,128.8\n1e-6,57.2\n")
+    (tmp_path / "psi.csv").write_text("r,phi\n1e-15,300.1\n1e-9,110.2\n1e-6,50.3\n")
+    base = FLAG_BASE[name]
+    assert run(base + ["--out", "base"]) == 0
+    want = result_text(tmp_path / "base")
+    wrong = []
+    for i, flag in enumerate(declared_flags(base[0])):
+        keys = [(name, flag), (base[0], flag)]
+        value = next((OTHER_VALUE_FOR[k] for k in keys if k in OTHER_VALUE_FOR),
+                     None) or OTHER_VALUE[flag]
+        argv = base + [f"{flag}={value}", "--out", f"o{i}"]
+        assert run(argv) == 0, argv
+        inert = any(k in INERT for k in keys)
+        if (result_text(tmp_path / f"o{i}") == want) != inert:
+            wrong.append(flag)
+    assert wrong == []

@@ -630,9 +630,11 @@ def test_rule_choice_counts_pairs():
              for nu in (0.5, 1.0, 2.0) for span in (1.0, 10.0)}
     assert pairs == {(0.5, 1.0): 1820, (0.5, 10.0): 15800,
                      (1.0, 1.0): 60, (1.0, 10.0): 500, (2.0, 1.0): 20, (2.0, 10.0): 100}
-    assert pathgen.spectral_rule(spectra.log_power_alpha(3.0), 1.0) is None
-    assert pathgen.spectral_rule(spectra.continuous_nu(0.3), 1.0) is None
-    assert pathgen.spectral_rule(spectra.continuous_nu(0.5), 100.0) is None
+    with pytest.raises(CapacityError, match="no closed inverse"):
+        pathgen.spectral_rule(spectra.log_power_alpha(3.0), 1.0)
+    for nu, span in ((0.3, 1.0), (0.5, 100.0)):
+        with pytest.raises(CapacityError, match="no sound Gauss-Legendre rule within 65536"):
+            pathgen.spectral_rule(spectra.continuous_nu(nu), span)
     # a bandlimited Tsirelson minorant's path takes tens of pairs
     assert len(pathgen.spectral_rule(spectra.bandlimited(5.0), 1.0).u) == 20
 
@@ -712,21 +714,31 @@ def test_log_power_refusal_computes_no_mass(monkeypatch):
     calls = []
     monkeypatch.setattr(spectra, "_spectral_integral", lambda *args: calls.append(args))
     model = spectra.log_power_alpha(1.5)
-    assert pathgen.spectral_rule(model, 1.0) is None
-    with pytest.raises(CapacityError, match="no sound Gauss-Legendre rule"):
+    with pytest.raises(CapacityError, match="no closed inverse"):
         pathgen.continuous_values(model, np.linspace(0.0, 1.0, 8), seed=1, n_paths=2)
     assert calls == []
+
+
+#: why each family below has no rule: only the last two try one
+NO_RULE_CAUSE = {
+    "log-power-alpha (alpha 1.5)": "the tail has no closed inverse",
+    "continuous-nu (nu 0.006)": "the tail point of mass 1e-10 is past the float range",
+    "continuous-nu (nu 0.3)": "no sound Gauss-Legendre rule within 65536 cos/sin pairs",
+    "continuous-nu (nu 0.5)": "no sound Gauss-Legendre rule within 65536 cos/sin pairs",
+}
 
 
 @pytest.mark.parametrize("model, times, family", [
     (spectra.log_power_alpha(1.5), np.linspace(0.0, 1.0, 8), "log-power-alpha (alpha 1.5)"),
     (spectra.continuous_nu(0.3), np.linspace(0.0, 1.0, 8), "continuous-nu (nu 0.3)"),
-    (spectra.continuous_nu(0.5), np.linspace(0.0, 100.0, 8), "continuous-nu (nu 0.5)")])
+    (spectra.continuous_nu(0.5), np.linspace(0.0, 100.0, 8), "continuous-nu (nu 0.5)"),
+    (spectra.continuous_nu(0.006), np.linspace(0.0, 1.0, 4), "continuous-nu (nu 0.006)")])
 def test_no_sound_rule_is_refused(model, times, family):
-    # no path is given without a stated covariance error
+    # no path is given without a stated covariance error, and the refusal
+    # names its cause
     span = f"{times[-1] - times[0]:g}"
-    with pytest.raises(CapacityError, match=rf"{re.escape(family)} at 8 times over "
-                                            rf"span {span}: no sound Gauss-Legendre"):
+    with pytest.raises(CapacityError, match=rf"{re.escape(family)} over span {span}: "
+                                            rf"{re.escape(NO_RULE_CAUSE[family])}"):
         pathgen.continuous_values(model, times, seed=1, n_paths=2)
 
 
@@ -765,6 +777,26 @@ def test_one_rng_keying_scheme():
                 inner = [f.name for f in functions if f.lineno <= line <= f.end_lineno]
                 found.add((path.name, inner[-1] if inner else "<module>"))
     assert found == {("pathgen.py", "_rng_for_block")}
+
+
+def test_keys_past_64_bits_are_refused():
+    # the key is two 64-bit words: a seed outside them was folded into them
+    # (-1 gave the paths of 2^64 - 1), and a block past them ended in an
+    # OverflowError
+    cfg, grid = PeriodicGenConfig(1.0, 4), GridSpec(0.0, 1.0, 8)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(PreconditionError, match=r"seed must be in \[0, 2\^64\)"):
+            pathgen.gen_periodic(cfg, grid, seed)
+        with pytest.raises(PreconditionError, match="seed must be in"):
+            pathgen.batch_norms(cfg.amplitudes(), grid, seed, 100, "sup")
+    last = 2 ** 64 * pathgen.BLOCK - 1  # the last path of block 2^64 - 1
+    assert np.all(np.isfinite(pathgen.gen_periodic(cfg, grid, 2 ** 64 - 1, last).values))
+    with pytest.raises(CapacityError, match=r"counter block 18446744073709551616 .* "
+                                            r"past 2\^64"):
+        pathgen.gen_periodic(cfg, grid, 1, last + 1)
+    with pytest.raises(CapacityError, match=r"past 2\^64"):
+        pathgen.gen_continuous(spectra.continuous_nu(1.0), grid, 1,
+                               2 ** 64 * pathgen.QUAD_BLOCK)
 
 
 def test_caches_are_bounded_and_read_only():

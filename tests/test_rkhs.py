@@ -75,7 +75,7 @@ def test_lattice_count_covers_enumeration_below_product():
                 steps = np.full(len(axes), 2.0 * eps / len(axes))
                 exact = _enumerated_cells(axes, steps)
                 product = int(np.prod(2 * np.ceil(axes / steps) + 1))
-                cells = rkhs._count_lattice_cells(axes, steps)
+                cells, _ = rkhs._count_lattice_cells(axes, steps)
                 assert min(exact, product) <= cells <= min(1.01 * exact, product)
 
 
@@ -119,8 +119,8 @@ LATTICE_CASES = {
                          ids=LATTICE_CASES.keys())
 def test_lattice_count_equals_dense_convolution(axes, steps):
     axes, steps = np.asarray(axes, float), np.asarray(steps, float)
-    assert rkhs._count_lattice_cells(axes, steps) \
-        == reference.count_lattice_cells(axes, steps)
+    cells, _ = rkhs._count_lattice_cells(axes, steps)
+    assert cells == reference.count_lattice_cells(axes, steps)
 
 
 def test_lattice_count_running_total_guard(monkeypatch):
@@ -136,7 +136,7 @@ def test_lattice_count_running_total_guard(monkeypatch):
 
     monkeypatch.setattr(rkhs, "_term_counts", counted)
     product = rkhs._product_bound(axes, steps)
-    assert rkhs._count_lattice_cells(axes, steps) == product
+    assert rkhs._count_lattice_cells(axes, steps) == (product, rkhs.COORDINATE_PRODUCT)
     assert len(calls) == 2
     assert reference.count_lattice_cells(axes, steps) == product
 
@@ -236,9 +236,10 @@ def test_semi_axes_are_the_nonincreasing_series_amplitudes():
 
 
 def test_entropy_capacity_error():
-    ell = CoefficientEllipsoid(0.35, 40)
+    # eps 0.9 keeps 197,718 coordinates, past MAX_DIM: refused before any product
+    ell = CoefficientEllipsoid(0.25, 100_000)
     with pytest.raises(CapacityError, match="smallest supported"):
-        rkhs.entropy_upper(ell, 1e-6)
+        rkhs.entropy_upper(ell, 0.9)
 
 
 def test_kl_phi_to_H():

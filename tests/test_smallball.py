@@ -217,13 +217,19 @@ def test_phi_l2_curve_reports_contour_work():
     assert extra["method"].tolist() == ["parabola", "parabola-complement"]
     assert np.all(extra["points"] > 0) and np.all(extra["refinements"] >= 1)
     assert extra["s0"][0] > 0 and -0.5 < extra["s0"][1] < 0
-    # the one closed form evaluates no contour
-    extra = smallball.phi_l2_curve(1.0, 0, [0.5]).extra
-    assert extra["method"].tolist() == ["erf"]
-    assert extra["points"].tolist() == [0]
-    assert extra["refinements"].tolist() == [0]
-    assert math.isnan(extra["s0"][0]) and math.isnan(extra["tail_share"][0])
-    assert math.isnan(extra["log_d"][0])
+    # one chi-square (K = 0) takes the same contour, its complement past
+    # p = 1/2, within 1e-14 of the 40-digit erf from r = 1e-150 to 10
+    r = [1e-150, 1e-10, 0.5, 1.0, 3.0, 8.0, 10.0]
+    curve = smallball.phi_l2_curve(1.0, 0, r)
+    extra = curve.extra
+    assert extra["method"].tolist() == ["parabola"] * 3 + ["parabola-complement"] * 4
+    assert np.all(extra["points"] > 0) and np.all(extra["refinements"] >= 1)
+    assert np.all(extra["s0"][:3] > 0) and np.all((-0.5 < extra["s0"][3:]) & (extra["s0"][3:] < 0))
+    assert np.all(np.isnan(extra["log_d"][:3])) and np.all(np.isfinite(extra["log_d"][3:]))
+    for radius, phi in zip(r, curve.lower):
+        with mpmath.workdps(40):
+            ref = -float(mpmath.log(mpmath.erf(mpmath.mpf(radius) / mpmath.sqrt(2))))
+        assert phi == pytest.approx(ref, rel=1e-14, abs=0.0), radius
 
 
 def test_complement_records_log_d_where_s0_has_rounded():
@@ -295,7 +301,7 @@ def test_complement_saddle_at_large_radii(r):
 
 
 def test_single_chi_square_near_one():
-    # the erf line switches to log1p(-erfc) past p = 1/2
+    # past p = 1/2 the contour's complement keeps p near 1 to its digits
     spec = WeightedChiSquareSpec.periodic(1.0, 0)
     for r in (1e-10, 0.5, 3.0, 8.0):
         with mpmath.workdps(40):
