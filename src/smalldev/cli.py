@@ -8,9 +8,10 @@ which override them.  `smallball --threads N` reduces the Monte Carlo path
 blocks on up to N worker threads (`pathgen.batch_norms`) and gives the same
 bytes at every N; `smallball --spectrum` has the single value `discrete`.
 The argparse tree is built once per process; the default seed is read from
-SMALLDEV_SEED at each run.  The `--out` directory is made only for a run
-that succeeds.  Exit codes: 0 success, 1 numeric failure or invalid input,
-2 usage error.
+SMALLDEV_SEED at each run; every command refuses a seed outside [0, 2^64),
+as the random ones must.  Each `--input` file is read once, so it may be a
+pipe.  The `--out` directory is made only for a run that succeeds.  Exit
+codes: 0 success, 1 numeric failure or invalid input, 2 usage error.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ def _fmt(x) -> str:
         return ",".join(_fmt(v) for v in x)
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    if isinstance(x, np.integer):
-        return str(int(x))
     return str(x)
 
 
@@ -96,7 +95,8 @@ def _read_xy_csv(path: str) -> list[tuple[float, float]]:
 
 
 # ---------------------------------------------------------------- commands
-# each returns the name and the text of its result file, which `main` writes
+# each returns the name and the text of its result file, which `main` writes;
+# a command with --input also takes the file's points, which `_load` read
 
 
 def cmd_simulate(p: dict) -> tuple[str, str]:
@@ -157,9 +157,8 @@ def cmd_entropy(p: dict) -> tuple[str, str]:
         ["epsilon", "lower", "upper", "lower_method", "upper_method"], rows)
 
 
-def _input_curve(path: str) -> BoundCurve:
+def _input_curve(pts: list[tuple[float, float]]) -> BoundCurve:
     """The (x, y) points of an --input file as the upper side of a curve."""
-    pts = _read_xy_csv(path)
     return BoundCurve(x=np.array([x for x, _ in pts]), lower=None,
                       upper=np.array([y for _, y in pts]), label="input")
 
@@ -168,8 +167,8 @@ def _H_upper_csv(curve: BoundCurve) -> str:
     return _csv(["epsilon", "H_upper"], [[x, u] for x, u in zip(curve.x, curve.upper)])
 
 
-def cmd_kl_translate(p: dict) -> tuple[str, str]:
-    curve = rkhs.kl_phi_to_H(_input_curve(p["input"]), p["lam"])
+def cmd_kl_translate(p: dict, points: list) -> tuple[str, str]:
+    curve = rkhs.kl_phi_to_H(_input_curve(points), p["lam"])
     return "kl_translate.csv", _H_upper_csv(curve)
 
 
@@ -183,15 +182,14 @@ def cmd_g_certify(p: dict) -> tuple[str, str]:
     })
 
 
-def cmd_scaling(p: dict) -> tuple[str, str]:
-    curve = rkhs.scaling_patch(_input_curve(p["input"]), p["c"])
+def cmd_scaling(p: dict, points: list) -> tuple[str, str]:
+    curve = rkhs.scaling_patch(_input_curve(points), p["c"])
     return "scaling.csv", _H_upper_csv(curve)
 
 
-def cmd_fit(p: dict) -> tuple[str, str]:
-    pts = _read_xy_csv(p["input"])
+def cmd_fit(p: dict, points: list) -> tuple[str, str]:
     mode = "free" if p["beta"] == "free" else ("fixed", float(p["beta"].split(":")[1]))
-    res = ratefit.fit(pts, beta_mode=mode)
+    res = ratefit.fit(points, beta_mode=mode)
     return "fit.json", _json({
         "A": res.A, "gamma": res.gamma, "beta": res.beta, "rss": res.rss,
         "n_points": res.n_points, "r_min": res.r_min, "r_max": res.r_max,
@@ -328,7 +326,8 @@ def _load(argv: list[str]) -> tuple[str, Callable[[dict], tuple[str, str]], dict
     Malformed flags or manifest values exit 2 through argparse; an unreadable
     config, manifest or input file, or an incomplete or malformed manifest,
     raises OSError, ValueError or KeyError, as does a SMALLDEV_SEED that is
-    no integer, even when --seed is given.
+    no integer, even when --seed is given.  The --input file is read here,
+    once, and its points are bound to `run`, so a pipe works as an input.
     """
     env_seed = int(os.environ.get("SMALLDEV_SEED", "0"))
     ap = _build_parser()
@@ -350,6 +349,8 @@ def _load(argv: list[str]) -> tuple[str, Callable[[dict], tuple[str, str]], dict
     params = vars(args)
     command, run = params.pop("command"), params.pop("run")
     del params["config"]
+    if "input" in params:
+        run = functools.partial(run, points=_read_xy_csv(params["input"]))
     if params["seed"] is None:
         params["seed"] = env_seed
     if given is not None:
@@ -358,8 +359,6 @@ def _load(argv: list[str]) -> tuple[str, Callable[[dict], tuple[str, str]], dict
         if missing:
             raise ValueError(f"manifest lacks parameters {missing}")
         params = {**given, **params}
-    if params.get("input") is not None:
-        _read_xy_csv(params["input"])
     return command, run, params
 
 
@@ -371,6 +370,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
+        pathgen.check_seed(params["seed"])  # every command's, random or not
         result = run(params)
     except SmallDevError as exc:
         print(f"error: {exc}", file=sys.stderr)

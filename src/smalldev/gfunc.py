@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.special import zeta
 
-from .errors import CapacityError, CertificateError, PreconditionError
+from .errors import CapacityError, PreconditionError
 
 #: absolute log-scale error allowed from the truncated product tail
 _TAIL_TOL = 1e-12
@@ -33,7 +33,7 @@ _TAIL_TOL = 1e-12
 #: largest explicit depth D; a |t| that needs more is a CapacityError
 MAX_DEPTH = 2_000_000
 
-#: start of the window [FIT_T_MIN, t_max] of the envelope decay fit
+#: start of the window [FIT_T_MIN, t_max] of the certified decay
 FIT_T_MIN = 10.0
 
 #: N, the log-sinc series terms summed exactly over the tail
@@ -59,24 +59,13 @@ class GFunctionSpec:
     def a(self, k) -> np.ndarray:
         return self.c * np.asarray(k, float) ** (-1.0 - self.gamma)
 
-    @lru_cache(maxsize=32)
-    def _explicit_a(self, D: int) -> np.ndarray:
-        """a_1..a_D, read-only: the factors that log_abs_g multiplies out
-        at depth D."""
-        a = self.a(np.arange(1, D + 1))
-        a.flags.writeable = False
-        return a
-
-    @lru_cache(maxsize=64)
     def _tail_coef(self, D: int) -> np.ndarray:
         """b_n, n = 1..N+1, with sum_{k>D} of the n-th log-sinc series term
         at x = a_k t equal to b_n (a_{D+1} t)^{2n}: the series coefficient
-        times (D+1)^s zeta(s, D+1), s = 2n(1+gamma).  Read-only."""
+        times (D+1)^s zeta(s, D+1), s = 2n(1+gamma)."""
         s = 2.0 * (1.0 + self.gamma) * np.arange(1, _SERIES_TERMS + 2)
         q = D + 1.0
-        b = _SERIES_COEF * q ** s * zeta(s, q)
-        b.flags.writeable = False
-        return b
+        return _SERIES_COEF * q ** s * zeta(s, q)
 
     def _tail_bound(self, D: int, t) -> np.ndarray:
         """Bound on the error of the N-term tail series beyond depth D at
@@ -105,11 +94,7 @@ def log_abs_g(spec: GFunctionSpec, t) -> np.ndarray:
     """log |G(t)| elementwise; -inf at zeros of the product.
 
     Each chunk of 64 points multiplies D = depth_needed(max |t|) factors
-    and sums the N-term zeta series of the rest.  The normaliser c, the
-    factors a_1..a_D and the series coefficients of each depth are
-    memoised per (spec, D), so a chunk computes no zeta value; the memos
-    are bounded (the 32 factor ranges hold up to 16 MB each at MAX_DEPTH)
-    and read-only."""
+    and sums the N-term zeta series of the rest."""
     t = np.atleast_1d(np.asarray(t, float))
     if not np.all(np.isfinite(t)):
         raise PreconditionError("t must be finite")
@@ -117,7 +102,7 @@ def log_abs_g(spec: GFunctionSpec, t) -> np.ndarray:
     for s in range(0, len(t), 64):  # chunked so the (t, k) matrix stays small
         tc = np.abs(t[s : s + 64])
         D = spec.depth_needed(float(np.max(tc)))
-        x = tc[:, None] * spec._explicit_a(D)[None, :]
+        x = tc[:, None] * spec.a(np.arange(1, D + 1))[None, :]
         # log |sin x / x| in one buffer; x = 0 (t = 0) gives nan, set to 0
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.sin(x)
@@ -140,10 +125,11 @@ class GCertificate:
     theta_G: float
     #: always true: every factor of G is a sinc, so |G| <= 1
     bounded_by_one: bool
+    #: log |G(t)| <= -C_G t^decay_exponent for t in fit_t_range
     C_G: float
     decay_exponent: float
     fit_t_range: tuple
-    #: largest explicit depth D that log_abs_g used
+    #: the depth D that log_abs_g needs at t_max
     max_depth: int
 
 
@@ -157,26 +143,38 @@ def g_certify(spec: GFunctionSpec, t_max: float = 1e4) -> GCertificate:
       _TAIL_TOL; 4 eps (D + 1) allows for rounding, 2 eps per log-sinc
       term (sin, quotient, log) and as much again in the sums;
     * |G| <= 1 everywhere, as every factor is a sinc (`bounded_by_one`);
-    * envelope decay: fit log |G| ~ -C_G t^p on local maxima of |G| over
-      [FIT_T_MIN, t_max]; p should be close to 1/(1+gamma).
+    * decay: log |G(t)| <= -C_G t^p on [FIT_T_MIN, t_max], p = 1/(1+gamma).
+      With k0(t) the least k with a_k t <= pi, every factor from k0 on has
+      log(sin x / x) <= -x^2/6, the first series term, and every earlier
+      one |sinc| <= 1: log |G(t)| <= -(c t)^2 zeta(2 + 2 gamma, k0(t)) / 6.
+      On (pi/a_{k-1}, pi/a_k], where k0 = k (a_0 = inf), that over -t^p is
+      c^2 zeta(2 + 2 gamma, k) t^(2-p) / 6, growing in t as p < 1.  C_G is
+      its least value at the left ends clipped to the window, less 256 eps
+      of it for rounding (a few ulps in zeta, c^2 and the products, eps ln t
+      in each power).  k runs from the floor of the float estimate of k0 at
+      FIT_T_MIN to one past its ceiling at t_max, so rounding drops none.
 
     Needs a finite t_max above FIT_T_MIN.
     """
     if not FIT_T_MIN < t_max < math.inf:
         raise PreconditionError(
             f"t_max must be finite and above FIT_T_MIN = {FIT_T_MIN:g}, got {t_max}")
-    rounding = 4.0 * np.finfo(float).eps * (spec.depth_needed(1.0) + 1)
+    # the depth that log |G| needs at t_max: a t_max past MAX_DEPTH is a
+    # CapacityError, and a_{D+1} t_max <= 1 gives k0(t_max) <= D + 1
+    max_depth = spec.depth_needed(t_max)
+    eps = np.finfo(float).eps
+    rounding = 4.0 * eps * (spec.depth_needed(1.0) + 1)
     theta = math.exp(float(log_abs_g(spec, 1.0)[0]) - _TAIL_TOL - rounding)
-    # -- envelope decay fit on local maxima
-    tf = np.geomspace(FIT_T_MIN, t_max, 3000)
-    lf = log_abs_g(spec, tf)
-    peaks = np.flatnonzero((lf[1:-1] >= lf[:-2]) & (lf[1:-1] >= lf[2:])) + 1
-    if len(peaks) < 5:
-        raise CertificateError("too few envelope maxima for the decay fit")
-    y = np.log(-lf[peaks])
-    xlog = np.log(tf[peaks])
-    p, logC = np.polyfit(xlog, y, 1)
+    p = 1.0 / (1.0 + spec.gamma)
+
+    def k0(t):  # float estimate of the least k with a_k t <= pi
+        return (spec.c * t / math.pi) ** p
+
+    k = np.arange(max(1, math.floor(k0(FIT_T_MIN))), math.ceil(k0(t_max)) + 2)
+    with np.errstate(divide="ignore"):  # a_0 = inf: the first interval starts at 0
+        left = np.clip(math.pi / spec.a(k - 1), FIT_T_MIN, t_max)
+    bound = spec.c ** 2 * zeta(2.0 + 2.0 * spec.gamma, k) * left ** (2.0 - p) / 6.0
     return GCertificate(spec=spec, theta_G=theta, bounded_by_one=True,
-                        C_G=float(np.exp(logC)), decay_exponent=float(p),
-                        fit_t_range=(FIT_T_MIN, t_max),
-                        max_depth=spec.depth_needed(t_max))
+                        C_G=float(np.min(bound) * (1.0 - 256.0 * eps)),
+                        decay_exponent=p, fit_t_range=(FIT_T_MIN, t_max),
+                        max_depth=max_depth)

@@ -68,8 +68,9 @@ MAX_PAIRS = 1 << 16
 #: and its elimination at full rank; it caps the points at about 3,200
 MAX_FACTOR_WORK = 1 << 35
 
-#: most entries of a Fourier basis, 2K + 1 rows by the times, and of the
-#: (2K + 1)-square Gram of its L2 norms: 256 MiB of float64 each
+#: most entries of a Fourier basis, 2K + 1 rows by the times, of the
+#: (2K + 1)-square Gram of its L2 norms, and of a counter block's normals,
+#: BLOCK by 2K + 1: 256 MiB of float64 each
 MAX_BASIS_ENTRIES = 1 << 25
 
 #: basis entries held at once while the Gram is summed over node chunks
@@ -148,11 +149,16 @@ class PeriodicGenConfig:
         return np.exp(spectra.discrete_log_amplitudes(self.nu, self.K))
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that is no 64-bit word, the first word of every key."""
+    if not 0 <= seed < 1 << 64:
+        raise PreconditionError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
     """The generator of one counter block, keyed by the 64-bit words (seed,
     block): a seed outside [0, 2^64) or a block past them is refused."""
-    if not 0 <= seed < 1 << 64:
-        raise PreconditionError(f"seed must be in [0, 2^64), got {seed}")
+    check_seed(seed)
     if not block < 1 << 64:
         raise CapacityError(f"counter block {block} (path index // block size) is past 2^64")
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
@@ -175,6 +181,7 @@ def _rows(basis: np.ndarray, seed: int, n_paths: int, offset: int,
     """Paths offset..offset+n_paths-1 of a series keyed in blocks of `size`."""
     if not offset >= 0:
         raise PreconditionError(f"path index must be >= 0, got {offset}")
+    _check_basis_size(size, len(basis))  # each block's normals
     out = np.empty((n_paths, basis.shape[1]))
     i = 0
     while i < n_paths:
@@ -527,6 +534,7 @@ def _reduce_blocks(out: np.ndarray, amps: np.ndarray, grid: GridSpec,
         _check_basis_size(2 * len(amps) - 1, 2 * len(amps) - 1)
     times = grid.times()
     basis = _fourier_basis(amps, times)
+    _check_basis_size(BLOCK, len(basis))  # each block's normals
     if norm == "l2":
         half = np.diff(times) / 2.0
         gram = (basis * (np.append(half, 0.0) + np.insert(half, 0, 0.0))) @ basis.T

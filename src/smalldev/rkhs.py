@@ -203,10 +203,12 @@ def upper_cover(ell: CoefficientEllipsoid, epsilon: float) -> tuple[int, str]:
     tails = np.concatenate([np.cumsum(axes_all[::-1])[::-1], [0.0]])
     d = 1 + int(np.argmax(tails[1:] <= epsilon / 2.0))
     if d > MAX_DIM:
-        # smallest supported epsilon is twice the tail that must be droppable
+        # from twice the tail past MAX_DIM on, or from the single-ball edge,
+        # every epsilon is answered
+        least = min(2.0 * tails[MAX_DIM], 2.0 * ell.sup_radius)
         raise CapacityError(
             f"effective dimension {d} exceeds {MAX_DIM}; smallest supported "
-            f"epsilon near {2.0 * tails[MAX_DIM]:.3g}"
+            f"epsilon near {least:.3g}"
         )
     axes = axes_all[:d]
     budget = epsilon - tails[d]
@@ -329,15 +331,18 @@ class TruncationBoundInput:
 class TruncationBoundResult:
     input: TruncationBoundInput
     I: float
-    bound_certified: float
+    #: the paper's bound with its unspecified constant set to C = 1: the
+    #: bound's shape, not a certified number
+    bound_c1: float
     bound_rate: float
     tail_sup: float
 
 
 def truncation_entropy_upper(inp: TruncationBoundInput) -> TruncationBoundResult:
-    """Entropy upper bound |log(eps / sqrt(I))|^2 / delta from spectral
-    truncation at |u| <= v, with I the tilted mass of the truncated measure,
-    stated with the paper's unspecified absolute constant C = 1.
+    """The paper's entropy upper bound C |log(eps / sqrt(I))|^2 / delta from
+    spectral truncation at |u| <= v, with I the tilted mass of the truncated
+    measure, at C = 1 (`bound_c1`): the paper leaves the absolute constant
+    C unspecified, so this is the bound's shape, not a certificate.
 
     Also returns the pure rate form |log eps|^2 / delta, whose envelope in
     eps has exact slope 1 + 1/nu, and certifies that the dropped spectral
@@ -354,10 +359,9 @@ def truncation_entropy_upper(inp: TruncationBoundInput) -> TruncationBoundResult
         raise CertificateError(
             f"truncation remainder {tail_sup:.3g} exceeds epsilon {eps:.3g}"
         )
-    bound_certified = math.log(eps / math.sqrt(I)) ** 2 / delta
+    bound_c1 = math.log(eps / math.sqrt(I)) ** 2 / delta
     bound_rate = math.log(eps) ** 2 / delta
-    return TruncationBoundResult(input=inp, I=I,
-                                 bound_certified=bound_certified,
+    return TruncationBoundResult(input=inp, I=I, bound_c1=bound_c1,
                                  bound_rate=bound_rate, tail_sup=tail_sup)
 
 

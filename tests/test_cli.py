@@ -4,6 +4,8 @@ import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -450,6 +452,16 @@ def test_g_certify_json(tmp_path):
     assert res["bounded_by_one"]
 
 
+def test_g_certify_near_gamma_one(tmp_path):
+    # a 10-point window at gamma near 1 has no envelope maxima to fit, and
+    # the closed-form certificate needs none
+    out = tmp_path / "g"
+    assert run(["g-certify", "--gamma", "0.999999", "--t-max", "20",
+                "--out", str(out)]) == 0
+    res = json.loads(read(out / "g_certify.json"))
+    assert res["C_G"] > 0 and res["decay_exponent"] == 1.0 / (1.0 + 0.999999)
+
+
 def test_env_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("SMALLDEV_SEED", "123")
     out = tmp_path / "x"
@@ -573,6 +585,14 @@ BAD_INPUT = {
     "smallball-seed-negative": (["smallball", "--nu", "1", "--K", "4", "--norm", "sup",
                                  "--r", "1", "--n", "200", "--grid", "16",
                                  "--seed", "-1"], "seed must be in [0, 2^64)"),
+    # the deterministic commands used to record any seed in the manifest
+    "l2-exact-seed-negative": (["l2-exact", "--nu", "1", "--K", "2", "--r", "1",
+                                "--seed", "-1"], "seed must be in [0, 2^64), got -1"),
+    "tsirelson-seed-2-to-64": (["tsirelson", "--spectrum", "discrete", "--nu", "1",
+                                "--r", "0.01", "--seed", "18446744073709551616"],
+                               "seed must be in [0, 2^64)"),
+    "fit-seed-negative": (["fit", "--input", "phi.csv", "--seed", "-1"],
+                          "seed must be in [0, 2^64)"),
     "simulate-discrete-block-past-2-to-64": (["simulate", "--spectrum", "discrete",
                                               "--nu", "1", "--K", "4", "--n-points",
                                               "8", "--path-index",
@@ -636,13 +656,24 @@ BAD_INPUT = {
                     "c must be in (0, 1]"),
     "tsirelson-r-2": (["tsirelson", "--spectrum", "discrete", "--nu", "1",
                        "--r", "2"], "bound_opt requires 0 < r < 1"),
-    "g-certify-too-few-maxima": (["g-certify", "--gamma", "0.999999",
-                                  "--t-max", "20"], "too few envelope maxima"),
+    "g-certify-t-max-past-depth-cap": (["g-certify", "--gamma", "0.5",
+                                        "--t-max", "1e308"],
+                                       "depth cap 2000000 cannot certify"),
     # the (2K + 1)-square L2 Gram, 298 GiB here, used to end in a MemoryError
     "smallball-l2-gram-past-bound": (["smallball", "--nu", "1", "--K", "100000",
                                       "--norm", "l2", "--r", "1", "--n", "200",
                                       "--grid", "16"],
                                      "200001 x 200001 Fourier basis or Gram passes"),
+    # a 512 x (2K + 1) block of normals (0.3 GiB here, 30.5 GiB at K = 4e6)
+    # used to be drawn on a grid too small for the basis check
+    "smallball-normals-block-past-bound": (["smallball", "--nu", "1", "--K",
+                                            "40000", "--norm", "sup", "--r", "1",
+                                            "--n", "100", "--grid", "2"],
+                                           "512 x 80001 Fourier basis or Gram passes"),
+    "simulate-normals-block-past-bound": (["simulate", "--spectrum", "discrete",
+                                           "--nu", "1", "--K", "40000",
+                                           "--n-points", "2"],
+                                          "512 x 80001 Fourier basis or Gram passes"),
     # so did a grid of 10^13 points, whose times alone take 73 TiB
     "simulate-n-points-past-bound": (["simulate", "--spectrum", "discrete", "--nu",
                                       "1", "--K", "0", "--n-points",
@@ -693,6 +724,51 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys,
     assert err[0].startswith("error: ") and message in err[0]
     # no output directory either: it is made only for a run that succeeds
     assert not (tmp_path / "o").exists()
+
+
+def test_env_seed_outside_64_bits_exits_1(tmp_path, monkeypatch, capsys):
+    # SMALLDEV_SEED is held to the same rule as --seed, on every command
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SMALLDEV_SEED", "-1")
+    assert run(["g-certify", "--gamma", "0.5", "--t-max", "20", "--out", "o"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: seed must be in [0, 2^64), got -1"]
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setenv("SMALLDEV_SEED", str(2 ** 64 - 1))
+    assert run(["g-certify", "--gamma", "0.5", "--t-max", "20", "--out", "o"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["fit"], ["kl-translate"], ["scaling", "--c", "0.5"]])
+def test_input_is_read_once(tmp_path, monkeypatch, argv):
+    # each run, and each rerun, opens its --input file once: a pipe has no
+    # second reading
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "phi.csv").write_text("r,phi\n1e-15,357.8\n1e-9,128.8\n1e-6,57.2\n")
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.fspath(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    assert run(argv + ["--input", "phi.csv", "--out", "a"]) == 0
+    assert opened.count("phi.csv") == 1
+    opened.clear()
+    assert run(["rerun", "a/manifest.json"]) == 0
+    assert opened.count("phi.csv") == 1
+
+
+def test_input_from_a_pipe(tmp_path):
+    # the input used to be read twice, so a pipe's second read found no
+    # header line and ended in a traceback
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "smalldev.cli", "kl-translate", "--input",
+         "/dev/stdin", "--out", str(tmp_path / "o")],
+        input="r,phi\n1e-5,3.0\n1e-9,9.0\n", capture_output=True, text=True,
+        env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(read(tmp_path / "o" / "kl_translate.csv").splitlines()) == 3
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

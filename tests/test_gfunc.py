@@ -1,6 +1,7 @@
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,9 +157,9 @@ def test_certify_rejects_bad_range():
 
 
 @pytest.mark.parametrize("gamma", [0.9, 0.5, 0.25, 0.1])
-def test_memoised_coefficients_give_the_same_bits(monkeypatch, gamma):
-    # the memos of c, the factors and the tail coefficients, and the log-sinc
-    # formed in one buffer, change no bit of log |G| or of its certificate
+def test_log_abs_g_matches_the_plain_reference_bits(monkeypatch, gamma):
+    # the cached c and the log-sinc formed in one buffer change no bit of
+    # log |G| or of its certificate
     spec = GFunctionSpec(gamma)
     grids = (np.linspace(0.0, 1.0, 4001), np.geomspace(1.0, 1e4, 2000),
              np.geomspace(10.0, 1e4, 3000))
@@ -193,3 +194,54 @@ def test_theta_is_abs_g_at_one(gamma):
     low = math.exp(np.min(vals))
     theta = gfunc.g_certify(spec).theta_G
     assert low * (1.0 - 1e-10) <= theta <= low
+
+
+def _local_maxima(t, vals):
+    i = np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
+    return t[i], vals[i]
+
+
+@pytest.mark.parametrize("t_max", [20.0, 1e4])
+@pytest.mark.parametrize("gamma", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_decay_certificate_holds(gamma, t_max):
+    # log |G| <= -C_G t^p at every point of a dense grid of the window, with
+    # the theory's exponent, and C_G under the sampled envelope's least ratio
+    spec = GFunctionSpec(gamma)
+    cert = gfunc.g_certify(spec, t_max=t_max)
+    assert cert.decay_exponent == 1.0 / (1.0 + gamma)
+    assert cert.fit_t_range == (gfunc.FIT_T_MIN, t_max)
+    t = np.geomspace(gfunc.FIT_T_MIN, t_max, 20_000)
+    vals = gfunc.log_abs_g(spec, t)
+    assert np.all(vals <= -cert.C_G * t ** cert.decay_exponent)
+    tp, vp = _local_maxima(t, vals)
+    # [10, 20] holds no maximum at gamma 0.1, where G still falls
+    assert 0.0 < cert.C_G <= np.min(-vp / tp ** cert.decay_exponent, initial=np.inf)
+
+
+def test_decay_constants_at_1e4():
+    # the closed form's least value over the window's intervals, and the
+    # exponent 1/(1 + gamma) read exactly rather than fitted
+    for gamma, C in [(0.1, 0.02734), (0.25, 0.06637), (0.5, 0.10631),
+                     (0.75, 0.12620), (0.9, 0.12015)]:
+        cert = gfunc.g_certify(GFunctionSpec(gamma))
+        assert cert.C_G == pytest.approx(C, abs=1e-5), gamma
+
+
+@pytest.mark.parametrize("t_max", [20.0, 1e4])
+def test_certificate_reads_one_point_of_g(monkeypatch, t_max):
+    # theta_G is log |G(1)|; the decay needs no value of G at all
+    points = []
+
+    def counted(spec, t):
+        points.append(np.atleast_1d(t).size)
+        return reference.log_abs_g(spec, t)
+
+    monkeypatch.setattr(gfunc, "log_abs_g", counted)
+    gfunc.g_certify(GFunctionSpec(0.5), t_max=t_max)
+    assert points == [1]
+
+
+def test_certificate_keeps_no_fit_and_no_memo():
+    source = Path(gfunc.__file__).read_text()
+    for name in ("polyfit", "geomspace", "lru_cache", "CertificateError"):
+        assert name not in source, name

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from reference import closed_form_covariance
-from smalldev import gfunc, pathgen, spectra
+from smalldev import pathgen, spectra
 from smalldev.errors import CapacityError, PreconditionError
 from smalldev.pathgen import GridSpec, PeriodicGenConfig
 
@@ -371,6 +371,22 @@ def test_fourier_basis_past_its_entry_bound_is_refused():
         pathgen.batch_norms(amps, GridSpec(n_points=16), 1, 200, "l2")
     # the benchmark's basis, 91 x 1024, is far inside the bound
     assert 91 * 1024 * 256 < pathgen.MAX_BASIS_ENTRIES
+
+
+def test_normals_block_past_the_entry_bound_is_refused():
+    # from K = 32,768 a counter block's 512 x (2K + 1) normals pass the bound
+    # even where the basis, on 2 points, is far inside it
+    amps = PeriodicGenConfig(nu=1.0, K=32_768).amplitudes()
+    grid = GridSpec(n_points=2)
+    message = r"512 x 65537 Fourier basis or Gram passes 33554432 entries"
+    with pytest.raises(CapacityError, match=message):
+        pathgen.series_values(amps, grid.times(), 1, 1)
+    with pytest.raises(CapacityError, match=message):
+        pathgen.batch_norms(amps, grid, 1, 1, "sup")
+    # the L2 Gram, 65537 square, is refused first
+    with pytest.raises(CapacityError, match="65537 x 65537"):
+        pathgen.batch_norms(amps, grid, 1, 1, "l2")
+    assert 512 * (2 * 32_767 + 1) <= pathgen.MAX_BASIS_ENTRIES
 
 
 def test_blas_lookup_without_a_bundled_openblas(monkeypatch, tmp_path):
@@ -819,8 +835,3 @@ def test_caches_are_bounded_and_read_only():
     assert unbounded == []
     rows, _ = pathgen._factor(spectra.continuous_nu(1.0), GridSpec(n_points=4).times().tobytes())
     assert not rows.flags.writeable
-    spec = gfunc.GFunctionSpec(0.5)
-    for memo in (gfunc.GFunctionSpec._explicit_a, gfunc.GFunctionSpec._tail_coef):
-        assert isinstance(memo.cache_info().maxsize, int)
-    assert not spec._explicit_a(16).flags.writeable
-    assert not spec._tail_coef(16).flags.writeable

@@ -116,3 +116,11 @@ def test_open_problem_validation():
         ratefit.open_problem_curves(math.inf, [0.5])
     with pytest.raises(PreconditionError):
         ratefit.open_problem_curves(2.0, [math.nan])
+
+
+def test_fit_refuses_collinear_regressors():
+    # two distinct radii give two distinct (log L, log log L) rows, which
+    # cannot identify three coefficients, though |log r| spans a factor of 3
+    res = ratefit.fit([(1e-10, 50.0), (1e-10, 51.0), (1e-30, 300.0)])
+    assert res.refused and res.reason == "collinear regressors"
+    assert res.A is None and res.n_points == 3

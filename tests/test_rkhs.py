@@ -9,7 +9,7 @@ from scipy.stats import norm
 import reference
 from smalldev import pathgen, rkhs, smallball, spectra
 from smalldev.curves import BoundCurve
-from smalldev.errors import CapacityError, PreconditionError
+from smalldev.errors import CapacityError, CertificateError, PreconditionError
 from smalldev.rkhs import CoefficientEllipsoid, TruncationBoundInput
 
 
@@ -301,7 +301,7 @@ def test_truncation_bound():
     assert inp.delta == pytest.approx(0.016086, abs=1e-5)
     res = rkhs.truncation_entropy_upper(inp)
     assert res.I <= 2.0 * inp.v
-    assert res.bound_certified > 0.0
+    assert res.bound_c1 > 0.0
     assert res.tail_sup <= 1e-3
     # theta cap enforced; a model other than continuous-nu, and epsilon
     # outside (0, 1), refused
@@ -394,3 +394,24 @@ def test_curve_sides_must_match_x():
     for lower, upper in ((np.array([1.0]), None), (None, np.array([1.0, 2.0, 3.0]))):
         with pytest.raises(PreconditionError, match="curve sides must match x"):
             BoundCurve(x=x, lower=lower, upper=upper, label="c")
+
+
+def test_truncation_refuses_a_remainder_above_epsilon():
+    # at eps 0.9 the cut v = 3 |log 0.9| leaves a tail whose sup-norm
+    # reach sqrt(2 int_v^inf e^-u du) = 1.21 passes epsilon
+    inp = TruncationBoundInput(spectra.continuous_nu(1.0), 0.9, theta=1.0 / 3.0)
+    with pytest.raises(CertificateError,
+                       match="truncation remainder 1.21 exceeds epsilon 0.9"):
+        rkhs.truncation_entropy_upper(inp)
+
+
+def test_capacity_error_names_the_true_smallest_epsilon():
+    # twice the tail past MAX_DIM is 892 here, yet from 2 sup_radius = 13.9
+    # on one ball covers, so that is the smallest epsilon answered
+    ell = CoefficientEllipsoid(0.25, 100_000)
+    assert 2.0 * ell.sup_radius == pytest.approx(13.9, abs=0.05)
+    with pytest.raises(CapacityError, match="smallest supported epsilon near 13.9$"):
+        rkhs.entropy_upper(ell, 0.9)
+    with pytest.raises(CapacityError, match="effective dimension"):
+        rkhs.entropy_upper(ell, 0.999 * 2.0 * ell.sup_radius)
+    assert rkhs.upper_cover(ell, 2.0 * ell.sup_radius) == (1, rkhs.SINGLE_BALL)
