@@ -23,13 +23,14 @@ continuous path's factor depends on the whole set of the call's times, so it
 is one realisation only across calls with the same times.
 
 `batch_norms` reduces each block to its paths' norms as soon as it is drawn.
-The sup norm screens every path on a column subsample of the grid first and
-evaluates the whole grid only for paths that are not already above the cap,
-which `smallball.estimate` sets to its largest radius; an infinite cap
-screens none out.  Its blocks are shared out over worker threads in
-contiguous ranges while numpy's bundled OpenBLAS is held to one thread, so
-every product is the single-threaded one and the norms do not depend on the
-worker count or on the process's BLAS thread count.
+Given radii, each sup norm is first bracketed by the path's maximum over
+every SCREEN_STRIDE-th grid point and that maximum plus a curvature bound;
+only paths whose bracket holds a radius are evaluated on the whole grid,
+about 3% of `smallball.estimate`'s paths.  Without radii every path is.
+Its blocks are shared out over worker threads in contiguous ranges while
+numpy's bundled OpenBLAS is held to one thread, so every product is the
+single-threaded one and the norms do not depend on the worker count or on
+the process's BLAS thread count.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import glob
 import math
 import os
 import threading
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -97,8 +99,8 @@ GRADING = 0.2
 
 PIVOTED_CHOLESKY = "pivoted-cholesky"
 
-#: grid points per screened point of the capped sup norm in `batch_norms`
-SCREEN_STRIDE = 32
+#: grid points per screened point of the sup norm in `batch_norms`
+SCREEN_STRIDE = 16
 
 
 @dataclass(frozen=True)
@@ -433,6 +435,40 @@ def _max_abs(v: np.ndarray) -> np.ndarray:
     return np.maximum(v.max(axis=1), -v.min(axis=1))
 
 
+#: what brackets a block's sup norms: the basis at the screen times, per
+#: normal a_k and (2 pi k)^2 a_k, the margin per unit of S, and h^2 / 8 with
+#: its rounding (see `batch_norms`)
+_Screen = namedtuple("_Screen", "coarse weights rho reach")
+
+
+def _screen(amps: np.ndarray, basis: np.ndarray, times: np.ndarray) -> _Screen:
+    """The screen of `batch_norms`: every SCREEN_STRIDE-th time and the last."""
+    columns = np.append(np.arange(0, len(times) - 1, SCREEN_STRIDE), len(times) - 1)
+    gap = float(np.max(np.diff(times[columns])))
+    K = len(amps) - 1
+    rho = np.finfo(float).eps * (8.0 * np.pi * K * float(np.max(np.abs(times)))
+                                 + 4.0 * K + 20.0)
+    curvature = (2.0 * np.pi * np.arange(K + 1)) ** 2 * amps
+    weights = np.stack([np.concatenate([amps, amps[1:]]),
+                        np.concatenate([curvature, curvature[1:]])], axis=1)
+    return _Screen(np.ascontiguousarray(basis[:, columns]), weights, rho,
+                   gap * gap / 8.0 * (1.0 + rho))
+
+
+def _sup_bracket(z: np.ndarray, screen: _Screen) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of normals z: the screen maximum m, the bracket's upper end
+    m + B h^2 / 8 (1 + rho) + margin, and the margin S rho."""
+    m = _max_abs(z @ screen.coarse)
+    s, b = (np.abs(z) @ screen.weights).T
+    margin = s * screen.rho
+    return m, m + b * screen.reach + margin, margin
+
+
+def _holds_radius(radii: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Whether some one of the sorted `radii` lies in [low, high], per row."""
+    return np.searchsorted(radii, low) < np.searchsorted(radii, high, side="right")
+
+
 @functools.lru_cache(maxsize=1)
 def _blas_threads():
     """(get, set) of the thread count of the OpenBLAS that numpy wheels
@@ -467,27 +503,46 @@ def _usable_cpus() -> int:
 
 
 def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
-                norm: str, cap: float = math.inf, *,
-                threads: int = 1) -> np.ndarray:
+                norm: str, radii=(), *, threads: int = 1) -> np.ndarray:
     """Norms of a batch of Fourier-series paths, reduced per counter block.
 
     A squared L2 norm is the trapezoidal quadratic form z G z' of the
     block's normals z, with G = basis W basis' for the trapezoid weights W,
-    so no L2 path is formed.
+    so no L2 path is formed; it ignores `radii`.
 
-    sup norms above `cap` are returned as a lower bound that is itself above
-    `cap`.  Each block is screened first: its normals times every
-    SCREEN_STRIDE-th basis column give each path's maximum over those grid
-    points, and only paths whose screen maximum is at most `cap` are
-    evaluated on the whole grid; the others keep the screen maximum.  The
-    BLAS may round the products of a column or row subset differently in the
-    last bits from the whole block's, so both the lower bound and the norms
-    at most `cap` hold to that rounding; with `cap` infinite every row is
-    evaluated and the norms are those of the whole block's paths, as
-    `gen_periodic` forms them.
+    Without `radii` every sup norm is the whole grid's, the same bits as
+    `gen_periodic` gives.  With `radii` (each >= 0), each returned sup norm
+    lies on the same side of every radius as that one, but may be a lower
+    bound of it.  A path is X(t) = sum_i z_i b_i(t), its normals times the
+    trigonometric polynomials b_i = a_k cos 2 pi k t or a_k sin 2 pi k t of
+    degree K, so |X''| <= B = sum_i (2 pi k_i)^2 a_k |z_i| everywhere.  Let
+    m be its maximum of |X| over the screen, every SCREEN_STRIDE-th grid
+    point and the last one, with h the largest gap between screen times.
+    Between two screen times |X| is at most the larger of its ends plus
+    B h^2 / 8 (the linear interpolant's error), so the grid's maximum, and
+    the interval's too, lies in [m, m + B h^2 / 8].  Where no radius is in
+    [m - margin, m + B h^2 / 8 (1 + rho) + margin] the path returns m;
+    only the other paths are evaluated on the whole grid.
 
-    Each block is reduced whole, so a path's norm depends on (seed, block,
-    cap) and not on how many of its block's paths are read.
+    The margin covers rounding.  With u = eps / 2, S = sum_i a_k |z_i| and
+    n = 2K + 1 terms, a basis entry's phase fl(fl(2 pi) fl(k t)) is within
+    3.01 u 2 pi K max|t| of 2 pi k t, its cos or sin within 4 ulp (8 u),
+    and the product by a_k adds u: each entry is within a_k u (6.02 pi K
+    max|t| + 10) of b_i(t).  A product's sum of n terms, in any order, adds
+    at most 1.01 n u S.  So each computed value is within delta = u S
+    (6.02 pi K max|t| + 1.01 n + 11) of X(t), and the whole grid's computed
+    maximum within 2 delta of the bracket about the computed m.  The margin
+    is S rho, rho = eps (8 pi K max|t| + 4K + 20), which is 2 delta plus
+    room for forming S, B, h^2 and the bracket's ends; the factor 1 + rho
+    on B h^2 / 8 covers its own rounding, at most (n + 16) u of it.  A
+    product over a subset of a block's rows may round its last bits unlike
+    the whole block's, by at most 2.02 n u S: a whole-grid norm of a path
+    with a radius within its margin is taken from the whole block's
+    product, which is the one that `gen_periodic` takes.
+
+    Each block is reduced whole and every decision is made per block, so a
+    path's norm depends on (seed, block, radii) and not on how many of its
+    block's paths are read.
 
     The blocks are reduced on min(threads, usable CPUs, blocks) workers,
     the calling thread and pool threads, each taking one contiguous range
@@ -513,22 +568,25 @@ def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
         out = np.empty(n_paths)
     except (MemoryError, ValueError):  # ValueError: past numpy's array size
         raise CapacityError(f"{n_paths} norms do not fit in memory") from None
+    radii = np.sort(np.asarray(radii, dtype=float).ravel())
+    if not np.all(radii >= 0.0):  # NaN fails too
+        raise PreconditionError(f"radii must be >= 0, got {radii.tolist()}")
     blas = _blas_threads()
     if blas is None:
-        return _reduce_blocks(out, amps, grid, seed, norm, cap, 1)
+        return _reduce_blocks(out, amps, grid, seed, norm, radii, 1)
     get, put = blas
     with _BLAS_PIN:
         before = get()
         put(1)
         try:
-            return _reduce_blocks(out, amps, grid, seed, norm, cap, threads)
+            return _reduce_blocks(out, amps, grid, seed, norm, radii, threads)
         finally:
             put(before)
 
 
 def _reduce_blocks(out: np.ndarray, amps: np.ndarray, grid: GridSpec,
-                   seed: int, norm: str, cap: float, threads: int) -> np.ndarray:
-    """`batch_norms` into `out` on at most `threads` workers."""
+                   seed: int, norm: str, radii: np.ndarray, threads: int) -> np.ndarray:
+    """`batch_norms` into `out` on at most `threads` workers; `radii` sorted."""
     n_paths = len(out)
     if norm == "l2":
         _check_basis_size(2 * len(amps) - 1, 2 * len(amps) - 1)
@@ -538,19 +596,24 @@ def _reduce_blocks(out: np.ndarray, amps: np.ndarray, grid: GridSpec,
     if norm == "l2":
         half = np.diff(times) / 2.0
         gram = (basis * (np.append(half, 0.0) + np.insert(half, 0, 0.0))) @ basis.T
-    else:
-        coarse = np.ascontiguousarray(basis[:, ::SCREEN_STRIDE])
+    elif len(radii):
+        screen = _screen(amps, basis, times)
 
     def reduce(first: int, last: int) -> None:
         z = np.empty((BLOCK, len(basis)))
         for block in range(first, last):
             _rng_for_block(seed, block).standard_normal(out=z)
-            if norm == "sup":
-                norms = _max_abs(z @ coarse)
-                near = np.flatnonzero(norms <= cap)
-                norms[near] = _max_abs(z[near] @ basis)
-            else:
+            if norm == "l2":
                 norms = np.sqrt(np.einsum("ij,ij->i", z @ gram, z))
+            elif not len(radii):
+                norms = _max_abs(z @ basis)
+            else:
+                norms, high, margin = _sup_bracket(z, screen)
+                rows = np.flatnonzero(_holds_radius(radii, norms - margin, high))
+                norms[rows] = full = _max_abs(z[rows] @ basis)
+                near = rows[_holds_radius(radii, full - margin[rows], full + margin[rows])]
+                if len(near):
+                    norms[near] = _max_abs(z @ basis)[near]
             start = block * BLOCK
             out[start : start + BLOCK] = norms[: n_paths - start]
 

@@ -83,18 +83,22 @@ def estimate(cfg: pathgen.PeriodicGenConfig, grid: pathgen.GridSpec, norm: str,
     """Monte Carlo small-ball estimates on common random numbers.
 
     One batch of paths serves every radius, so p_hat is nondecreasing in r
-    exactly, not just statistically.  Norms are capped at the largest
-    radius: a path above it misses every radius whatever its exact norm.
-    `threads` is the worker count of `pathgen.batch_norms`; the estimates
-    do not depend on it.
+    exactly, not just statistically.  `pathgen.batch_norms` takes the
+    radii, and each norm it returns lies on the same side of every radius
+    as the path's whole-grid norm, so the hits are those of the whole-grid
+    norms.  `threads` is the worker count of `pathgen.batch_norms`; the
+    estimates do not depend on it.  With no radius it returns [] and
+    draws no path.
     """
     if n_samples < 100:
         raise PreconditionError("n_samples must be >= 100")
     r_arr = np.asarray(list(r_list), dtype=float)
     if not np.all((r_arr > 0) & (r_arr < math.inf)):
         raise PreconditionError("radii must be positive and finite")
+    if not len(r_arr):
+        return []
     norms = pathgen.batch_norms(cfg.amplitudes(), grid, seed, n_samples, norm,
-                                cap=float(r_arr.max(initial=0.0)), threads=threads)
+                                r_arr, threads=threads)
     out = []
     for r in r_arr:
         hits = int(np.count_nonzero(norms <= r))

@@ -138,18 +138,18 @@ def test_batch_norms_match_per_path():
             assert l2[i] == pytest.approx(l2_ref, rel=1e-12), (K, grid, i)
 
 
-@pytest.mark.parametrize("norm, cap", [("sup", math.inf), ("sup", 0.0),
-                                       ("sup", 1.5), ("l2", math.inf),
-                                       ("l2", 1.5)],
-                         ids=["sup", "sup-cap-0", "sup-cap-1.5", "l2",
-                              "l2-cap-1.5"])
-def test_batch_norms_prefix_of_longer_batch(norm, cap):
+@pytest.mark.parametrize("norm, radii", [("sup", ()), ("sup", (0.0,)),
+                                         ("sup", (1.5,)), ("l2", ()),
+                                         ("l2", (1.5,))],
+                         ids=["sup", "sup-radius-0", "sup-radius-1.5", "l2",
+                              "l2-radius-1.5"])
+def test_batch_norms_prefix_of_longer_batch(norm, radii):
     amps = PeriodicGenConfig(nu=1.0, K=8).amplitudes()
     grid = GridSpec(n_points=64)
     short = pathgen.batch_norms(amps, grid, seed=3, n_paths=513, norm=norm,
-                                cap=cap)
+                                radii=radii)
     full = pathgen.batch_norms(amps, grid, seed=3, n_paths=1024, norm=norm,
-                               cap=cap)
+                               radii=radii)
     assert np.array_equal(short, full[:513])
 
 
@@ -164,24 +164,67 @@ def test_capped_sup_norms(grid):
     amps = PeriodicGenConfig(nu=1.0, K=20).amplitudes()
     n = 2 * pathgen.BLOCK + 6
     exact = pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="sup")
-    median = float(np.median(exact))
-    for cap in (0.0, median):
-        got = pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="sup",
-                                  cap=cap)
-        near = got <= cap
-        assert np.array_equal(near, exact <= cap), cap
-        # a product over a subset of rows or columns may round differently
-        # in its last bits from the whole block's
-        np.testing.assert_allclose(got[near], exact[near], rtol=1e-13, atol=0)
-        assert np.all(got[~near] > cap)
-        assert np.all(got[~near] <= exact[~near] * (1.0 + 1e-13))
-    # cap = inf screens nothing: the norms of the whole block's paths
+    radii = [0.0, float(np.median(exact))] + np.quantile(exact, [0.1, 0.3, 0.9]).tolist()
+    got = pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="sup",
+                              radii=radii)
+    for r in radii:
+        assert np.array_equal(got <= r, exact <= r), r
+    # a settled path returns its screen maximum, a lower bound; a product
+    # over a subset of rows may round differently in its last bits from
+    # the whole block's
+    assert np.all(got <= exact * (1.0 + 1e-13))
+    # no radii: the norms of the whole block's paths
     assert np.array_equal(pathgen.batch_norms(amps, grid, seed=5, n_paths=n,
-                                              norm="sup", cap=math.inf), exact)
-    # the L2 norm forms no path and takes no cap
+                                              norm="sup", radii=()), exact)
+    # the L2 norm forms no path and ignores the radii
     assert np.array_equal(
-        pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="l2", cap=median),
+        pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="l2", radii=radii),
         pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="l2"))
+
+
+#: (nu, K, grid) of the bracket tests: the screen grids, an odd, an aliased
+#: (K = 20 on 16 points) and a short one, and a slow and a fast decay
+BRACKET_CASES = [(1.0, 20, grid) for grid in SCREEN_GRIDS] + [
+    (1.0, 20, GridSpec(n_points=333)), (1.0, 20, GridSpec(n_points=16)),
+    (1.0, 20, GridSpec(0.0, 0.7, 100)), (0.5, 200, GridSpec(n_points=1024)),
+    (2.0, 7, GridSpec(n_points=1024))]
+BRACKET_IDS = ["1024", "1023", "2", "off-unit-101", "333", "16-aliased",
+               "short-100", "nu0.5-K200", "nu2-K7"]
+
+
+@pytest.mark.parametrize("nu, K, grid", BRACKET_CASES, ids=BRACKET_IDS)
+def test_sup_radii_classify_at_the_exact_norms(nu, K, grid):
+    # a radius at a path's own whole-grid norm, or one ulp either side of
+    # it, is the hardest case: that path reaches the whole grid, and a
+    # product over a subset of the block's rows may round its norm to the
+    # other side
+    amps = PeriodicGenConfig(nu=nu, K=K).amplitudes()
+    n = pathgen.BLOCK
+    exact = pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="sup")
+    for i in range(0, n, 16):
+        radii = [exact[i], np.nextafter(exact[i], 0.0), np.nextafter(exact[i], math.inf)]
+        got = pathgen.batch_norms(amps, grid, seed=5, n_paths=n, norm="sup",
+                                  radii=radii)
+        for r in radii:
+            assert np.array_equal(got <= r, exact <= r), (i, r)
+
+
+@pytest.mark.parametrize("nu, K, grid", BRACKET_CASES, ids=BRACKET_IDS)
+def test_sup_bracket_covers_the_interval(nu, K, grid):
+    # the curvature bound holds between grid points too: the maximum on a
+    # grid 8 times finer over the same span stays inside the bracket
+    amps = PeriodicGenConfig(nu=nu, K=K).amplitudes()
+    times = grid.times()
+    basis = pathgen._fourier_basis(amps, times)
+    screen = pathgen._screen(amps, basis, times)
+    fine = np.linspace(grid.t_min, grid.t_max, 8 * (grid.n_points - 1) + 1)
+    z = pathgen._rng_for_block(11, 0).standard_normal((pathgen.BLOCK, len(basis)))
+    m, high, margin = pathgen._sup_bracket(z, screen)
+    exact = pathgen._max_abs(z @ basis)
+    assert np.all(m - margin <= exact) and np.all(exact <= high)
+    assert np.all(pathgen._max_abs(z @ pathgen._fourier_basis(amps, fine)) <= high)
+    # the margin is rounding-sized
+    assert np.all(margin < 1e-11 * high)
 
 
 needs_blas_control = pytest.mark.skipif(
@@ -208,8 +251,8 @@ def test_batch_norms_same_bits_at_any_thread_count(n_points, blas_threads):
     n = 3000
     put(1)
     exact = pathgen.batch_norms(amps, grid, seed=7, n_paths=n, norm="sup")
-    cases = [("sup", 0.0), ("sup", float(np.median(exact))), ("sup", math.inf),
-             ("l2", math.inf)]
+    cases = [("sup", (0.0,)), ("sup", (float(np.median(exact)),)), ("sup", ()),
+             ("l2", ())]
     want = {case: pathgen.batch_norms(amps, grid, 7, n, *case) for case in cases}
     for blas in (1, 2):
         put(blas)
@@ -354,6 +397,16 @@ def test_batch_norms_refuses_bad_counts():
             pathgen.batch_norms(amps, grid, 1, n_paths, "sup")
     with pytest.raises(PreconditionError, match="unknown norm 'linf'"):
         pathgen.batch_norms(amps, grid, 1, 10, "linf")
+
+
+def test_batch_norms_refuses_bad_radii():
+    amps = PeriodicGenConfig(nu=1.0, K=4).amplitudes()
+    grid = GridSpec(n_points=16)
+    for radii in ([math.nan], [1.0, -0.5], [-math.inf]):
+        with pytest.raises(PreconditionError, match="radii must be >= 0"):
+            pathgen.batch_norms(amps, grid, 1, 10, "sup", radii)
+    # zero and infinite radii are sides like any other
+    assert pathgen.batch_norms(amps, grid, 1, 10, "sup", [0.0, math.inf]).shape == (10,)
 
 
 def test_fourier_basis_past_its_entry_bound_is_refused():

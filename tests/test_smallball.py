@@ -353,20 +353,46 @@ def test_estimate_monotone_and_common_randoms():
                                   GridSpec(0.25, 3.0, 2)],
                          ids=["1024", "333", "off-unit-2"])
 def test_estimate_hits_match_uncapped_norms(grid, monkeypatch):
-    # estimate caps the sup norms at its largest radius; the hits at every
-    # radius are those of the exact norms
+    # estimate passes its radii to batch_norms; the hits at every radius
+    # are those of the whole-grid norms
     cfg = PeriodicGenConfig(nu=1.0, K=45)
     radii = [1.0, 2.0, 0.6, 1.5, 0.8]
     norms = pathgen.batch_norms(cfg.amplitudes(), grid, 9, 3000, "sup")
-    caps = []
+    seen = []
     batch_norms = pathgen.batch_norms
     monkeypatch.setattr(pathgen, "batch_norms",
-                        lambda *a, cap, threads: caps.append(cap)
-                        or batch_norms(*a, cap=cap, threads=threads))
+                        lambda *a, threads: seen.append(list(a[5]))
+                        or batch_norms(*a, threads=threads))
     ests = smallball.estimate(cfg, grid, "sup", radii, n_samples=3000, seed=9)
-    assert caps == [2.0]
+    assert seen == [radii]
     assert [e.hits for e in ests] == [int(np.count_nonzero(norms <= r))
                                       for r in radii]
+
+
+def test_estimate_evaluates_few_paths_on_the_whole_grid(monkeypatch):
+    # the curvature bracket settles all but about 3% of the paths from the
+    # screen; a screen that only drops paths above the largest radius sends
+    # about 26% to the whole grid.  Counted, not timed: every whole-grid
+    # product passes through _max_abs with one column per grid point
+    grid = GridSpec(n_points=1024)
+    rows = []
+    max_abs = pathgen._max_abs
+    monkeypatch.setattr(pathgen, "_max_abs", lambda v: rows.append(
+        len(v) if v.shape[1] == grid.n_points else 0) or max_abs(v))
+    n = 3000
+    smallball.estimate(PeriodicGenConfig(nu=1.0, K=45), grid, "sup",
+                       [0.6, 0.8, 1.0, 1.5, 2.0], n_samples=n, seed=9)
+    assert 0 < sum(rows) <= 0.06 * n
+
+
+def test_estimate_without_radii_draws_no_path(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew paths for no radius")
+
+    monkeypatch.setattr(pathgen, "batch_norms", no_draw)
+    cfg = PeriodicGenConfig(nu=1.0, K=4)
+    assert smallball.estimate(cfg, GridSpec(n_points=64), "sup", [], n_samples=200,
+                              seed=1) == []
 
 
 def test_estimate_zero_hits_marker():
