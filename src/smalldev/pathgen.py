@@ -5,11 +5,12 @@ block times a cos/sin basis built once per call.  A continuous-spectrum
 path at a set of times is z L, with z one normal per row of L, the
 pivoted-Cholesky factor of the covariance that the `spectral_rule` gives
 at those times.  That rule is composite Gauss-Legendre quadrature of the
-density, whose covariance is within an estimated `cov_error` (at most
-MAX_COV_ERROR, about 4 COV_TOL for continuous-nu) of the model's at every
-lag of the times' span.  The factor stops once its residual diagonal is at
-most COV_TOL, so every sampled covariance entry is within the rule's error
-plus that residual.  It is cached per (model, times), read-only; an input
+density on panels as wide as the 20-point remainder bound allows at the
+span (PANEL_PHASE), whose covariance is within an estimated `cov_error`
+(at most MAX_COV_ERROR, about 4 COV_TOL for continuous-nu) of the model's
+at every lag of the times' span.  The factor stops once its residual
+diagonal is at most COV_TOL, so every sampled covariance entry is within
+the rule's error plus that residual.  It is cached per (model, times), read-only; an input
 with no rule, whose refusal names the cause, or whose factor would take too
 much work, is refused.
 No minorant is defined here: `tsirelson` gives the inputs of its paths.
@@ -17,10 +18,13 @@ No minorant is defined here: `tsirelson` gives the inputs of its paths.
 All randomness comes from one keying scheme: a counter-based generator keyed
 by (seed, path_index // block), where the block is BLOCK paths for Fourier
 series and QUAD_BLOCK paths for continuous ones; both are 64-bit words, so
-a seed outside [0, 2^64) or a block past 2^64 is refused.  Any path index
-therefore gets the same values no matter how the batch is partitioned.  A
-continuous path's factor depends on the whole set of the call's times, so it
-is one realisation only across calls with the same times.
+a seed outside [0, 2^64) or a block past 2^64 is refused.  Each thread
+re-keys one kept generator per block, the stream of a fresh one bit for
+bit.  Any path index therefore gets the same values no matter how the
+batch is partitioned.  Seeds, path counts and indices, and thread counts
+are integers, numpy's too, and nothing else.  A continuous path's factor
+depends on the whole set of the call's times, so it is one realisation
+only across calls with the same times.
 
 `batch_norms` reduces each block to its paths' norms as soon as it is drawn.
 Given radii, each sup norm is first bracketed by the path's maximum over
@@ -39,6 +43,7 @@ import ctypes
 import functools
 import glob
 import math
+import operator
 import os
 import threading
 from collections import namedtuple
@@ -89,8 +94,18 @@ ESTIMATE_LAGS = 5
 GL_POINTS = 20
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_POINTS)
 
-#: largest phase u t that one panel spans over the times' range
-PANEL_PHASE = 3.0 * math.pi
+#: largest phase u t that one panel spans over the times' range.  On a panel
+#: of width h about c, e^{iut} = e^{ict} e^{iwx} with x in [-1, 1] and
+#: w = h t / 2, so the panel spans the phase 2w.  The N-point Gauss-Legendre
+#: remainder of int_{-1}^{1} g(x) dx is c_N g^(2N)(xi) for some xi, with
+#: c_N = 2^(2N+1) (N!)^4 / ((2N+1) ((2N)!)^3); for g = e^{iwx} it is at most
+#: c_N w^(2N).  PANEL_PHASE is the 2w at which that bound is eps: 24.90, or
+#: 7.93 pi, at N = 20.  The bound grows as w^(2N) past it: the rule's error
+#: on cos(wx) is 4e-15 there, 5e-13 at a 10 pi panel and 4e-10 at 12 pi.
+PANEL_PHASE = 2.0 * (np.finfo(float).eps * (2 * GL_POINTS + 1)
+                     * math.factorial(2 * GL_POINTS) ** 3
+                     / (2 ** (2 * GL_POINTS + 1) * math.factorial(GL_POINTS) ** 4)
+                     ) ** (1.0 / (2 * GL_POINTS))
 
 #: geometric panels that replace the first one where the density has a
 #: branch point at 0, and the ratio of each one's ends
@@ -151,19 +166,53 @@ class PeriodicGenConfig:
         return np.exp(spectra.discrete_log_amplitudes(self.nu, self.K))
 
 
+def _integer(what: str, value) -> int:
+    """`value` as an int: an integer of Python's or numpy's, no float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _count(what: str, value) -> int:
+    """`value` as an int >= 0: a path count or index."""
+    value = _integer(what, value)
+    if value < 0:
+        raise PreconditionError(f"{what} must be >= 0, got {value}")
+    return value
+
+
 def check_seed(seed: int) -> None:
     """Refuse a seed that is no 64-bit word, the first word of every key."""
-    if not 0 <= seed < 1 << 64:
+    if not 0 <= _integer("seed", seed) < 1 << 64:
         raise PreconditionError(f"seed must be in [0, 2^64), got {seed}")
+
+
+#: each thread's generator, which `_rng_for_block` re-keys
+_THREAD = threading.local()
 
 
 def _rng_for_block(seed: int, block: int) -> np.random.Generator:
     """The generator of one counter block, keyed by the 64-bit words (seed,
-    block): a seed outside [0, 2^64) or a block past them is refused."""
+    block): a seed outside [0, 2^64) or a block past them is refused.
+
+    It is the calling thread's one generator, set to that key with counter
+    0 and an empty buffer, so it draws the stream of a fresh
+    Generator(Philox(key=(seed, block))) bit for bit; re-keying skips the
+    OS entropy that building a Philox draws.  It is valid until this
+    thread's next call, so callers draw from it at once."""
     check_seed(seed)
     if not block < 1 << 64:
         raise CapacityError(f"counter block {block} (path index // block size) is past 2^64")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox())
+    zero = np.zeros(4, dtype=np.uint64)  # a fresh generator's counter and buffer
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zero, "key": np.array([seed, block], dtype=np.uint64)},
+        "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _series_block(basis: np.ndarray, seed: int, block: int,
@@ -181,8 +230,7 @@ def _series_block(basis: np.ndarray, seed: int, block: int,
 def _rows(basis: np.ndarray, seed: int, n_paths: int, offset: int,
           size: int) -> np.ndarray:
     """Paths offset..offset+n_paths-1 of a series keyed in blocks of `size`."""
-    if not offset >= 0:
-        raise PreconditionError(f"path index must be >= 0, got {offset}")
+    n_paths, offset = _count("path count", n_paths), _count("path index", offset)
     _check_basis_size(size, len(basis))  # each block's normals
     out = np.empty((n_paths, basis.shape[1]))
     i = 0
@@ -263,7 +311,9 @@ def spectral_rule(model: spectra.SpectralModel, span: float) -> SpectralRule:
     no sound rule takes at most MAX_PAIRS pairs (small nu over long spans).
 
     Composite Gauss-Legendre on n panels, n first from the phase the span
-    asks for, where the rule is sound (`_gauss_legendre`).  An unsound rule
+    asks for: each panel spans at most PANEL_PHASE at the span, where the
+    remainder bound of GL_POINTS points on a bare e^{iut} is eps.  The
+    rule is kept where it is sound (`_gauss_legendre`).  An unsound rule
     doubles n: a near-step density at large nu needs narrower panels than
     the phase does.  The pair count is known before any node is built."""
     where = f"{_paths_of(model)} over span {span:.6g}"
@@ -561,9 +611,9 @@ def batch_norms(amps: np.ndarray, grid: GridSpec, seed: int, n_paths: int,
     """
     if norm not in ("sup", "l2"):
         raise PreconditionError(f"unknown norm {norm!r}")
-    if not (n_paths >= 0 and threads >= 1):
-        raise PreconditionError(f"need n_paths >= 0 and threads >= 1, got "
-                                f"{n_paths} and {threads}")
+    n_paths, threads = _count("path count", n_paths), _integer("threads", threads)
+    if threads < 1:
+        raise PreconditionError(f"threads must be >= 1, got {threads}")
     try:
         out = np.empty(n_paths)
     except (MemoryError, ValueError):  # ValueError: past numpy's array size

@@ -141,6 +141,53 @@ def test_raised_name_check_sees_each_form():
         == [False, True, True, True]
 
 
+#: what builds a generator or its seeding, however it is imported
+RNG_BUILDERS = {"Philox", "Generator", "SeedSequence", "default_rng"}
+
+
+def rng_builders(source: str) -> list[str]:
+    """The innermost function, or "<module>", around every call in `source`
+    of a name or attribute in RNG_BUILDERS, or of an alias of one."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name in RNG_BUILDERS}
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in RNG_BUILDERS | aliases:
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_block_keying_builds_a_generator():
+    # one keying scheme: every random number comes from the generator that
+    # pathgen._rng_for_block keys by (seed, block)
+    found = {m: sorted(set(rng_builders((SRC / f"{m}.py").read_text()))) for m in MODULES}
+    assert {m: names for m, names in found.items() if names} == {"pathgen": ["_rng_for_block"]}
+
+
+def test_rng_builder_check_sees_each_form():
+    source = ("import numpy as np\n"
+              "from numpy.random import default_rng as make, SeedSequence\n"
+              "RNG = np.random.Generator(np.random.PCG64())\n"
+              "def f(seed) -> np.random.Generator:\n"
+              "    def g():\n        return make(seed)\n"
+              "    return np.random.Philox(key=seed), SeedSequence(seed), g\n"
+              "h = lambda: np.random.default_rng()\n")
+    assert sorted(rng_builders(source)) == [
+        "<lambda>", "<module>", "f", "f", "g"]
+
+
 def test_bench_trace_targets_exist():
     # every function that the benchmark's tracer wraps or counts exists on
     # its module, so a rename cannot silently break a traced run

@@ -15,6 +15,12 @@ from smalldev.errors import CapacityError, PreconditionError
 from smalldev.pathgen import GridSpec, PeriodicGenConfig
 
 
+def fresh_rng(seed: int, block: int) -> np.random.Generator:
+    """A newly built generator of the key (seed, block), the reference that
+    the library's re-keyed one must equal."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+
+
 def test_grid_validation():
     with pytest.raises(PreconditionError):
         GridSpec(t_min=0.5, t_max=0.5, n_points=2)
@@ -218,7 +224,7 @@ def test_sup_bracket_covers_the_interval(nu, K, grid):
     basis = pathgen._fourier_basis(amps, times)
     screen = pathgen._screen(amps, basis, times)
     fine = np.linspace(grid.t_min, grid.t_max, 8 * (grid.n_points - 1) + 1)
-    z = pathgen._rng_for_block(11, 0).standard_normal((pathgen.BLOCK, len(basis)))
+    z = fresh_rng(11, 0).standard_normal((pathgen.BLOCK, len(basis)))
     m, high, margin = pathgen._sup_bracket(z, screen)
     exact = pathgen._max_abs(z @ basis)
     assert np.all(m - margin <= exact) and np.all(exact <= high)
@@ -598,8 +604,7 @@ def test_series_normals_keying_and_layout():
     k = np.arange(K + 1)[:, None]
     for row, i in enumerate(range(offset, offset + 4)):
         block, pos = divmod(i, pathgen.BLOCK)
-        z = pathgen._rng_for_block(seed, block).standard_normal(
-            (pathgen.BLOCK, 2 * K + 1))[pos]
+        z = fresh_rng(seed, block).standard_normal((pathgen.BLOCK, 2 * K + 1))[pos]
         xi, eta = z[: K + 1], np.concatenate([[0.0], z[K + 1:]])
         ref = np.sum(amps[:, None] * (xi[:, None] * np.cos(2 * np.pi * k * t)
                                       + eta[:, None] * np.sin(2 * np.pi * k * t)),
@@ -621,10 +626,77 @@ def test_quadrature_normals_keying_and_layout():
         assert sorted(pivots) == [0, 1, 2, 3]
         for row, i in enumerate(range(offset, offset + 3)):
             block, pos = divmod(i, pathgen.QUAD_BLOCK)
-            z = pathgen._rng_for_block(seed, block).standard_normal(
-                (pathgen.QUAD_BLOCK, len(rows)))[pos]
+            z = fresh_rng(seed, block).standard_normal((pathgen.QUAD_BLOCK, len(rows)))[pos]
             ref = np.array([math.fsum(z * rows[:, j]) for j in range(len(t))])
             assert np.max(np.abs(vals[row] - ref)) <= 1e-12 * np.max(np.abs(ref)), i
+
+
+def test_rekeyed_generator_draws_a_fresh_stream():
+    # each key's stream equals a newly built generator's, bit for bit, after
+    # draws that leave the kept generator's buffer and spare 32-bit word used
+    for seed, block in ((0, 0), (2 ** 64 - 1, 0), (5, 2 ** 64 - 1)):
+        used = pathgen._rng_for_block(seed ^ 1, block ^ 1)
+        used.standard_normal(2)
+        used.integers(0, 10, size=1, dtype=np.uint32)
+        state = used.bit_generator.state
+        assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+        rng = pathgen._rng_for_block(seed, block)
+        want = fresh_rng(seed, block)
+        assert np.array_equal(rng.standard_normal(1001), want.standard_normal(1001))
+        assert np.array_equal(rng.integers(0, 2 ** 32, size=7, dtype=np.uint32),
+                              want.integers(0, 2 ** 32, size=7, dtype=np.uint32))
+
+
+def test_interleaved_calls_from_threads_draw_their_own_streams(monkeypatch):
+    # every thread re-keys before any draws: a generator shared between
+    # them would give each the normals of whichever key came last
+    model, t = spectra.continuous_nu(1.0), np.linspace(0.0, 1.0, 9)
+    n = 5 * pathgen.QUAD_BLOCK
+    want = {seed: pathgen.continuous_values(model, t, seed, n) for seed in (3, 4, 5, 6)}
+    meet = threading.Barrier(len(want), timeout=30)
+    rng_for_block = pathgen._rng_for_block
+
+    def keyed_together(seed, block):
+        rng = rng_for_block(seed, block)
+        meet.wait()
+        return rng
+
+    monkeypatch.setattr(pathgen, "_rng_for_block", keyed_together)
+    got = {}
+
+    def call(seed):
+        got[seed] = pathgen.continuous_values(model, t, seed, n)
+
+    callers = [threading.Thread(target=call, args=(seed,)) for seed in want]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    assert got.keys() == want.keys()
+    assert all(got[seed].tobytes() == want[seed].tobytes() for seed in want)
+
+
+def test_counter_blocks_build_no_generator(monkeypatch):
+    # a thread builds one Philox and re-keys it per block, where a Philox
+    # per block was 125 and 20 builds for these calls
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1) or philox(*a, **k))
+    model, t = spectra.continuous_nu(1.0), np.linspace(0.0, 1.0, 9)
+    amps = PeriodicGenConfig(nu=1.0, K=8).amplitudes()
+    for call in (lambda: pathgen.continuous_values(model, t, 1, 1000),
+                 lambda: pathgen.batch_norms(amps, GridSpec(n_points=64), 1, 10 ** 4, "sup")):
+        built.clear()
+        caller = threading.Thread(target=call)  # a thread that holds no generator yet
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(built) == 1
 
 
 def _rule_covariance(rule, t):
@@ -693,19 +765,44 @@ def test_rule_variance_is_the_total_mass(model, span):
 
 
 def test_rule_choice_counts_pairs():
-    # the pairs follow the span's phase; past MAX_PAIRS, and for the
-    # log-power family, whose tail has no closed inverse, there is no rule
+    # the pairs follow the span's phase, at most PANEL_PHASE a panel (at 3 pi
+    # nu 0.5 on [0, 10] took 15,800); past MAX_PAIRS, and for the log-power
+    # family, whose tail has no closed inverse, there is no rule
     pairs = {(nu, span): len(pathgen.spectral_rule(spectra.continuous_nu(nu), span).u)
              for nu in (0.5, 1.0, 2.0) for span in (1.0, 10.0)}
-    assert pairs == {(0.5, 1.0): 1820, (0.5, 10.0): 15800,
-                     (1.0, 1.0): 60, (1.0, 10.0): 500, (2.0, 1.0): 20, (2.0, 10.0): 100}
+    assert pairs == {(0.5, 1.0): 860, (0.5, 10.0): 6140,
+                     (1.0, 1.0): 20, (1.0, 10.0): 200, (2.0, 1.0): 20, (2.0, 10.0): 40}
     with pytest.raises(CapacityError, match="no closed inverse"):
         pathgen.spectral_rule(spectra.log_power_alpha(3.0), 1.0)
-    for nu, span in ((0.3, 1.0), (0.5, 100.0)):
+    for nu, span in ((0.3, 1.0), (0.5, 200.0)):
         with pytest.raises(CapacityError, match="no sound Gauss-Legendre rule within 65536"):
             pathgen.spectral_rule(spectra.continuous_nu(nu), span)
     # a bandlimited Tsirelson minorant's path takes tens of pairs
     assert len(pathgen.spectral_rule(spectra.bandlimited(5.0), 1.0).u) == 20
+
+
+@pytest.mark.parametrize("nu, span, pairs", [(0.5, 100.0, 59060), (0.4, 10.0, 36800)])
+def test_wide_panels_answer_long_spans(nu, span, pairs):
+    # at panels of PANEL_PHASE these spans fit in MAX_PAIRS, and the rule's
+    # covariance over 100 lags is within its stated error
+    model = spectra.continuous_nu(nu)
+    rule = pathgen.spectral_rule(model, span)
+    assert len(rule.u) == pairs and rule.cov_error <= pathgen.MAX_COV_ERROR
+    err = max(abs(_rule_covariance(rule, t) - spectra.covariance(model, t).value)
+              for t in np.linspace(span / 100, span, 100))
+    assert err <= rule.cov_error, (err, rule.cov_error)
+
+
+def test_panel_phase_is_where_the_remainder_bound_is_eps():
+    # c_N w^(2N) = eps at w = PANEL_PHASE / 2, and the GL_POINTS rule
+    # integrates cos(w x) over [-1, 1] to rounding there
+    n = pathgen.GL_POINTS
+    c = 2 ** (2 * n + 1) * math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
+    w = pathgen.PANEL_PHASE / 2.0
+    assert c * w ** (2 * n) == pytest.approx(np.finfo(float).eps, rel=1e-12)
+    assert pathgen.PANEL_PHASE == pytest.approx(24.90, abs=5e-3)
+    x, weights = np.polynomial.legendre.leggauss(n)
+    assert abs(weights @ np.cos(w * x) - 2.0 * math.sin(w) / w) <= 1e-14
 
 
 def test_gen_continuous_meta_names_the_rule():
@@ -715,12 +812,12 @@ def test_gen_continuous_meta_names_the_rule():
     rule = pathgen.spectral_rule(model, 1.0)
     rows, _, residual = pathgen._pivoted_cholesky(pathgen._rule_gram(rule, grid.times()))
     assert meta == {"method": pathgen.PIVOTED_CHOLESKY, "rank": len(rows),
-                    "n_pairs": 60, "cov_error_estimate": rule.cov_error + residual}
+                    "n_pairs": 20, "cov_error_estimate": rule.cov_error + residual}
     assert len(rows) < grid.n_points and 0.0 < residual <= pathgen.COV_TOL
-    # nu 0.5 on [0, 10] takes a 15,800-pair rule and states its error too
+    # nu 0.5 on [0, 10] takes a 6,140-pair rule and states its error too
     meta = pathgen.gen_continuous(spectra.continuous_nu(0.5), GridSpec(0.0, 10.0, 8),
                                   seed=1).meta
-    assert meta["n_pairs"] == 15800 and meta["rank"] == 8
+    assert meta["n_pairs"] == 6140 and meta["rank"] == 8
     assert 0.0 < meta["cov_error_estimate"] <= pathgen.MAX_COV_ERROR + pathgen.COV_TOL
 
 
@@ -800,7 +897,7 @@ NO_RULE_CAUSE = {
 @pytest.mark.parametrize("model, times, family", [
     (spectra.log_power_alpha(1.5), np.linspace(0.0, 1.0, 8), "log-power-alpha (alpha 1.5)"),
     (spectra.continuous_nu(0.3), np.linspace(0.0, 1.0, 8), "continuous-nu (nu 0.3)"),
-    (spectra.continuous_nu(0.5), np.linspace(0.0, 100.0, 8), "continuous-nu (nu 0.5)"),
+    (spectra.continuous_nu(0.5), np.linspace(0.0, 200.0, 8), "continuous-nu (nu 0.5)"),
     (spectra.continuous_nu(0.006), np.linspace(0.0, 1.0, 4), "continuous-nu (nu 0.006)")])
 def test_no_sound_rule_is_refused(model, times, family):
     # no path is given without a stated covariance error, and the refusal
@@ -866,6 +963,36 @@ def test_keys_past_64_bits_are_refused():
     with pytest.raises(CapacityError, match=r"past 2\^64"):
         pathgen.gen_continuous(spectra.continuous_nu(1.0), grid, 1,
                                2 ** 64 * pathgen.QUAD_BLOCK)
+
+
+def test_seed_must_be_an_integer():
+    # 1.9 gave seed 1's paths; numpy integers are integers
+    model, grid = spectra.continuous_nu(1.0), GridSpec(0.0, 1.0, 8)
+    with pytest.raises(PreconditionError, match="seed must be an integer, got 1.9"):
+        pathgen.gen_continuous(model, grid, 1.9)
+    want = pathgen.gen_continuous(model, grid, 3, 2).values
+    got = pathgen.gen_continuous(model, grid, np.uint64(3), np.int64(2)).values
+    assert np.array_equal(got, want)
+
+
+def test_negative_path_count_is_refused():
+    # ended in numpy's "negative dimensions" ValueError
+    with pytest.raises(PreconditionError, match="path count must be >= 0, got -1"):
+        pathgen.continuous_values(spectra.continuous_nu(1.0), np.linspace(0.0, 1.0, 8),
+                                  seed=1, n_paths=-1)
+
+
+def test_path_index_must_be_an_integer():
+    # ended in a slicing TypeError
+    with pytest.raises(PreconditionError, match="path index must be an integer, got 2.7"):
+        pathgen.gen_continuous(spectra.continuous_nu(1.0), GridSpec(0.0, 1.0, 8), 1, 2.7)
+
+
+def test_thread_count_must_be_an_integer():
+    # ended in a TypeError from range
+    amps = PeriodicGenConfig(nu=1.0, K=4).amplitudes()
+    with pytest.raises(PreconditionError, match="threads must be an integer, got 1.5"):
+        pathgen.batch_norms(amps, GridSpec(n_points=16), 1, 10 ** 4, "sup", threads=1.5)
 
 
 def test_caches_are_bounded_and_read_only():
